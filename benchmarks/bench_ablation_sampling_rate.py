@@ -21,7 +21,7 @@ def _no_data_share(sampling_rate: int) -> float:
     result = run_scenario(config)
     pipeline = AnalysisPipeline(result.control, result.data,
                                 peer_asns=result.ixp.member_asns)
-    return pipeline.table2_pre_classes()[PreRTBHClass.NO_DATA]
+    return pipeline.run("table2_pre_classes")[PreRTBHClass.NO_DATA]
 
 
 def test_bench_ablation_sampling_rate(benchmark):

@@ -52,7 +52,7 @@ def main() -> None:
 
     # 2. the damage: legitimate-looking packets to service ports during events
     print("\n== Collateral damage during RTBH events (Fig. 18) ==")
-    damage = pipeline.fig18_collateral()
+    damage = pipeline.run("fig18_collateral")
     print(f"  events with collateral traffic: {damage.events_with_collateral}")
     if damage.records:
         cdf = damage.cdf()
@@ -66,7 +66,7 @@ def main() -> None:
 
     # 3. what filtering would have saved
     print("\n== The fine-grained alternative (Fig. 14) ==")
-    cdf = pipeline.fig14_filterable()
+    cdf = pipeline.run("fig14_filterable")
     print(f"  {pct(1 - cdf(0.999))} of anomaly events are *fully* stoppable "
           "by dropping known UDP amplification ports only")
     print(f"  median droppable share: {pct(cdf.median)}")

@@ -65,10 +65,6 @@ class AnalyzeOptions:
     host_min_days: int = 20
     analyses: Optional[Tuple[str, ...]] = None
     jobs: int = 1
-    #: analysis engine: "auto" (columnar iff fresh sidecars exist),
-    #: "columnar" (vectorized; derives sidecars when missing), or
-    #: "records" (the reference path) — results are bit-identical
-    engine: str = "auto"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -172,7 +168,7 @@ class Study:
     def analyze(self, *,
                 options: AnalyzeOptions = AnalyzeOptions()) -> StudyReport:
         """Batch-analyze the corpus; the classic full-study pass."""
-        from repro.columnar.engine import build_pipeline
+        from repro.core.pipeline import AnalysisPipeline
         from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
         from repro.corpus.ingest import check_policy
         from repro.corpus.platform import load_platform
@@ -187,11 +183,10 @@ class Study:
         except (OSError, ValueError, KeyError) as exc:
             raise CorpusError(f"{path}: unreadable platform sidecar: {exc}"
                               ) from exc
-        pipeline = build_pipeline(control, data, peers,
-                                  engine=options.engine, corpus_dir=path,
-                                  peeringdb=peeringdb,
-                                  route_server_asn=rs_asn,
-                                  host_min_days=options.host_min_days)
+        pipeline = AnalysisPipeline(control, data, peers,
+                                    peeringdb=peeringdb,
+                                    route_server_asn=rs_asn,
+                                    host_min_days=options.host_min_days)
         return pipeline.run_all(strict=policy is ErrorPolicy.STRICT,
                                 analyses=options.analyses,
                                 jobs=options.jobs)

@@ -320,14 +320,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _write_telemetry(telem, args, manifest, started)
             print(f"error: cannot ingest corpus: {exc}", file=sys.stderr)
             return EXIT_UNREADABLE
-        from repro.columnar.engine import build_pipeline
-
-        pipeline = build_pipeline(control, data, peers,
-                                  engine=getattr(args, "engine", "auto"),
-                                  corpus_dir=path,
-                                  peeringdb=peeringdb,
-                                  route_server_asn=rs_asn,
-                                  host_min_days=args.host_min_days)
+        pipeline = AnalysisPipeline(control, data, peers,
+                                    peeringdb=peeringdb,
+                                    route_server_asn=rs_asn,
+                                    host_min_days=args.host_min_days)
         try:
             report = pipeline.run_all(strict=args.strict,
                                       supervisor=supervisor,
@@ -789,14 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run up to N analyses concurrently in forked "
                           "workers (0 = all CPUs, default 1 = the serial "
                           "reference path)")
-    ana.add_argument("--engine", choices=("auto", "columnar", "records"),
-                     default="auto",
-                     help="analysis engine: 'columnar' vectorizes the "
-                          "hottest analyses over mmap'd sidecars "
-                          "(deriving them if needed), 'records' is the "
-                          "reference path, 'auto' (default) uses columnar "
-                          "iff fresh sidecars already exist; results are "
-                          "bit-identical either way")
     ana.add_argument("--cache-dir", metavar="DIR",
                      help="content-addressed result cache: skip analyses "
                           "already finished for this exact corpus + config")

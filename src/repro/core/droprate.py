@@ -23,15 +23,6 @@ from repro.ixp.peeringdb import OrgType, PeeringDB
 from repro.net.ip import IPv4Prefix
 from repro.stats.cdf import EmpiricalCDF
 
-_MAX32 = 0xFFFFFFFF
-
-
-def _dst_mask(packets: np.ndarray, prefix: IPv4Prefix) -> np.ndarray:
-    """Boolean mask of ``packets`` destined into ``prefix``."""
-    bits = (_MAX32 << (32 - prefix.length)) & _MAX32 if prefix.length else 0
-    return (packets["dst_ip"] & np.uint32(bits)) == np.uint32(prefix.network_int)
-
-
 @dataclass(frozen=True)
 class EventTraffic:
     """Per-event traffic totals during announced windows."""
@@ -55,32 +46,20 @@ class EventTraffic:
 def event_traffic(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
                   ) -> List[EventTraffic]:
     """Select and total each event's during-blackhole traffic."""
-    out = []
-    for event in events:
-        # The corpus is time-sorted: work on the window slices only.
-        parts = []
-        for start, end in event.windows:
-            window = data.slice_time(start, end)
-            if len(window) == 0:
-                continue
-            mask = _dst_mask(window, event.prefix)
-            if mask.any():
-                parts.append(window[mask])
-        sub = np.concatenate(parts) if parts else np.zeros(0, dtype=data.packets.dtype)
-        if len(sub) == 0:
-            out.append(EventTraffic(event.event_id, event.prefix.length, 0, 0, 0, 0))
-            continue
-        sizes = sub["size"].astype(np.int64)
-        dropped = sub["dropped"]
-        out.append(EventTraffic(
-            event_id=event.event_id,
-            prefix_length=event.prefix.length,
-            packets=len(sub),
-            dropped_packets=int(dropped.sum()),
-            bytes=int(sizes.sum()),
-            dropped_bytes=int(sizes[dropped].sum()),
-        ))
-    return out
+    return [EventTraffic(event.event_id, event.prefix.length,
+                         *_traffic_totals(data.window_packets(
+                             event.prefix, event.windows)))
+            for event in events]
+
+
+def _traffic_totals(packets: np.ndarray) -> Tuple[int, int, int, int]:
+    """``(packets, dropped, bytes, dropped_bytes)`` of a packet array."""
+    if len(packets) == 0:
+        return 0, 0, 0, 0
+    sizes = packets["size"].astype(np.int64)
+    dropped = packets["dropped"]
+    return (len(packets), int(dropped.sum()),
+            int(sizes.sum()), int(sizes[dropped].sum()))
 
 
 @dataclass(frozen=True)
@@ -111,17 +90,7 @@ def window_traffic_totals(data: DataPlaneCorpus, prefix: IPv4Prefix,
     fragment by window fragment — sums of fragment totals equal the
     batch totals exactly.
     """
-    window = data.slice_time(t0, t1)
-    if len(window) == 0:
-        return 0, 0, 0, 0
-    mask = _dst_mask(window, prefix)
-    if not mask.any():
-        return 0, 0, 0, 0
-    sub = window[mask]
-    sizes = sub["size"].astype(np.int64)
-    dropped = sub["dropped"]
-    return (len(sub), int(dropped.sum()),
-            int(sizes.sum()), int(sizes[dropped].sum()))
+    return _traffic_totals(data.window_packets(prefix, [(t0, t1)]))
 
 
 def drop_rate_by_prefix_length(data: DataPlaneCorpus,
@@ -205,19 +174,9 @@ def top_source_reactions(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
                          prefix_length: int = 32) -> List[SourceReaction]:
     """Fig. 7: the ``top_n`` handover ASes by traffic volume towards
     /32 blackholes, with their drop shares, ordered by drop share."""
-    parts = []
-    for event in events:
-        if event.prefix.length != prefix_length:
-            continue
-        for start, end in event.windows:
-            window = data.slice_time(start, end)
-            if len(window) == 0:
-                continue
-            mask = _dst_mask(window, event.prefix)
-            if mask.any():
-                parts.append(window[mask])
-    sub = (np.concatenate(parts) if parts
-           else np.zeros(0, dtype=data.packets.dtype))
+    parts = [data.window_packets(event.prefix, event.windows)
+             for event in events if event.prefix.length == prefix_length]
+    sub = np.concatenate(parts) if parts else data.packets[:0]
     if len(sub) == 0:
         raise AnalysisError("no traffic towards blackholes of that length")
     asns, inverse = np.unique(sub["ingress_asn"], return_inverse=True)

@@ -175,29 +175,15 @@ def merge_threshold_sweep(
     ``#events(deltas[i]) / #rtbh_announcements``. The count is computed
     from the inter-window gap distribution, so the sweep costs one pass.
     """
-    announcements = sum(1 for m in control.rtbh_updates() if m.is_announce)
-    return sweep_from_merged(_merged_prefix_windows(control), announcements,
-                             deltas)
-
-
-def sweep_from_merged(
-    merged: Dict[IPv4Prefix, List[Tuple[float, float, frozenset, int]]],
-    announcements: int,
-    deltas: Sequence[float] | np.ndarray | None = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The gap-distribution half of :func:`merge_threshold_sweep`.
-
-    Split out so the columnar engine can feed the same sweep from its
-    vectorized window state and stay bit-equal with the corpus scan.
-    """
     if deltas is None:
         deltas = np.r_[0.0, np.geomspace(1.0, 48 * 3600.0, 120)]
     deltas = np.asarray(deltas, dtype=np.float64)
+    announcements = sum(1 for m in control.rtbh_updates() if m.is_announce)
     if announcements == 0:
         raise AnalysisError("corpus contains no RTBH announcements")
     gaps: List[float] = []
     total_windows = 0
-    for windows in merged.values():
+    for windows in _merged_prefix_windows(control).values():
         total_windows += len(windows)
         for (s0, e0, *_), (s1, *_rest) in zip(windows, windows[1:]):
             gaps.append(s1 - e0)

@@ -10,7 +10,7 @@ amplification events did it participate?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,18 +36,12 @@ def filterable_share_cdf(
     events: Sequence[RTBHEvent],
     classification: PreRTBHClassification,
     ports: frozenset[int] = AMPLIFICATION_PORTS,
-    window_packets: Optional[Callable[[RTBHEvent], np.ndarray]] = None,
 ) -> EmpiricalCDF:
     """Fig. 14: ECDF over events of the share of packets a UDP
-    source-port filter would have dropped.
-
-    ``window_packets`` swaps the per-event packet gather (columnar hook).
-    """
-    if window_packets is None:
-        window_packets = lambda event: event_window_packets(data, event)  # noqa: E731
+    source-port filter would have dropped."""
     shares = []
     for event in _anomaly_events(events, classification):
-        packets = window_packets(event)
+        packets = event_window_packets(data, event)
         if len(packets) == 0:
             continue
         udp = packets["protocol"] == int(IPProtocol.UDP)
@@ -84,25 +78,21 @@ def as_participation(
     events: Sequence[RTBHEvent],
     classification: PreRTBHClassification,
     ports: frozenset[int] = AMPLIFICATION_PORTS,
-    window_packets: Optional[Callable[[RTBHEvent], np.ndarray]] = None,
 ) -> ASParticipation:
     """Fig. 15 over all anomaly events with UDP-amplification traffic.
 
     Only reflected packets (UDP with an amplification source port) count:
     their source addresses are genuine reflector addresses, so the origin
     AS attribution is not spoofable — the handover AS (MAC-derived) never
-    is.  ``window_packets`` swaps the per-event packet gather (columnar
-    hook).
+    is.
     """
-    if window_packets is None:
-        window_packets = lambda event: event_window_packets(data, event)  # noqa: E731
     handover_hits: Dict[int, int] = {}
     origin_hits: Dict[int, int] = {}
     amp_counts, handover_counts, origin_counts = [], [], []
     n_events = 0
     port_list = sorted(ports)
     for event in _anomaly_events(events, classification):
-        packets = window_packets(event)
+        packets = event_window_packets(data, event)
         if len(packets) == 0:
             continue
         amp = packets[(packets["protocol"] == int(IPProtocol.UDP))

@@ -10,14 +10,10 @@ Analyses are addressed by name through the registry
 (:data:`repro.core.registry.ANALYSES`)::
 
     pipeline.run("fig10_merge_sweep")
-
-The historical per-figure methods (``pipeline.fig10_merge_sweep()``)
-remain as thin shims that emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence
 
@@ -103,9 +99,7 @@ class AnalysisPipeline:
     def analysis_fn(self, name: str) -> Callable:
         """The bound zero-argument callable for a registry name.
 
-        The non-deprecated accessor used by the serial, supervised, and
-        parallel runners — unlike ``getattr(pipeline, name)`` it does not
-        trip the deprecation shims.
+        The accessor the serial, supervised, and parallel runners use.
         """
         return getattr(self, "_impl_" + get_analysis(name).name)
 
@@ -126,11 +120,11 @@ class AnalysisPipeline:
         )
 
     def _impl_fig5_drop_by_length(self) -> droprate_mod.PrefixLengthDropRates:
-        return droprate_mod.drop_rate_by_prefix_length(self.data, self.events)
+        return droprate_mod.aggregate_drop_rates(self.event_traffic)
 
     def _impl_fig6_drop_cdfs(self, lengths=(24, 32)):
-        return droprate_mod.drop_rate_cdf_by_length(self.data, self.events,
-                                                    lengths=lengths)
+        return droprate_mod.drop_cdfs_from_traffic(self.event_traffic,
+                                                   lengths=lengths)
 
     def _impl_fig7_top_sources(self, top_n: int = 100,
                                ) -> List[droprate_mod.SourceReaction]:
@@ -279,30 +273,6 @@ class AnalysisPipeline:
         if telem.enabled:
             report.telemetry = telem.metrics_snapshot()
         return report
-
-
-def _deprecated_accessor(name: str):
-    """A shim method delegating ``pipeline.<name>()`` to the registry."""
-    impl_name = "_impl_" + name
-
-    def shim(self, *args, **kwargs):
-        warnings.warn(
-            f"AnalysisPipeline.{name}() is deprecated; use "
-            f"pipeline.run({name!r}) instead (see "
-            "repro.core.registry.ANALYSES)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(self, impl_name)(*args, **kwargs)
-
-    shim.__name__ = name
-    shim.__qualname__ = f"AnalysisPipeline.{name}"
-    shim.__doc__ = (f"Deprecated alias for ``run({name!r})`` — "
-                    "emits ``DeprecationWarning``.")
-    return shim
-
-
-for _name in ANALYSIS_NAMES:
-    setattr(AnalysisPipeline, _name, _deprecated_accessor(_name))
-del _name
 
 
 def droprate_sweep(control: ControlPlaneCorpus, deltas=None):

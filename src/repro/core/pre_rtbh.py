@@ -12,27 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.events import RTBHEvent
 from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError
-from repro.net.ip import IPv4Prefix
 from repro.stats.anomaly import AnomalyConfig, EWMAAnomalyDetector
 
 SLOT = 300.0                 # 5-minute slots
 PRE_WINDOW = 72 * 3_600.0    # 72 hours
 N_SLOTS = int(PRE_WINDOW / SLOT)
 FEATURE_NAMES = ("packets", "flows", "src_ips", "dst_ports", "non_tcp_flows")
-
-_MAX32 = 0xFFFFFFFF
-
-
-def _dst_mask(packets: np.ndarray, prefix: IPv4Prefix) -> np.ndarray:
-    bits = (_MAX32 << (32 - prefix.length)) & _MAX32 if prefix.length else 0
-    return (packets["dst_ip"] & np.uint32(bits)) == np.uint32(prefix.network_int)
 
 
 def slot_features(packets: np.ndarray, window_start: float,
@@ -180,22 +172,15 @@ def classify_pre_rtbh_events(
     events: Sequence[RTBHEvent],
     detector: EWMAAnomalyDetector | None = None,
     anomaly_horizon_min: float = 10.0,
-    window_packets: Optional[Callable[[RTBHEvent], np.ndarray]] = None,
 ) -> PreRTBHClassification:
-    """Run the full §5.2–5.3 pipeline over all events.
-
-    ``window_packets`` swaps the pre-window gather (slice + prefix mask)
-    — the columnar engine passes a closure over precomputed row indices
-    returning the exact array the default path would build.
-    """
+    """Run the full §5.2–5.3 pipeline over all events."""
     detector = detector or EWMAAnomalyDetector(AnomalyConfig())
     result = PreRTBHClassification()
     corpus_start = data.start_time if len(data) else 0.0
     for event in events:
-        window = window_packets(event) if window_packets is not None else None
         result.events.append(classify_single_event(
             data, event, detector, corpus_start=corpus_start,
-            anomaly_horizon_min=anomaly_horizon_min, window=window))
+            anomaly_horizon_min=anomaly_horizon_min))
     return result
 
 
@@ -206,7 +191,6 @@ def classify_single_event(
     *,
     corpus_start: float,
     anomaly_horizon_min: float = 10.0,
-    window: Optional[np.ndarray] = None,
 ) -> PreRTBHEvent:
     """Classify one event's 72 h pre-window.
 
@@ -214,14 +198,9 @@ def classify_single_event(
     fixed ``corpus_start``), so the streaming engine classifies each
     event exactly once — at the watermark where it first appears — and
     the outcome never changes as the corpus grows.
-
-    ``window`` supplies the pre-window prefix packets directly (already
-    sliced and masked); default ``None`` computes them from ``data``.
     """
     window_start = event.start - PRE_WINDOW
-    if window is None:
-        window = data.slice_time(window_start, event.start)
-        window = window[_dst_mask(window, event.prefix)]
+    window = data.window_packets(event.prefix, [(window_start, event.start)])
     total = len(window)
     if total == 0:
         return PreRTBHEvent(

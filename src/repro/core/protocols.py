@@ -9,7 +9,7 @@ All statistics are per event to keep heavy hitters from biasing the mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -17,32 +17,14 @@ from repro.core.events import RTBHEvent
 from repro.core.pre_rtbh import PreRTBHClass, PreRTBHClassification
 from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError
-from repro.net.ip import IPv4Prefix
 from repro.net.ports import AMPLIFICATION_PORTS
 from repro.net.protocols import IPProtocol
-
-_MAX32 = 0xFFFFFFFF
-
-
-def _dst_mask(packets: np.ndarray, prefix: IPv4Prefix) -> np.ndarray:
-    bits = (_MAX32 << (32 - prefix.length)) & _MAX32 if prefix.length else 0
-    return (packets["dst_ip"] & np.uint32(bits)) == np.uint32(prefix.network_int)
 
 
 def event_window_packets(data: DataPlaneCorpus, event: RTBHEvent) -> np.ndarray:
     """All sampled packets destined into the event's prefix during its
     announced windows."""
-    parts = []
-    for start, end in event.windows:
-        window = data.slice_time(start, end)
-        if len(window) == 0:
-            continue
-        mask = _dst_mask(window, event.prefix)
-        if mask.any():
-            parts.append(window[mask])
-    if not parts:
-        return np.zeros(0, dtype=data.packets.dtype)
-    return np.concatenate(parts)
+    return data.window_packets(event.prefix, event.windows)
 
 
 @dataclass(frozen=True)
@@ -66,25 +48,17 @@ def event_protocol_mix(
     data: DataPlaneCorpus,
     events: Sequence[RTBHEvent],
     classification: PreRTBHClassification,
-    window_packets: Optional[Callable[[RTBHEvent], np.ndarray]] = None,
 ) -> EventProtocolMix:
-    """Compute the §5.4 statistics (and the Table 3 input).
-
-    ``window_packets`` swaps the per-event packet gather — the columnar
-    engine passes a closure over precomputed row indices that returns the
-    exact array :func:`event_window_packets` would build.
-    """
+    """Compute the §5.4 statistics (and the Table 3 input)."""
     if len(events) != len(classification.events):
         raise AnalysisError("events and classification must align")
-    if window_packets is None:
-        window_packets = lambda event: event_window_packets(data, event)  # noqa: E731
     by_id = {e.event_id: e for e in classification.events}
     with_data = 0
     with_data_and_anomaly = 0
     shares_acc: Dict[IPProtocol, List[float]] = {p: [] for p in IPProtocol}
     amp_counts: List[int] = []
     for event in events:
-        packets = window_packets(event)
+        packets = event_window_packets(data, event)
         if len(packets) == 0:
             continue
         with_data += 1

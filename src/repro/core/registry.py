@@ -12,9 +12,6 @@ segments changed).
 Run one by name via :meth:`AnalysisPipeline.run`::
 
     pipeline.run("fig10_merge_sweep")
-
-The old per-figure accessors (``pipeline.fig10_merge_sweep()``) survive
-as deprecation shims.
 """
 
 from __future__ import annotations
@@ -43,11 +40,6 @@ class AnalysisSpec:
     incremental: bool
     #: corpus planes the result depends on — the cache-invalidation key
     inputs: Tuple[str, ...]
-    #: True when :class:`repro.columnar.pipeline.ColumnarPipeline` has a
-    #: vectorized twin (``_columnar_<name>``); the differential suite in
-    #: ``tests/columnar`` holds every flagged analysis to bit-equality
-    #: with the record path
-    columnar: bool = False
 
 
 ANALYSES: Tuple[AnalysisSpec, ...] = (
@@ -58,35 +50,27 @@ ANALYSES: Tuple[AnalysisSpec, ...] = (
     AnalysisSpec("fig4_targeted_visibility", "§4.1 / Fig. 4",
                  "visibility of targeted prefixes", False, (CONTROL,)),
     AnalysisSpec("fig5_drop_by_length", "§4.2 / Fig. 5",
-                 "drop rates by prefix length", True, (CONTROL, DATA),
-                 columnar=True),
+                 "drop rates by prefix length", True, (CONTROL, DATA)),
     AnalysisSpec("fig6_drop_cdfs", "§4.2 / Fig. 6",
-                 "per-event drop-share ECDFs", True, (CONTROL, DATA),
-                 columnar=True),
+                 "per-event drop-share ECDFs", True, (CONTROL, DATA)),
     AnalysisSpec("fig7_top_sources", "§4.2 / Fig. 7",
-                 "top handover ASes' reactions", False, (CONTROL, DATA),
-                 columnar=True),
+                 "top handover ASes' reactions", False, (CONTROL, DATA)),
     AnalysisSpec("fig8_org_types", "§4.2 / Fig. 8",
                  "PeeringDB org types of top sources", False,
-                 (CONTROL, DATA), columnar=True),
+                 (CONTROL, DATA)),
     AnalysisSpec("fig10_merge_sweep", "§5.1 / Fig. 10",
-                 "event merge-threshold sweep", False, (CONTROL,),
-                 columnar=True),
+                 "event merge-threshold sweep", False, (CONTROL,)),
     AnalysisSpec("table2_pre_classes", "§5.2 / Table 2",
-                 "pre-RTBH anomaly classification", True, (CONTROL, DATA),
-                 columnar=True),
+                 "pre-RTBH anomaly classification", True, (CONTROL, DATA)),
     AnalysisSpec("sec54_protocol_mix", "§5.4",
-                 "protocol mix of anomalous events", False, (CONTROL, DATA),
-                 columnar=True),
+                 "protocol mix of anomalous events", False, (CONTROL, DATA)),
     AnalysisSpec("table3_amplification", "§5.4 / Table 3",
-                 "amplification protocol shares", False, (CONTROL, DATA),
-                 columnar=True),
+                 "amplification protocol shares", False, (CONTROL, DATA)),
     AnalysisSpec("fig14_filterable", "§6.1 / Fig. 14",
                  "share of filterable attack traffic", False,
-                 (CONTROL, DATA), columnar=True),
+                 (CONTROL, DATA)),
     AnalysisSpec("fig15_participation", "§6.2 / Fig. 15",
-                 "AS participation in filtering", False, (CONTROL, DATA),
-                 columnar=True),
+                 "AS participation in filtering", False, (CONTROL, DATA)),
     AnalysisSpec("table4_host_types", "§7.2 / Table 4",
                  "org types of blackholed hosts", False, (CONTROL, DATA)),
     AnalysisSpec("fig18_collateral", "§7.3 / Fig. 18",
@@ -112,8 +96,3 @@ def get_analysis(name: str) -> AnalysisSpec:
 def incremental_names() -> Tuple[str, ...]:
     """Names the streaming engine maintains from reducer state."""
     return tuple(s.name for s in ANALYSES if s.incremental)
-
-
-def columnar_names() -> Tuple[str, ...]:
-    """Names with a vectorized columnar twin."""
-    return tuple(s.name for s in ANALYSES if s.columnar)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,12 @@ _MAX32 = 0xFFFFFFFF
 
 def _prefix_mask(length: int) -> np.uint32:
     return np.uint32((_MAX32 << (32 - length)) & _MAX32 if length else 0)
+
+
+def _in_prefix(addresses: np.ndarray, prefix: IPv4Prefix) -> np.ndarray:
+    """Boolean mask of the ``uint32`` ``addresses`` inside ``prefix``."""
+    return ((addresses & _prefix_mask(prefix.length))
+            == np.uint32(prefix.network_int))
 
 
 class DataPlaneCorpus:
@@ -71,6 +77,11 @@ class DataPlaneCorpus:
             packets = packets[~bad]
         order = np.argsort(packets["time"], kind="stable")
         self._packets = packets[order]
+        # contiguous copies of the two fields every window gather reads:
+        # searchsorted over the strided ``time`` field of the packed
+        # records copies it on every call
+        self._time = np.ascontiguousarray(self._packets["time"])
+        self._dst_ip = np.ascontiguousarray(self._packets["dst_ip"])
         report.loaded = len(self._packets)
         #: accounting of what construction/loading kept and dropped
         self.ingest_report: IngestReport = report
@@ -100,25 +111,50 @@ class DataPlaneCorpus:
 
     def mask_dst_in(self, prefix: IPv4Prefix) -> np.ndarray:
         """Boolean mask of packets destined into ``prefix``."""
-        mask = _prefix_mask(prefix.length)
-        return (self._packets["dst_ip"] & mask) == np.uint32(prefix.network_int)
+        return _in_prefix(self._dst_ip, prefix)
 
     def mask_src_in(self, prefix: IPv4Prefix) -> np.ndarray:
-        mask = _prefix_mask(prefix.length)
-        return (self._packets["src_ip"] & mask) == np.uint32(prefix.network_int)
+        return _in_prefix(self._packets["src_ip"], prefix)
 
     def mask_time(self, t0: float, t1: float) -> np.ndarray:
         """Packets with ``t0 <= time < t1`` (fast: the array is sorted)."""
-        lo = np.searchsorted(self._packets["time"], t0, side="left")
-        hi = np.searchsorted(self._packets["time"], t1, side="left")
+        lo, hi = np.searchsorted(self._time, (t0, t1), side="left")
         out = np.zeros(len(self._packets), dtype=bool)
         out[lo:hi] = True
         return out
 
     def slice_time(self, t0: float, t1: float) -> np.ndarray:
-        lo = np.searchsorted(self._packets["time"], t0, side="left")
-        hi = np.searchsorted(self._packets["time"], t1, side="left")
+        lo, hi = np.searchsorted(self._time, (t0, t1), side="left")
         return self._packets[lo:hi]
+
+    def window_packets(self, prefix: IPv4Prefix,
+                       windows: Sequence[Tuple[float, float]]) -> np.ndarray:
+        """Packets destined into ``prefix`` during any of ``windows``.
+
+        The one gather behind every per-event data-plane analysis: a
+        batched ``searchsorted`` over the contiguous time column finds
+        each ``[start, end)`` row range, a prefix mask over the
+        contiguous destination column picks the rows inside it.  The
+        result is window by window, in time order within each window —
+        for the sorted, disjoint windows of an RTBH event exactly the
+        packets in time order.
+        """
+        if not windows or len(self._packets) == 0:
+            return self._packets[:0]
+        bounds = np.asarray(windows, dtype=np.float64).reshape(-1, 2)
+        lo = np.searchsorted(self._time, bounds[:, 0], side="left").tolist()
+        hi = np.searchsorted(self._time, bounds[:, 1], side="left").tolist()
+        parts = []
+        for start, stop in zip(lo, hi):
+            if stop > start:
+                rows = np.flatnonzero(
+                    _in_prefix(self._dst_ip[start:stop], prefix))
+                if rows.size:
+                    parts.append(rows + start)
+        if not parts:
+            return self._packets[:0]
+        return self._packets[parts[0] if len(parts) == 1
+                             else np.concatenate(parts)]
 
     def select(
         self,
@@ -148,12 +184,11 @@ class DataPlaneCorpus:
     ) -> Dict[IPv4Prefix, np.ndarray]:
         """Timestamps of dropped packets per destination prefix — the input
         of the time-offset MLE (Fig. 2)."""
-        dropped = self._packets[self._packets["dropped"]]
+        dropped = self._packets["dropped"]
+        dst_ip, time = self._dst_ip[dropped], self._time[dropped]
         out: Dict[IPv4Prefix, np.ndarray] = {}
         for prefix in prefixes:
-            mask = _prefix_mask(prefix.length)
-            hit = (dropped["dst_ip"] & mask) == np.uint32(prefix.network_int)
-            times = dropped["time"][hit]
+            times = time[_in_prefix(dst_ip, prefix)]
             if len(times):
                 out[prefix] = times.astype(np.float64)
         return out

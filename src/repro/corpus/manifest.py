@@ -337,61 +337,8 @@ def validate_corpus(corpus_dir: str | Path, *,
             report.warning("span-mismatch",
                            "control and data feeds do not overlap in time")
 
-    _check_columnar_sidecars(corpus_dir, report)
     _check_result_caches(corpus_dir, report, cache_dir)
     return report
-
-
-def _check_columnar_sidecars(corpus_dir: Path,
-                             report: ValidationReport) -> None:
-    """Validate the ``.columnar/`` sidecars, when any exist.
-
-    Sidecars are derived state, so an absent ``.columnar/`` directory is
-    fine.  Present sidecars must be structurally sound, pass the deep
-    payload hash, and still be bound (by source SHA-256) to the current
-    corpus files — serving stale columns would silently analyze another
-    corpus's rows, which is exactly the class of failure ``validate``
-    exists to catch.  Exactly one of the two sidecars missing is a torn
-    write worth a warning.
-    """
-    from repro.columnar.format import open_columnar
-    from repro.columnar.store import sidecar_paths, source_checksums
-    from repro.errors import ColumnarError, TornColumnarError
-
-    control_path, data_path = sidecar_paths(corpus_dir)
-    present = [p for p in (control_path, data_path) if p.exists()]
-    if not present:
-        return
-    if len(present) == 1:
-        report.warning(
-            "columnar-partial",
-            f"only {present[0].name} exists under .columnar/ — torn "
-            "sidecar write; re-derive with `repro analyze --engine "
-            "columnar` or `repro doctor --repair`")
-    current = source_checksums(corpus_dir)
-    for path, plane in ((control_path, "control"), (data_path, "data")):
-        if not path.exists():
-            continue
-        try:
-            segment = open_columnar(path, verify=True)
-        except TornColumnarError as exc:
-            report.error("columnar-torn", str(exc))
-            continue
-        except ColumnarError as exc:
-            report.error("columnar-corrupt", str(exc))
-            continue
-        if segment.plane != plane:
-            report.error("columnar-corrupt",
-                         f"{path.name}: header says plane "
-                         f"{segment.plane!r}, expected {plane!r}")
-        if current[plane] is not None \
-                and segment.source_sha256 != current[plane]:
-            report.error(
-                "columnar-stale",
-                f"{path.name}: derived from {segment.source_file} "
-                f"{segment.source_sha256[:12]}… but the corpus file now "
-                f"digests to {current[plane][:12]}…; re-derive the "
-                "sidecars")
 
 
 def _check_result_caches(corpus_dir: Path, report: ValidationReport,

@@ -26,8 +26,6 @@ manifest garbled             rebuild from disk, cross-checked against the
                              finalize entry's file checksums
 stream checkpoint            replay the commit log with the checkpoint's
                              own stored config; garbled → discard (derived)
-columnar sidecar damaged     re-derive both sidecars from the finalized
-                             corpus files (sidecars are derived state)
 cache entry drift            evict (entries are memoization, never truth)
 obs snapshot / events        discard / trim (operator forensics)
 tap offset beyond source     rewind to zero
@@ -94,7 +92,6 @@ PLAN_ORDER = (
     "regenerate",
     "refinalize",
     "rebuild-manifest",
-    "rederive-columnar",
     "rebuild-stream-checkpoint",
     "discard-stream-checkpoint",
     "evict-cache-entry",
@@ -180,8 +177,6 @@ class _RepairEngine:
                 self._execute_regenerate(damages)
             elif plan == "repair-tap-segments":
                 self._execute_tap_segments(damages)
-            elif plan == "rederive-columnar":
-                self._execute_rederive_columnar(damages)
             elif plan in ("refinalize", "rebuild-tap-journal"):
                 # corpus-wide plans: execute once however many damages
                 # named them
@@ -273,26 +268,6 @@ class _RepairEngine:
         except (ReproError, OSError, ValueError) as exc:
             action = RepairAction(plan="regenerate", artifact=artifact,
                                   ok=False, detail=str(exc))
-        self._record(action)
-
-    def _execute_rederive_columnar(self, damages: List[Damage]) -> None:
-        """Drop both sidecars and re-derive them once — they are a pair
-        derived from the same corpus files, so one derivation covers
-        however many damages named the plan."""
-        from repro.columnar.store import derive_sidecars, sidecar_paths
-
-        artifact = ", ".join(sorted({d.artifact for d in damages}))
-        try:
-            for path in sidecar_paths(self.corpus):
-                path.unlink(missing_ok=True)
-            derive_sidecars(self.corpus)
-            action = RepairAction(
-                plan="rederive-columnar", artifact=artifact, ok=True,
-                detail="re-derived both sidecars from the corpus files")
-        except (ReproError, OSError, ValueError) as exc:
-            action = RepairAction(plan="rederive-columnar",
-                                  artifact=artifact, ok=False,
-                                  detail=str(exc))
         self._record(action)
 
     def _execute_tap_segments(self, damages: List[Damage]) -> None:

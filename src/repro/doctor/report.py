@@ -30,8 +30,8 @@ class Damage:
     #: corpus-relative path of the damaged artifact
     artifact: str
     #: artifact kind: "journal" | "segment" | "corpus-file" | "manifest" |
-    #: "columnar-segment" | "stream-checkpoint" | "cache-entry" |
-    #: "obs-snapshot" | "obs-events" | "tap-offset" | "tmp"
+    #: "stream-checkpoint" | "cache-entry" | "obs-snapshot" |
+    #: "obs-events" | "tap-offset" | "tmp"
     kind: str
     #: stable damage-class tag, e.g. "torn-tail", "checksum-drift"
     damage: str

@@ -188,7 +188,6 @@ def scrub_corpus(corpus_dir: str | Path, *, deep: bool = True,
                   else generation_params(corpus, scan.header))
         _scrub_segments(corpus, scan, report, tap_corpus, params, deep)
         _scrub_corpus_files(corpus, scan, report, tap_corpus, params, deep)
-        _scrub_columnar(corpus, report, deep)
         _scrub_stream_checkpoint(corpus, scan, report)
         _scrub_caches(corpus, report, cache_dir)
         _scrub_obs(corpus, report)
@@ -400,70 +399,6 @@ def _scrub_corpus_files(corpus: Path, scan: JournalScan,
                 severity="error",
                 detail="SHA-256 differs from the manifest",
                 plan=file_plan, context=dict(file_context)))
-
-
-# -- columnar sidecars -------------------------------------------------------
-
-def _scrub_columnar(corpus: Path, report: DamageReport, deep: bool) -> None:
-    """Scrub the ``.columnar/`` sidecar pair.
-
-    Sidecars are derived state — every damage is a warning whose plan
-    re-derives both files from the finalized corpus (the mirror image of
-    the derived-journal discard plans).  ``deep`` adds the payload hash
-    walk; a shallow scrub trusts the structural header checks.
-    """
-    from repro.columnar.format import open_columnar
-    from repro.columnar.store import sidecar_paths, source_checksums
-    from repro.errors import ColumnarError, TornColumnarError
-
-    control_path, data_path = sidecar_paths(corpus)
-    pairs = ((control_path, "control"), (data_path, "data"))
-    if not any(path.exists() for path, _ in pairs):
-        return  # pre-columnar corpus: a legitimate layout
-    sources: Optional[Dict[str, Optional[str]]] = None
-    for path, plane in pairs:
-        artifact = _rel(corpus, path)
-        report.count("columnar-segment")
-        if not path.exists():
-            report.add(Damage(
-                artifact=artifact, kind="columnar-segment",
-                damage="missing", severity="warning",
-                detail="one sidecar of the pair is absent; the columnar "
-                       "engine needs both",
-                plan="rederive-columnar", context={"plane": plane}))
-            continue
-        try:
-            segment = open_columnar(path, verify=deep)
-        except TornColumnarError as exc:
-            report.add(Damage(
-                artifact=artifact, kind="columnar-segment",
-                damage="torn-tail", severity="warning", detail=str(exc),
-                plan="rederive-columnar", context={"plane": plane}))
-            continue
-        except ColumnarError as exc:
-            report.add(Damage(
-                artifact=artifact, kind="columnar-segment",
-                damage="garbled", severity="warning", detail=str(exc),
-                plan="rederive-columnar", context={"plane": plane}))
-            continue
-        if segment.plane != plane:
-            report.add(Damage(
-                artifact=artifact, kind="columnar-segment",
-                damage="garbled", severity="warning",
-                detail=f"header says plane {segment.plane!r}, "
-                       f"expected {plane!r}",
-                plan="rederive-columnar", context={"plane": plane}))
-            continue
-        if sources is None:
-            sources = source_checksums(corpus)
-        recorded = sources.get(plane)
-        if recorded and segment.source_sha256 != recorded:
-            report.add(Damage(
-                artifact=artifact, kind="columnar-segment",
-                damage="stale-source", severity="warning",
-                detail="derived from a corpus file that has since "
-                       "changed",
-                plan="rederive-columnar", context={"plane": plane}))
 
 
 # -- stream checkpoint -------------------------------------------------------

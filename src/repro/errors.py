@@ -46,27 +46,6 @@ class IngestError(CorpusError):
     """
 
 
-class ColumnarError(CorpusError):
-    """A columnar sidecar segment is unusable (bad magic, header, layout).
-
-    The columnar store is *derived* state: every error of this family is
-    recoverable by deleting the sidecar and re-deriving it from the
-    finalized corpus files, which is exactly what the doctor's
-    ``rederive-columnar`` repair plan does.
-    """
-
-
-class TornColumnarError(ColumnarError):
-    """A columnar sidecar is truncated mid-payload (torn tail).
-
-    The analogue of a torn checkpoint-journal tail: the bytes up to the
-    header are intact but the payload stops short of its declared length
-    — the signature of a crash during a non-atomic copy.  Tolerated the
-    same way the journal tolerates torn tails: the reader refuses the
-    file with this typed error and the caller re-derives.
-    """
-
-
 class FaultInjectionError(ReproError):
     """A fault-injection spec is invalid or not applicable to its target."""
 

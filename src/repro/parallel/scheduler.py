@@ -22,7 +22,8 @@ Execution model::
   and intermediates (Δ-merged events, pre-RTBH classification, host
   study) run *after* a single shared warm-up in the parent, so children
   inherit those caches via copy-on-write instead of recomputing them 16
-  times.  Analyses whose results other analyses recompute internally
+  times (and only when the journal and the cache leave something to
+  run).  Analyses whose results other analyses recompute internally
   (``fig7_top_sources`` inside ``fig8_org_types``, ``sec54_protocol_mix``
   inside ``table3_amplification``) are scheduled first, and heavy
   analyses are dispatched before cheap ones (longest-processing-time
@@ -68,6 +69,7 @@ from repro.runtime.supervisor import (
     ingest_warnings,
     journal_outcome,
     run_supervised,
+    warm_shared_caches,
 )
 
 #: relative cost estimates (longest-processing-time-first dispatch);
@@ -205,11 +207,6 @@ def run_parallel(
     report.warnings.extend(ingest_warnings(pipeline))
     degraded = pipeline.degraded_inputs
 
-    with telem.span("analyze.warm_caches"):
-        warm = getattr(pipeline, "warm_shared_caches", None)
-        if warm is not None:
-            warm()
-
     use_cache = cache is not None and corpus_digest is not None
     pool = _Pool(ctx=ctx, policy=policy, degraded=degraded,
                  fingerprint=fingerprint, strict=strict, journal=journal,
@@ -225,6 +222,8 @@ def run_parallel(
         pool.queue.append(_Task(
             name=name, fn=_analysis_fn(pipeline, name),
             rng=random.Random(f"{policy.seed}:{name}")))
+    if pool.queue:
+        warm_shared_caches(pipeline, telem)
 
     with telem.span("analyze.parallel", jobs=jobs,
                     queued=len(pool.queue)) as sp:
@@ -306,7 +305,7 @@ def _start(pool: _Pool, task: _Task, telem) -> None:
     proc = pool.ctx.Process(
         target=_child_main,
         args=(child_conn, task.name, task.fn, pool.degraded,
-              pool.fingerprint),
+              pool.fingerprint, (parent_conn, *pool.running)),
         daemon=True)
     task.started = perf_counter()
     proc.start()

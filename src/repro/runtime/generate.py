@@ -156,7 +156,8 @@ def checkpointed_generate(
         if finalized is not None and (out / MANIFEST_FILE).exists():
             report.already_complete = True
             # count only day segments — the journal also carries the
-            # finalize and columnar:* commits
+            # finalize commit (and, in corpora written by older versions,
+            # inert columnar:* commits)
             report.segments_total = sum(
                 1 for key in journal.keys() if key.startswith("segment:"))
             report.control_messages = finalized.get("control_messages", 0)
@@ -249,14 +250,19 @@ def _write_segment_file(seg_dir: Path, plane: str, day: int, chunk) -> Path:
     return path
 
 
-def _segment_worker(conn, tasks, seg_dir: Path) -> None:
+def _segment_worker(conn, tasks, seg_dir: Path, inherited=()) -> None:
     """Child: write a shard of segments, reporting each over the pipe.
 
     Workers never touch the journal — the parent is the single journal
     writer.  Temp names from ``atomic_writer`` are ``mkstemp``-unique, so
     concurrent workers (or an orphan surviving a killed parent) cannot
-    collide; only the atomic rename publishes a segment.
+    collide; only the atomic rename publishes a segment.  ``inherited``
+    are the parent-end pipes the fork copied (this worker's own and its
+    earlier siblings'); closing them lets a send fail with EPIPE once
+    the parent is gone instead of blocking forever.
     """
+    for other in inherited:
+        other.close()
     try:
         for plane, day, chunk in tasks:
             path = _write_segment_file(seg_dir, plane, day, chunk)
@@ -281,7 +287,8 @@ def _write_pending_parallel(pending, seg_dir: Path,
             continue
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_segment_worker,
-                           args=(child_conn, shard, seg_dir), daemon=True)
+                           args=(child_conn, shard, seg_dir,
+                                 (parent_conn, *conns)), daemon=True)
         proc.start()
         child_conn.close()
         conns[parent_conn] = proc
@@ -340,22 +347,12 @@ def _finalize(result: ScenarioResult, out: Path, seg_dir: Path,
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
     report.manifest_path = str(manifest_path)
-    control_sha256 = file_sha256(out / CONTROL_FILE)
-    data_sha256 = file_sha256(out / DATA_FILE)
-    # columnar sidecars ride along with every generate: written before
-    # the finalize commit so a resumed run re-derives them too, bound to
-    # the exact corpus checksums the finalize record carries
-    from repro.columnar.store import write_sidecars
-
-    write_sidecars(out, result.control, result.data,
-                   control_sha256=control_sha256, data_sha256=data_sha256,
-                   journal=journal)
     journal.commit(
         FINALIZE_KEY,
         control_messages=counts["control_messages"],
         data_packets=counts["data_packets"],
-        control_sha256=control_sha256,
-        data_sha256=data_sha256,
+        control_sha256=file_sha256(out / CONTROL_FILE),
+        data_sha256=file_sha256(out / DATA_FILE),
     )
 
 

@@ -20,7 +20,8 @@ Every terminal outcome is committed to the checkpoint journal (when one
 is given), so ``repro analyze --resume`` re-runs only analyses that never
 reached a terminal state.  Shared intermediates (events, pre-RTBH
 classification, …) are warmed in the parent *before* forking so children
-inherit them via copy-on-write instead of recomputing them 16 times.
+inherit them via copy-on-write instead of recomputing them 16 times —
+and only when some analysis is left to run after the journal is read.
 
 On platforms without ``fork`` the runner degrades to in-process execution:
 retries still apply to retryable exceptions, but hang/OOM isolation (and
@@ -81,7 +82,13 @@ class _Attempt:
 
 
 def _child_main(conn, name: str, fn, degraded: bool,
-                fingerprint: bool = False) -> None:
+                fingerprint: bool = False, inherited=()) -> None:
+    # A forked child holds copies of every pipe read end the parent had
+    # open: its own and those of its running siblings.  Close them, so
+    # once the parent dies no reader is left and a send blocked on a
+    # full pipe fails with EPIPE instead of outliving the parent.
+    for other in inherited:
+        other.close()
     hang = chaos.injected_hang(name)
     if hang:
         time.sleep(hang)
@@ -90,12 +97,17 @@ def _child_main(conn, name: str, fn, degraded: bool,
                                degraded_inputs=degraded,
                                fingerprint=fingerprint)
     except BaseException as exc:  # untyped: a bug or an OS-level failure
-        conn.send({"kind": "raised", "error": str(exc),
-                   "error_type": type(exc).__name__,
-                   "retryable": is_retryable_exception(exc)})
+        try:
+            conn.send({"kind": "raised", "error": str(exc),
+                       "error_type": type(exc).__name__,
+                       "retryable": is_retryable_exception(exc)})
+        except OSError:
+            pass  # the parent is gone; nobody is left to report to
         return
     try:
         conn.send({"kind": "outcome", "outcome": outcome})
+    except OSError:
+        return  # the parent is gone; nobody is left to report to
     except Exception:
         # the analysis value would not pickle across the pipe; keep the
         # status/timing (and the fingerprint, computed before the send)
@@ -121,7 +133,8 @@ def _run_attempt(name: str, fn, degraded: bool,
         return _run_attempt_inline(name, fn, degraded)
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child_main,
-                       args=(child_conn, name, fn, degraded, True),
+                       args=(child_conn, name, fn, degraded, True,
+                             (parent_conn,)),
                        daemon=True)
     start = perf_counter()
     proc.start()
@@ -196,7 +209,7 @@ def _outcome_from_entry(entry: dict) -> AnalysisOutcome:
 
 
 def _analysis_fn(pipeline, name: str):
-    """Resolve an analysis callable without tripping deprecation shims.
+    """Resolve an analysis callable by registry name.
 
     Registry-aware pipelines expose ``analysis_fn``; duck-typed test
     doubles fall back to plain attribute access.
@@ -230,6 +243,16 @@ def journal_outcome(journal: CheckpointJournal,
                    value_digest=outcome.value_digest)
 
 
+def warm_shared_caches(pipeline, telem) -> None:
+    """Compute the pipeline's shared intermediates in the parent, so the
+    forked children inherit them instead of each recomputing them.
+    Called only when at least one analysis will actually run."""
+    with telem.span("analyze.warm_caches"):
+        warm = getattr(pipeline, "warm_shared_caches", None)
+        if warm is not None:
+            warm()
+
+
 def run_supervised(
     pipeline,
     *,
@@ -256,19 +279,20 @@ def run_supervised(
     degraded = pipeline.degraded_inputs
     report.warnings.extend(ingest_warnings(pipeline))
 
-    with telem.span("analyze.warm_caches"):
-        warm = getattr(pipeline, "warm_shared_caches", None)
-        if warm is not None:
-            warm()
+    resumed = {}
+    if journal is not None:
+        for name in names:
+            entry = journal.committed(ANALYSIS_KEY + name)
+            if entry is not None:
+                resumed[name] = _outcome_from_entry(entry)
+    if len(resumed) < len(names):
+        warm_shared_caches(pipeline, telem)
 
     for name in names:
-        key = ANALYSIS_KEY + name
-        if journal is not None:
-            entry = journal.committed(key)
-            if entry is not None:
-                report.outcomes.append(_outcome_from_entry(entry))
-                telem.counter("supervisor.resumed").inc()
-                continue
+        if name in resumed:
+            report.outcomes.append(resumed[name])
+            telem.counter("supervisor.resumed").inc()
+            continue
         outcome = _supervise_one(name, _analysis_fn(pipeline, name), degraded,
                                  policy, rng, telem)
         report.outcomes.append(outcome)

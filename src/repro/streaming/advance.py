@@ -272,12 +272,6 @@ def _refinalize(out: Path, seg_dir: Path, journal: CheckpointJournal,
     write_manifest(out, counts=counts, run=run)
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
-    # the corpus bytes just changed: re-derive the columnar sidecars so
-    # their source binding matches the new checksums (same ordering as
-    # generate — sidecars land before the finalize commit)
-    from repro.columnar.store import derive_sidecars
-
-    derive_sidecars(out, journal=journal)
     journal.commit(
         FINALIZE_KEY,
         control_messages=counts["control_messages"],

@@ -534,14 +534,7 @@ class StreamEngine:
             raise CorpusError(
                 f"{self.corpus_dir}: unusable platform sidecar: {exc}"
                 ) from exc
-        # ColumnarPipeline with no sidecar columns: the on-disk sidecars
-        # describe the *full* corpus, not the consumed prefix, so the
-        # batch-recompute analyses vectorize over in-memory columns of
-        # the accumulated corpora instead — fingerprints stay equal to
-        # the record path either way.
-        from repro.columnar.pipeline import ColumnarPipeline
-
-        pipeline = ColumnarPipeline(
+        pipeline = AnalysisPipeline(
             self._control_corpus(), self._data_corpus(), peers,
             peeringdb=peeringdb, route_server_asn=rs_asn,
             delta=self.delta, host_min_days=self.host_min_days)

@@ -81,6 +81,12 @@ def test_options_are_frozen():
         options.host_min_days = 5
 
 
+def test_analyze_options_have_no_engine_knob():
+    # one analysis engine: the retired engine choice is not an option
+    with pytest.raises(TypeError, match="engine"):
+        AnalyzeOptions(engine="records")
+
+
 def test_options_accept_policy_enum_and_string(stream_corpus):
     study = Study.open(stream_corpus)
     by_enum = study.analyze(options=AnalyzeOptions(

@@ -1,11 +1,9 @@
-"""The named analysis registry and the deprecated accessor shims."""
-
-import warnings
+"""The named analysis registry: the one way to address an analysis."""
 
 import pytest
 
 from repro import ANALYSES, get_analysis
-from repro.core.pipeline import ANALYSIS_NAMES
+from repro.core.pipeline import ANALYSIS_NAMES, AnalysisPipeline
 from repro.core.registry import CONTROL, DATA
 from repro.errors import AnalysisError
 
@@ -40,18 +38,15 @@ def test_run_rejects_unknown_name(tiny_pipeline):
         tiny_pipeline.run("fig99_nonsense")
 
 
-def test_deprecated_accessor_warns_and_delegates(tiny_pipeline):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        via_run = tiny_pipeline.run("fig3_load")
-    with pytest.warns(DeprecationWarning, match="fig3_load"):
-        via_shim = tiny_pipeline.fig3_load()
-    assert via_shim.peak_active == via_run.peak_active
-    assert via_shim.mean_active == via_run.mean_active
+def test_run_delegates_to_the_analysis(tiny_pipeline):
+    via_run = tiny_pipeline.run("fig3_load")
+    direct = tiny_pipeline.analysis_fn("fig3_load")()
+    assert via_run.peak_active == direct.peak_active
+    assert via_run.mean_active == direct.mean_active
 
 
-def test_every_shim_exists_and_warns(tiny_pipeline):
+def test_no_per_figure_accessors_remain():
+    # analyses are addressed by registry name only; the old per-figure
+    # methods are gone, not merely deprecated
     for name in ANALYSIS_NAMES:
-        shim = getattr(type(tiny_pipeline), name)
-        assert shim.__name__ == name
-        assert "Deprecated" in (shim.__doc__ or "")
+        assert not hasattr(AnalysisPipeline, name), name

@@ -22,8 +22,8 @@ class TestEventExtraction:
         assert abs(len(extracted) - len(planned)) / len(planned) < 0.15
 
     def test_merge_sweep_knee(self, tiny_pipeline):
-        deltas, fraction = tiny_pipeline.fig10_merge_sweep(
-            deltas=[0.0, 600.0, 72 * 3600.0])
+        deltas, fraction = tiny_pipeline.run(
+            "fig10_merge_sweep", deltas=[0.0, 600.0, 72 * 3600.0])
         assert fraction[0] > fraction[1] > fraction[2]
         # at Δ=10 min the paper reports a ~8.5% ratio; on-off patterns in
         # the scenario give a comparable collapse
@@ -32,7 +32,7 @@ class TestEventExtraction:
 
 class TestFig2:
     def test_offset_recovered(self, tiny_pipeline, tiny_config):
-        est = tiny_pipeline.fig2_time_offset()
+        est = tiny_pipeline.run("fig2_time_offset")
         assert est.best_offset == pytest.approx(tiny_config.control_clock_skew,
                                                 abs=0.041)
         # residual unexplained drops are the bilateral blackholes; at the
@@ -42,7 +42,7 @@ class TestFig2:
 
 class TestFig5to8:
     def test_host_blackholes_drop_about_half(self, tiny_pipeline):
-        rates = tiny_pipeline.fig5_drop_by_length()
+        rates = tiny_pipeline.run("fig5_drop_by_length")
         drop32, _, share32 = rates.row(32)
         # at this scale only ~20 members carry the traffic and a few heavy
         # reflectors dominate, so the aggregate swings; the bench at a
@@ -51,13 +51,13 @@ class TestFig5to8:
         assert share32 > 0.5  # most traffic goes to /32 blackholes
 
     def test_le24_blackholes_drop_most(self, tiny_pipeline):
-        rates = tiny_pipeline.fig5_drop_by_length()
+        rates = tiny_pipeline.run("fig5_drop_by_length")
         drop24, _, _ = rates.row(24)
         # a handful of /24 events at this scale: loose lower bound
         assert drop24 > 0.6
 
     def test_fig6_cdfs(self, tiny_pipeline):
-        cdfs = tiny_pipeline.fig6_drop_cdfs()
+        cdfs = tiny_pipeline.run("fig6_drop_cdfs")
         q1, med, q3 = cdfs[32].quartiles()
         assert q1 < med < q3
         assert 0.1 < med < 0.9
@@ -68,7 +68,7 @@ class TestFig5to8:
     def test_fig7_reaction_buckets(self, tiny_pipeline):
         from repro.core.droprate import reaction_buckets
 
-        reactions = tiny_pipeline.fig7_top_sources(top_n=20)
+        reactions = tiny_pipeline.run("fig7_top_sources", top_n=20)
         buckets = reaction_buckets(reactions)
         assert sum(buckets.values()) == len(reactions)
         # both full-drop and full-forward members exist
@@ -76,14 +76,14 @@ class TestFig5to8:
         assert buckets["forward_ge_99"] > 0
 
     def test_fig8_join_has_types(self, tiny_pipeline):
-        hist = tiny_pipeline.fig8_org_types(top_n=20)
+        hist = tiny_pipeline.run("fig8_org_types", top_n=20)
         assert sum(hist.values()) == 20
         assert OrgType.NSP in hist
 
 
 class TestTable2AndFigs11to13:
     def test_class_shares_shape(self, tiny_pipeline):
-        shares = tiny_pipeline.table2_pre_classes()
+        shares = tiny_pipeline.run("table2_pre_classes")
         assert sum(shares.values()) == pytest.approx(1.0)
         assert shares[PreRTBHClass.NO_DATA] > 0.2
         assert 0.15 < shares[PreRTBHClass.DATA_ANOMALY] < 0.45
@@ -119,12 +119,12 @@ class TestTable2AndFigs11to13:
 
 class TestSec54AndTable3:
     def test_udp_dominates_anomaly_events(self, tiny_pipeline):
-        mix = tiny_pipeline.sec54_protocol_mix()
+        mix = tiny_pipeline.run("sec54_protocol_mix")
         assert mix.protocol_shares[IPProtocol.UDP] > 0.8
         assert mix.events_with_data_and_anomaly > 10
 
     def test_table3_one_or_two_protocols_dominate(self, tiny_pipeline):
-        table = tiny_pipeline.table3_amplification()
+        table = tiny_pipeline.run("table3_amplification")
         assert sum(table.values()) == pytest.approx(1.0)
         assert table[1] + table[2] > 0.5
         assert table[0] < 0.25
@@ -132,13 +132,13 @@ class TestSec54AndTable3:
 
 class TestFigs14to15:
     def test_most_events_fully_filterable(self, tiny_pipeline):
-        cdf = tiny_pipeline.fig14_filterable()
+        cdf = tiny_pipeline.run("fig14_filterable")
         # ~90% of events are fully stoppable by the port list (Fig. 14)
         assert cdf(0.999) < 0.35  # <35% of events below full filterability
         assert cdf.median > 0.9
 
     def test_participation_skewed(self, tiny_pipeline):
-        part = tiny_pipeline.fig15_participation()
+        part = tiny_pipeline.run("fig15_participation")
         top_origin = part.top("origin", 1)[0][1]
         assert top_origin > 0.25  # the heavy-hitter AS appears in many events
         values = np.array(list(part.origin.values()))
@@ -152,7 +152,7 @@ class TestHostsAndCollateral:
         assert counts[HostClass.CLIENT] > counts[HostClass.SERVER] > 0
 
     def test_table4_types(self, tiny_pipeline):
-        table = tiny_pipeline.table4_host_types()
+        table = tiny_pipeline.run("table4_host_types")
         client_types = table[HostClass.CLIENT]
         assert client_types.get(OrgType.CABLE_DSL_ISP, 0.0) > \
             client_types.get(OrgType.CONTENT, 0.0)
@@ -166,7 +166,7 @@ class TestHostsAndCollateral:
         assert (np.linalg.norm(coords, axis=1) <= 1.0 + 1e-9).all()
 
     def test_collateral_damage_found(self, tiny_pipeline):
-        damage = tiny_pipeline.fig18_collateral()
+        damage = tiny_pipeline.run("fig18_collateral")
         assert damage.servers_considered > 0
         assert damage.events_with_collateral > 0
         cdf = damage.cdf()
@@ -175,7 +175,7 @@ class TestHostsAndCollateral:
 
 class TestFig19:
     def test_use_case_shares(self, tiny_pipeline):
-        result = tiny_pipeline.fig19_use_cases()
+        result = tiny_pipeline.run("fig19_use_cases")
         shares = result.shares()
         assert sum(shares.values()) == pytest.approx(1.0)
         assert 0.15 < shares[UseCase.INFRASTRUCTURE_PROTECTION] < 0.45
@@ -184,7 +184,7 @@ class TestFig19:
         assert result.counts()[UseCase.SQUATTING_PROTECTION] >= 1
 
     def test_zombies_last_long(self, tiny_pipeline):
-        result = tiny_pipeline.fig19_use_cases()
+        result = tiny_pipeline.run("fig19_use_cases")
         _, zombie_median, _ = result.duration_quartiles(UseCase.ZOMBIE)
         _, ddos_median, _ = result.duration_quartiles(
             UseCase.INFRASTRUCTURE_PROTECTION)

@@ -35,20 +35,21 @@ class TestRoundTripEquivalence:
         assert original == restored
 
     def test_table2_identical(self, tiny_pipeline, reloaded):
-        assert tiny_pipeline.table2_pre_classes() == reloaded.table2_pre_classes()
+        assert (tiny_pipeline.run("table2_pre_classes")
+                == reloaded.run("table2_pre_classes"))
 
     def test_fig5_identical(self, tiny_pipeline, reloaded):
-        a = tiny_pipeline.fig5_drop_by_length()
-        b = reloaded.fig5_drop_by_length()
+        a = tiny_pipeline.run("fig5_drop_by_length")
+        b = reloaded.run("fig5_drop_by_length")
         np.testing.assert_array_equal(a.lengths, b.lengths)
         np.testing.assert_array_equal(a.drop_share_packets, b.drop_share_packets)
 
     def test_fig19_identical(self, tiny_pipeline, reloaded):
-        assert (tiny_pipeline.fig19_use_cases().counts()
-                == reloaded.fig19_use_cases().counts())
+        assert (tiny_pipeline.run("fig19_use_cases").counts()
+                == reloaded.run("fig19_use_cases").counts())
 
     def test_offset_identical(self, tiny_pipeline, reloaded):
-        a = tiny_pipeline.fig2_time_offset()
-        b = reloaded.fig2_time_offset()
+        a = tiny_pipeline.run("fig2_time_offset")
+        b = reloaded.run("fig2_time_offset")
         assert a.best_offset == b.best_offset
         assert a.best_share == b.best_share

@@ -257,6 +257,65 @@ class TestCacheIntegration:
         assert not report.outcomes[0].cached  # recomputed, not served
 
 
+class TestWarmUpOnlyWhenQueued:
+    """Resolving every analysis from the cache or the journal must not
+    compute the shared intermediates the forked workers would need."""
+
+    INTERMEDIATES = ("events", "pre_classification", "event_traffic",
+                     "host_study")
+
+    @pytest.fixture
+    def fresh_pipeline(self, tiny_result):
+        from repro import AnalysisPipeline
+
+        return AnalysisPipeline(tiny_result.control, tiny_result.data,
+                                peer_asns=tiny_result.ixp.member_asns,
+                                peeringdb=tiny_result.ixp.peeringdb,
+                                host_min_days=8)
+
+    def warmed(self, pipeline):
+        return [name for name in self.INTERMEDIATES
+                if name in vars(pipeline)]
+
+    def test_all_cached_run_computes_no_intermediate(self, tmp_path,
+                                                     fresh_pipeline):
+        from repro.core.pipeline import ANALYSIS_NAMES
+        from repro.core.study import AnalysisOutcome
+
+        cache = ResultCache(tmp_path / "cache")
+        for name in ANALYSIS_NAMES:
+            cache.put("c0ffee", "cfg", AnalysisOutcome(
+                name=name, status=AnalysisStatus.OK, value_digest="ab"))
+        report = run_parallel(fresh_pipeline, jobs=2, cache=cache,
+                              corpus_digest="c0ffee", config_hash="cfg")
+        assert all(o.cached for o in report.outcomes)
+        assert len(report.outcomes) == len(ANALYSIS_NAMES)
+        assert self.warmed(fresh_pipeline) == []
+
+    def test_all_journaled_supervised_run_computes_no_intermediate(
+            self, tmp_path, fresh_pipeline):
+        from repro.core.pipeline import ANALYSIS_NAMES
+        from repro.runtime.supervisor import run_supervised
+
+        journal = CheckpointJournal(tmp_path / "journal.jsonl")
+        journal.start({"command": "analyze"})
+        for name in ANALYSIS_NAMES:
+            journal.commit(ANALYSIS_KEY + name, name=name, status="ok")
+        report = run_supervised(fresh_pipeline, journal=journal)
+        assert [o.status for o in report.outcomes] == \
+            [AnalysisStatus.OK] * len(ANALYSIS_NAMES)
+        assert self.warmed(fresh_pipeline) == []
+
+    def test_one_uncached_analysis_still_warms(self, tmp_path,
+                                               fresh_pipeline):
+        cache = ResultCache(tmp_path / "cache")
+        report = run_parallel(fresh_pipeline, analyses=["fig3_load"],
+                              jobs=2, cache=cache, corpus_digest="c0ffee",
+                              config_hash="cfg")
+        assert report.outcomes[0].status is AnalysisStatus.OK
+        assert self.warmed(fresh_pipeline) == list(self.INTERMEDIATES)
+
+
 class TestScheduleOrder:
     def test_is_a_permutation_and_deterministic(self):
         from repro.core.pipeline import ANALYSIS_NAMES

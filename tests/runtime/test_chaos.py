@@ -13,7 +13,7 @@ import os
 import shutil
 import signal
 import subprocess
-import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,19 +26,31 @@ from repro.cli import (
 )
 from repro.runtime.chaos import HANG_ENV, KILL_ENV
 from repro.runtime.generate import JOURNAL_FILE
+from tests.cli_helpers import CLI_TIMEOUT, cli_command, cli_env, run_cli
 
-SRC = Path(__file__).resolve().parents[2] / "src"
 GENERATE = ["generate", "--scale", "0.005", "--days", "3", "--seed", "3"]
 ANALYZE = ["analyze", "--host-min-days", "2"]
 
 
-def run_cli(args, chaos=None):
-    env = {k: v for k, v in os.environ.items()
-           if k not in (KILL_ENV, HANG_ENV)}
-    env["PYTHONPATH"] = str(SRC)
-    env.update(chaos or {})
-    return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env)
+def session_pids(sid):
+    """Live (non-zombie) processes in session ``sid``, from ``/proc``.
+
+    A worker orphaned by its parent's death is re-parented, but it keeps
+    the session of the CLI it was forked from.
+    """
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # after the parenthesised command name: state ppid pgrp session
+        state, _ppid, _pgrp, session = stat.rsplit(")", 1)[1].split()[:4]
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry.name))
+    return pids
 
 
 def manifest_files(corpus):
@@ -170,6 +182,36 @@ class TestParallelAnalyzeKillAndResume:
                             for a in baseline["report"]["analyses"]}
         assert digests == baseline_digests
         assert all(digests.values())
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="needs Linux /proc to find orphans")
+    def test_killed_parent_leaves_no_worker_behind(self, corpus_copy):
+        """SIGKILL an ``analyze --jobs 4`` parent while workers are in
+        flight: every worker must exit on its own within a bounded wait
+        (a send to the dead parent fails with EPIPE) instead of blocking
+        forever on a pipe only the orphans themselves still read.
+
+        ``fig3_load`` carries the one result larger than a pipe buffer
+        (~100 kB here).  It is held back 5 s and the parent dies at the
+        commit of ``table2_pre_classes``, which is dispatched right after
+        it, so the big send always happens after the parent is gone.
+        """
+        proc = subprocess.Popen(
+            cli_command([*ANALYZE, corpus_copy, "--supervised", "--jobs",
+                         "4", "--json"]),
+            env=cli_env({KILL_ENV: "commit:analysis:table2_pre_classes",
+                         HANG_ENV: "fig3_load:5"}),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        assert proc.wait(timeout=CLI_TIMEOUT) == -signal.SIGKILL
+        deadline = time.monotonic() + 30.0
+        survivors = session_pids(proc.pid)
+        while survivors and time.monotonic() < deadline:
+            time.sleep(0.2)
+            survivors = session_pids(proc.pid)
+        for pid in survivors:  # do not leak them into the rest of the run
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == [], f"workers outlived their parent: {survivors}"
 
 
 class TestHangIsolation:

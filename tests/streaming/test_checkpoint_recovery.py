@@ -4,10 +4,6 @@ explicit, safe recovery path (``--reset-stream``) — never a silent
 restart from day 0 and never a generic unreadable-corpus failure."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,18 +14,9 @@ from repro.streaming.state import (
     STREAM_CHECKPOINT_FILE,
     checkpoint_path,
 )
-
-SRC = Path(__file__).resolve().parents[2] / "src"
+from tests.cli_helpers import run_cli
 
 EXIT_STREAM_CHECKPOINT = 5
-
-
-def run_cli(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
 
 
 def consume_once(corpus):

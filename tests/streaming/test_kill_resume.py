@@ -3,26 +3,12 @@ after a mid-stream checkpoint and assert the resumed watcher converges
 to the batch fingerprints without re-consuming finished days."""
 
 import json
-import os
 import signal
-import subprocess
-import sys
-from pathlib import Path
 
 from repro import AnalyzeOptions, Study
-from repro.runtime.chaos import HANG_ENV, KILL_ENV
+from repro.runtime.chaos import KILL_ENV
 from repro.streaming import StreamEngine, load_state
-
-SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def run_cli(args, chaos=None):
-    env = {k: v for k, v in os.environ.items()
-           if k not in (KILL_ENV, HANG_ENV)}
-    env["PYTHONPATH"] = str(SRC)
-    env.update(chaos or {})
-    return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env)
+from tests.cli_helpers import run_cli
 
 
 def test_sigkill_mid_watch_then_resume(corpus):

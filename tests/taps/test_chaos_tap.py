@@ -17,20 +17,18 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.api import AnalyzeOptions, Study, StreamOptions
 from repro.corpus.ingest import ErrorPolicy
-from repro.runtime.chaos import HANG_ENV, KILL_ENV
+from repro.runtime.chaos import KILL_ENV
 from repro.runtime.retry import RetryPolicy
 from repro.streaming import StreamEngine
 from repro.taps import TapConfig, TapSession, write_feed
 from repro.taps.adapters import ADAPTERS
+from tests.cli_helpers import run_cli
 from tests.taps.conftest import make_messages
-
-SRC = Path(__file__).resolve().parents[2] / "src"
 
 CONTROL_ANALYSES = ("fig3_load", "fig4_targeted_visibility")
 
@@ -48,16 +46,6 @@ def append_feed(path, messages):
     with open(path, "a", encoding="utf-8") as fh:
         for msg in messages:
             fh.write(adapter.encode(msg) + "\n")
-
-
-def run_cli(args, chaos=None):
-    env = {k: v for k, v in os.environ.items()
-           if k not in (KILL_ENV, HANG_ENV)}
-    env["PYTHONPATH"] = str(SRC)
-    env.update(chaos or {})
-    return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
 
 
 def test_chaos_kill_at_tap_reconnect_then_replay(tmp_path):

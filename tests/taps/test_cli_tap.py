@@ -3,29 +3,19 @@ committed fixtures for every adapter format, the JSON report's tap
 section, and the usage-error paths."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from tests.cli_helpers import run_cli
+
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-SRC = Path(__file__).resolve().parents[2] / "src"
 
 FEEDS = {
     "ris": FIXTURES / "feed.ris.jsonl",
     "exabgp": FIXTURES / "feed.exabgp.jsonl",
     "mrt": FIXTURES / "feed.mrt.mrt",
 }
-
-
-def run_cli(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
 
 
 def test_fixtures_are_committed():

@@ -82,6 +82,12 @@ class TestCLI:
         assert rc == 0
         assert "use cases" in capsys.readouterr().out
 
+    def test_retired_engine_flag_is_a_usage_error(self, corpus_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(corpus_dir), "--engine", "records"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--engine" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -52,24 +52,30 @@ class RouteServerPeer:
         self.adj_rib_in.add(route)
         # Re-select among *accepted* candidates only; the new route may have
         # replaced a previously accepted one from the same announcer.
-        best = self._best_accepted(route.prefix)
-        if best is None:
-            self.loc_rib.uninstall(route.prefix)
-        else:
-            self.loc_rib.install(best)
+        self._reselect(route.prefix, route, accepted)
         return accepted
 
     def revoke(self, announcer_asn: int, prefix: IPv4Prefix) -> None:
         """Withdraw the route ``announcer_asn`` had announced for ``prefix``."""
         self.adj_rib_in.remove(announcer_asn, prefix)
-        best = self._best_accepted(prefix)
+        self._reselect(prefix)
+
+    def _reselect(self, prefix: IPv4Prefix, offered: Optional[Route] = None,
+                  offered_accepted: bool = False) -> None:
+        best = self._best_accepted(prefix, offered, offered_accepted)
         if best is None:
             self.loc_rib.uninstall(prefix)
         else:
             self.loc_rib.install(best)
 
-    def _best_accepted(self, prefix: IPv4Prefix) -> Optional[Route]:
-        accepted = [r for r in self.adj_rib_in.candidates(prefix) if self.policy.accepts(r)]
+    def _best_accepted(self, prefix: IPv4Prefix, offered: Optional[Route] = None,
+                       offered_accepted: bool = False) -> Optional[Route]:
+        """Best candidate for ``prefix`` that the import policy accepts.
+
+        ``offered_accepted`` is the decision already made for ``offered``,
+        so that route is not evaluated a second time."""
+        accepted = [r for r in self.adj_rib_in.candidates(prefix)
+                    if (offered_accepted if r is offered else self.policy.accepts(r))]
         if not accepted:
             return None
         return best_path(accepted)

@@ -15,19 +15,7 @@ from repro.corpus.ingest import IngestReport, check_policy
 from repro.dataplane.packet import PACKET_DTYPE, packets_from_arrays
 from repro.errors import CorpusError, IngestError
 from repro import telemetry
-from repro.net.ip import IPv4Prefix
-
-_MAX32 = 0xFFFFFFFF
-
-
-def _prefix_mask(length: int) -> np.uint32:
-    return np.uint32((_MAX32 << (32 - length)) & _MAX32 if length else 0)
-
-
-def _in_prefix(addresses: np.ndarray, prefix: IPv4Prefix) -> np.ndarray:
-    """Boolean mask of the ``uint32`` ``addresses`` inside ``prefix``."""
-    return ((addresses & _prefix_mask(prefix.length))
-            == np.uint32(prefix.network_int))
+from repro.net.ip import IPv4Prefix, in_prefix
 
 
 class DataPlaneCorpus:
@@ -111,10 +99,10 @@ class DataPlaneCorpus:
 
     def mask_dst_in(self, prefix: IPv4Prefix) -> np.ndarray:
         """Boolean mask of packets destined into ``prefix``."""
-        return _in_prefix(self._dst_ip, prefix)
+        return in_prefix(self._dst_ip, prefix)
 
     def mask_src_in(self, prefix: IPv4Prefix) -> np.ndarray:
-        return _in_prefix(self._packets["src_ip"], prefix)
+        return in_prefix(self._packets["src_ip"], prefix)
 
     def mask_time(self, t0: float, t1: float) -> np.ndarray:
         """Packets with ``t0 <= time < t1`` (fast: the array is sorted)."""
@@ -148,7 +136,7 @@ class DataPlaneCorpus:
         for start, stop in zip(lo, hi):
             if stop > start:
                 rows = np.flatnonzero(
-                    _in_prefix(self._dst_ip[start:stop], prefix))
+                    in_prefix(self._dst_ip[start:stop], prefix))
                 if rows.size:
                     parts.append(rows + start)
         if not parts:
@@ -188,7 +176,7 @@ class DataPlaneCorpus:
         dst_ip, time = self._dst_ip[dropped], self._time[dropped]
         out: Dict[IPv4Prefix, np.ndarray] = {}
         for prefix in prefixes:
-            times = time[_in_prefix(dst_ip, prefix)]
+            times = time[in_prefix(dst_ip, prefix)]
             if len(times):
                 out[prefix] = times.astype(np.float64)
         return out

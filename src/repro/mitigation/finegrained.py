@@ -19,10 +19,8 @@ import numpy as np
 
 from repro.dataplane.flow import FlowLabel
 from repro.errors import ScenarioError
-from repro.net.ip import IPv4Prefix
+from repro.net.ip import IPv4Prefix, in_prefix
 from repro.net.ports import AMPLIFICATION_PORTS
-
-_MAX32 = 0xFFFFFFFF
 
 
 class FilterAction(str, Enum):
@@ -71,15 +69,10 @@ class FilterRule:
             low, high = self.dst_port_range
             mask &= (packets["dst_port"] >= low) & (packets["dst_port"] <= high)
         if self.src_prefix is not None:
-            mask &= _in_prefix(packets["src_ip"], self.src_prefix)
+            mask &= in_prefix(packets["src_ip"], self.src_prefix)
         if self.dst_prefix is not None:
-            mask &= _in_prefix(packets["dst_ip"], self.dst_prefix)
+            mask &= in_prefix(packets["dst_ip"], self.dst_prefix)
         return mask
-
-
-def _in_prefix(addresses: np.ndarray, prefix: IPv4Prefix) -> np.ndarray:
-    bits = (_MAX32 << (32 - prefix.length)) & _MAX32 if prefix.length else 0
-    return (addresses & np.uint32(bits)) == np.uint32(prefix.network_int)
 
 
 @dataclass

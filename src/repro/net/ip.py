@@ -12,6 +12,8 @@ import re
 from functools import total_ordering
 from typing import Iterator, Union
 
+import numpy as np
+
 from repro.errors import AddressError
 
 _MAX_IPV4 = 0xFFFFFFFF
@@ -104,8 +106,15 @@ def _parse_dotted_quad(text: str) -> int:
     return value
 
 
-def _mask(length: int) -> int:
-    return (_MAX_IPV4 << (32 - length)) & _MAX_IPV4 if length else 0
+#: ``PREFIX_MASKS[length]`` is the netmask of a ``/length`` prefix as an int
+PREFIX_MASKS: tuple[int, ...] = tuple(
+    (_MAX_IPV4 << (32 - length)) & _MAX_IPV4 for length in range(33))
+
+
+def in_prefix(addresses: np.ndarray, prefix: "IPv4Prefix") -> np.ndarray:
+    """Boolean mask of the ``uint32`` ``addresses`` inside ``prefix``."""
+    return ((addresses & np.uint32(PREFIX_MASKS[prefix.length]))
+            == np.uint32(prefix.network_int))
 
 
 @total_ordering
@@ -138,7 +147,7 @@ class IPv4Prefix:
             base = _parse_dotted_quad(addr_text)
             if not 0 <= length <= 32:
                 raise AddressError(f"prefix length out of range: {length}")
-            if base & ~_mask(length) & _MAX_IPV4:
+            if base & ~PREFIX_MASKS[length] & _MAX_IPV4:
                 raise AddressError(f"host bits set in {network!r}")
             self._network, self._length = base, length
             return
@@ -147,7 +156,7 @@ class IPv4Prefix:
         if not 0 <= length <= 32:
             raise AddressError(f"prefix length out of range: {length}")
         base = int(IPv4Address(network))
-        self._network = base & _mask(length)
+        self._network = base & PREFIX_MASKS[length]
         self._length = length
 
     @property
@@ -170,16 +179,16 @@ class IPv4Prefix:
 
     @property
     def broadcast_int(self) -> int:
-        return self._network | (~_mask(self._length) & _MAX_IPV4)
+        return self._network | (~PREFIX_MASKS[self._length] & _MAX_IPV4)
 
     def contains(self, item: Union[IPv4Like, "IPv4Prefix"]) -> bool:
         """Whether an address (or a whole prefix) falls inside this prefix."""
         if isinstance(item, IPv4Prefix):
             return (
                 item._length >= self._length
-                and (item._network & _mask(self._length)) == self._network
+                and (item._network & PREFIX_MASKS[self._length]) == self._network
             )
-        return (int(IPv4Address(item)) & _mask(self._length)) == self._network
+        return (int(IPv4Address(item)) & PREFIX_MASKS[self._length]) == self._network
 
     def __contains__(self, item: Union[IPv4Like, "IPv4Prefix"]) -> bool:
         return self.contains(item)

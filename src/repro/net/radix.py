@@ -1,32 +1,34 @@
-"""A binary radix (Patricia-style) trie for IPv4 longest-prefix matching.
+"""An IPv4 prefix map with longest-prefix matching, kept per prefix length.
 
 This is the FIB/RIB backbone: route lookup, exact match, covered-prefix
-enumeration, and removal. Nodes branch one bit at a time which keeps the
-implementation simple and is plenty fast for the tens of thousands of
-routes a blackholing study touches.
+enumeration, and removal. Entries live in one hash table per prefix
+length, ``{length: {network_int: value}}``, beside the ascending list of
+lengths that currently hold entries. The costs follow from that layout:
+
+* ``insert``, ``get``, ``in`` and ``remove`` are one dict operation;
+* ``lookup`` masks the address once per length in use, longest first,
+  and ``lookup_all`` does the same shortest first — at most 33 probes,
+  usually a handful;
+* ``covered`` and ``items`` scan every entry and sort what they yield by
+  ``(network_int, length)``, which is the order a binary trie's pre-order
+  walk produces.
+
+Route replay is dominated by exact-match installs, removals and gets, which
+is why the map is laid out for those rather than for enumeration.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from bisect import insort
+from operator import itemgetter
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.net.ip import IPv4Address, IPv4Prefix
+from repro.net.ip import PREFIX_MASKS, IPv4Address, IPv4Prefix
 
 V = TypeVar("V")
 
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[Optional[_Node[V]]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value = False
-
-
-def _bit(address: int, depth: int) -> int:
-    """The bit of ``address`` at ``depth`` (0 = most significant)."""
-    return (address >> (31 - depth)) & 1
+_ABSENT = object()
+_position = itemgetter(0, 1)
 
 
 class RadixTree(Generic[V]):
@@ -40,41 +42,33 @@ class RadixTree(Generic[V]):
     """
 
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        self._tables: Dict[int, Dict[int, V]] = {}
+        #: lengths with a non-empty table, ascending
+        self._lengths: List[int] = []
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._tables.values()))
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._lengths)
 
     def insert(self, prefix: IPv4Prefix, value: V) -> None:
         """Insert or replace the value stored at ``prefix``."""
-        node = self._root
-        network = prefix.network_int
-        for depth in range(prefix.length):
-            bit = _bit(network, depth)
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
+        length = prefix.length
+        table = self._tables.get(length)
+        if table is None:
+            table = self._tables[length] = {}
+            insort(self._lengths, length)
+        table[prefix.network_int] = value
 
     def get(self, prefix: IPv4Prefix) -> Optional[V]:
         """Exact-match lookup; ``None`` when the prefix is absent."""
-        node = self._find_node(prefix)
-        if node is None or not node.has_value:
-            return None
-        return node.value
+        table = self._tables.get(prefix.length)
+        return None if table is None else table.get(prefix.network_int)
 
     def __contains__(self, prefix: IPv4Prefix) -> bool:
-        node = self._find_node(prefix)
-        return node is not None and node.has_value
+        table = self._tables.get(prefix.length)
+        return table is not None and prefix.network_int in table
 
     def lookup(self, address: IPv4Address | int) -> Optional[Tuple[IPv4Prefix, V]]:
         """Longest-prefix match for ``address``.
@@ -83,77 +77,55 @@ class RadixTree(Generic[V]):
         or ``None`` when nothing covers the address.
         """
         addr = int(address)
-        node = self._root
-        best: Optional[Tuple[int, V]] = None
-        if node.has_value:
-            best = (0, node.value)  # type: ignore[arg-type]
-        for depth in range(32):
-            node = node.children[_bit(addr, depth)]  # type: ignore[assignment]
-            if node is None:
-                break
-            if node.has_value:
-                best = (depth + 1, node.value)  # type: ignore[arg-type]
-        if best is None:
-            return None
-        length, value = best
-        return IPv4Prefix(addr, length), value
+        for length in reversed(self._lengths):
+            network = addr & PREFIX_MASKS[length]
+            value = self._tables[length].get(network, _ABSENT)
+            if value is not _ABSENT:
+                return IPv4Prefix(network, length), value  # type: ignore[return-value]
+        return None
 
     def lookup_all(self, address: IPv4Address | int) -> list[Tuple[IPv4Prefix, V]]:
         """All covering entries for ``address``, least specific first."""
         addr = int(address)
-        node = self._root
         found: list[Tuple[IPv4Prefix, V]] = []
-        if node.has_value:
-            found.append((IPv4Prefix(addr, 0), node.value))  # type: ignore[arg-type]
-        for depth in range(32):
-            node = node.children[_bit(addr, depth)]  # type: ignore[assignment]
-            if node is None:
-                break
-            if node.has_value:
-                found.append((IPv4Prefix(addr, depth + 1), node.value))  # type: ignore[arg-type]
+        for length in self._lengths:
+            network = addr & PREFIX_MASKS[length]
+            value = self._tables[length].get(network, _ABSENT)
+            if value is not _ABSENT:
+                found.append((IPv4Prefix(network, length), value))  # type: ignore[arg-type]
         return found
 
     def remove(self, prefix: IPv4Prefix) -> bool:
         """Delete the entry at ``prefix``; returns whether it existed.
 
-        Empty branches are pruned so long-running simulations do not leak
-        nodes as blackholes come and go.
+        A length whose table empties stops being probed, so long-running
+        simulations do not slow down as blackholes come and go.
         """
-        path: list[Tuple[_Node[V], int]] = []
-        node = self._root
-        network = prefix.network_int
-        for depth in range(prefix.length):
-            bit = _bit(network, depth)
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if not node.has_value:
+        length = prefix.length
+        table = self._tables.get(length)
+        if table is None or table.pop(prefix.network_int, _ABSENT) is _ABSENT:
             return False
-        node.has_value = False
-        node.value = None
-        self._size -= 1
-        # Prune now-empty leaf chain.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            if child is None:
-                break
-            if child.has_value or child.children[0] is not None or child.children[1] is not None:
-                break
-            parent.children[bit] = None
+        if not table:
+            del self._tables[length]
+            self._lengths.remove(length)
         return True
 
     def covered(self, prefix: IPv4Prefix) -> Iterator[Tuple[IPv4Prefix, V]]:
         """Iterate entries that are equal to or more specific than ``prefix``."""
-        node = self._find_node(prefix)
-        if node is None:
-            return
-        yield from self._walk(node, prefix.network_int, prefix.length)
+        mask = PREFIX_MASKS[prefix.length]
+        network = prefix.network_int
+        yield from _in_order(
+            (net, length, value)
+            for length in self._lengths if length >= prefix.length
+            for net, value in self._tables[length].items()
+            if net & mask == network)
 
     def items(self) -> Iterator[Tuple[IPv4Prefix, V]]:
-        """Iterate every stored ``(prefix, value)`` in bit order."""
-        yield from self._walk(self._root, 0, 0)
+        """Iterate every stored ``(prefix, value)`` by ``(network, length)``."""
+        yield from _in_order(
+            (net, length, value)
+            for length, table in self._tables.items()
+            for net, value in table.items())
 
     def keys(self) -> Iterator[IPv4Prefix]:
         for prefix, _ in self.items():
@@ -164,26 +136,12 @@ class RadixTree(Generic[V]):
             yield value
 
     def clear(self) -> None:
-        self._root = _Node()
-        self._size = 0
+        self._tables = {}
+        self._lengths = []
 
-    def _find_node(self, prefix: IPv4Prefix) -> Optional[_Node[V]]:
-        node = self._root
-        network = prefix.network_int
-        for depth in range(prefix.length):
-            node = node.children[_bit(network, depth)]  # type: ignore[assignment]
-            if node is None:
-                return None
-        return node
 
-    def _walk(self, node: _Node[V], network: int, depth: int) -> Iterator[Tuple[IPv4Prefix, V]]:
-        if node.has_value:
-            yield IPv4Prefix(network, depth), node.value  # type: ignore[arg-type]
-        if depth == 32:
-            return
-        left = node.children[0]
-        if left is not None:
-            yield from self._walk(left, network, depth + 1)
-        right = node.children[1]
-        if right is not None:
-            yield from self._walk(right, network | (1 << (31 - depth)), depth + 1)
+def _in_order(entries) -> Iterator[Tuple[IPv4Prefix, V]]:
+    """``(network, length, value)`` entries as ``(prefix, value)`` pairs,
+    sorted by ``(network, length)``."""
+    for network, length, value in sorted(entries, key=_position):
+        yield IPv4Prefix(network, length), value

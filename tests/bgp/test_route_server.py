@@ -11,8 +11,11 @@ from repro.bgp import (
 )
 from repro.bgp.community import announce_to, do_not_announce_to, suppress_all
 from repro.bgp.message import announce, withdraw
+from repro.bgp.policy import ImportPolicy
+from repro.bgp.route_server import RouteServerPeer
 from repro.errors import BGPError
 from repro.net import IPv4Address, IPv4Prefix
+from repro.scenario import runner
 
 RS_ASN = 64500
 NH = IPv4Address("192.0.2.66")
@@ -141,3 +144,79 @@ class TestPolicyInteraction:
         # AS300 must still see/accept the AS200 route.
         assert HOST in server.peer(300).visible_blackholes()
         assert HOST in server.peer(300).accepted_blackholes()
+
+
+class CountingPolicy(ImportPolicy):
+    """Wraps a policy and remembers every route it evaluated."""
+
+    def __init__(self, inner: ImportPolicy):
+        self.inner = inner
+        self.name = inner.name
+        self.evaluated = []
+
+    def evaluate(self, route):
+        self.evaluated.append(route)
+        return self.inner.evaluate(route)
+
+
+@pytest.fixture
+def offered_counts(monkeypatch):
+    """Per ``receive`` call: how often the peer's policy evaluated the
+    offered route during that call."""
+    counts = []
+    original = RouteServerPeer.receive
+
+    def receive(self, route):
+        self.policy.evaluated = []
+        accepted = original(self, route)
+        counts.append(sum(r is route for r in self.policy.evaluated))
+        return accepted
+
+    monkeypatch.setattr(RouteServerPeer, "receive", receive)
+    return counts
+
+
+class TestOnePolicyEvaluation:
+    def test_each_offered_route_is_evaluated_once(self, offered_counts):
+        srv = RouteServer(asn=RS_ASN)
+        srv.add_peer(100, policy=CountingPolicy(MaxPrefixLengthPolicy()))
+        srv.add_peer(200, policy=CountingPolicy(BlackholeWhitelistPolicy()))
+        srv.add_peer(300, policy=CountingPolicy(MaxPrefixLengthPolicy()))
+        srv.process(bh_announce(0.0, 100, HOST))
+        srv.process(bh_announce(1.0, 300, HOST))  # a second candidate
+        srv.process(bh_announce(2.0, 100, NET))
+        srv.process(bh_announce(3.0, 100, HOST))  # re-announce replaces
+        assert len(offered_counts) == 8  # two receiving peers per update
+        assert set(offered_counts) == {1}
+        assert HOST in srv.peer(200).accepted_blackholes()
+        assert HOST not in srv.peer(300).accepted_blackholes()
+
+    def test_counted_replay_matches_the_plain_replay(self, monkeypatch,
+                                                     offered_counts,
+                                                     tiny_config, tiny_result):
+        policy_for = runner._policy_for
+        monkeypatch.setattr(runner, "_policy_for", lambda kind, salt:
+                            CountingPolicy(policy_for(kind, salt)))
+        plan = runner.build_paper_plan(tiny_config)
+        ixp = runner._build_ixp(tiny_config, plan)
+        runner._replay_control_plane(tiny_config, plan, ixp)
+        timeline = ixp.finalize_timeline(tiny_config.duration)
+
+        assert offered_counts and set(offered_counts) == {1}
+        plain, plain_timeline = tiny_result.ixp, tiny_result.timeline
+        assert ixp.route_server.peer_asns == plain.route_server.peer_asns
+        for asn in plain.route_server.peer_asns:
+            assert (ixp.route_server.peer(asn).accepted_blackholes()
+                    == plain.route_server.peer(asn).accepted_blackholes())
+        prefixes = plain_timeline.blackhole_prefixes()
+        assert prefixes and timeline.blackhole_prefixes() == prefixes
+
+        def intervals(iset):
+            return None if iset is None else iset.intervals
+
+        for prefix in prefixes:
+            assert (intervals(timeline.announced_intervals(prefix))
+                    == intervals(plain_timeline.announced_intervals(prefix)))
+            for asn in plain.route_server.peer_asns:
+                assert (intervals(timeline.accepted_intervals(asn, prefix))
+                        == intervals(plain_timeline.accepted_intervals(asn, prefix)))

@@ -1,11 +1,13 @@
 """Unit and property tests for IPv4 address/prefix primitives."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import AddressError
 from repro.net import IPv4Address, IPv4Prefix
+from repro.net.ip import PREFIX_MASKS, in_prefix
 
 
 class TestIPv4Address:
@@ -146,3 +148,18 @@ class TestIPv4Prefix:
         p = IPv4Prefix(base, length)
         assert p.network in p
         assert IPv4Address(p.broadcast_int) in p
+
+
+class TestPrefixMasks:
+    def test_mask_table_bounds(self):
+        assert len(PREFIX_MASKS) == 33
+        assert PREFIX_MASKS[0] == 0
+        assert PREFIX_MASKS[24] == 0xFFFFFF00
+        assert PREFIX_MASKS[32] == 0xFFFFFFFF
+
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=20),
+           st.integers(0, 2**32 - 1), st.integers(0, 32))
+    def test_in_prefix_agrees_with_contains(self, addresses, base, length):
+        prefix = IPv4Prefix(base, length)
+        mask = in_prefix(np.array(addresses, dtype=np.uint32), prefix)
+        assert mask.tolist() == [prefix.contains(a) for a in addresses]

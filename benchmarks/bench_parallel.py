@@ -1,8 +1,8 @@
 """Parallel execution engine — serial vs ``--jobs N`` wall-clock.
 
-The headline numbers for the parallel scheduler: one corpus is generated
-and analysed on the reference path (``--jobs 1``), then with the
-process-pool scheduler at ``--jobs N`` (N = CPU count), then once more
+The headline numbers for the analysis runner's pool: one corpus is
+generated and analysed on the reference path (``--jobs 1``), then on the
+process pool at ``--jobs N`` (N = CPU count), then once more
 against a warm content-addressed result cache. Golden equivalence is
 asserted inline — the parallel report must be canonically byte-identical
 to the serial one, otherwise the timing is meaningless.
@@ -30,10 +30,11 @@ import pytest
 
 from benchmarks.conftest import record_bench_json, report
 from repro import AnalysisPipeline, ControlPlaneCorpus, DataPlaneCorpus
-from repro.cli import _load_platform
 from repro.corpus.manifest import CONTROL_FILE, DATA_FILE
-from repro.parallel import ResultCache, corpus_digest, resolve_jobs
+from repro.corpus.platform import load_platform
+from repro.parallel import ResultCache, corpus_digest
 from repro.runtime.generate import checkpointed_generate
+from repro.runtime.supervisor import resolve_jobs
 from repro.scenario.config import ScenarioConfig
 
 PAR_SCALE = float(os.environ.get("REPRO_BENCH_PAR_SCALE", "0.02"))
@@ -52,7 +53,7 @@ def _timed(fn):
 def _pipeline_for(corpus_dir: Path) -> AnalysisPipeline:
     control = ControlPlaneCorpus.load_jsonl(corpus_dir / CONTROL_FILE)
     data = DataPlaneCorpus.load_npz(corpus_dir / DATA_FILE)
-    peers, rs_asn, peeringdb = _load_platform(corpus_dir)
+    peers, rs_asn, peeringdb = load_platform(corpus_dir)
     return AnalysisPipeline(control, data, peer_asns=peers,
                             peeringdb=peeringdb, route_server_asn=rs_asn)
 

@@ -65,11 +65,11 @@ commit log from day 0.
 Parallelism: ``--jobs N`` fans work across N forked workers (0 = all
 CPUs) — day segments for ``generate``, supervised analyses for
 ``analyze`` — with byte-identical results; ``--jobs 1`` (the default) is
-the serial reference path.  ``analyze --cache-dir DIR`` keeps a
-content-addressed result cache keyed on (corpus digest, config hash,
-analysis), so re-analyzing an unchanged corpus skips finished analyses;
-``validate`` fails a corpus whose cache holds results keyed to a
-different corpus digest.
+the reference path, run in process unless ``--supervised``.
+``analyze --cache-dir DIR`` keeps a content-addressed result cache keyed
+on (corpus digest, config hash, analysis), so re-analyzing an unchanged
+corpus skips finished analyses; ``validate`` fails a corpus whose cache
+holds results keyed to a different corpus digest.
 
 Observability: ``--trace`` writes the telemetry spans as JSONL,
 ``--metrics`` the final metrics snapshot as JSON, ``--progress`` streams
@@ -147,7 +147,6 @@ from repro.errors import (
     TelemetryError,
 )
 from repro.faults import FaultSpec, degrade_corpus_dir
-from repro.ixp.peeringdb import PeeringDB
 from repro.scenario import ScenarioConfig, run_scenario
 from repro.telemetry.report import load_trace, render_report
 
@@ -224,12 +223,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if not args.quiet:
         print(report.format())
     return EXIT_OK
-
-
-def _load_platform(path: Path) -> tuple[list[int], int, PeeringDB]:
-    # thin alias kept for importers (benchmarks); the real loader lives
-    # in repro.corpus.platform
-    return load_platform(path)
 
 
 def _check_corpus_files(path: Path) -> int:
@@ -315,7 +308,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             control = ControlPlaneCorpus.load_jsonl(path / CONTROL_FILE,
                                                     on_error=policy)
             data = DataPlaneCorpus.load_npz(path / DATA_FILE, on_error=policy)
-            peers, rs_asn, peeringdb = _load_platform(path)
+            peers, rs_asn, peeringdb = load_platform(path)
         except (ReproError, OSError, ValueError, KeyError) as exc:
             _write_telemetry(telem, args, manifest, started)
             print(f"error: cannot ingest corpus: {exc}", file=sys.stderr)

@@ -27,13 +27,17 @@ from repro.core import offset as offset_mod
 from repro.core import pre_rtbh as pre_mod
 from repro.core import protocols as protocols_mod
 from repro.core import visibility as visibility_mod
-from repro.core.events import DEFAULT_DELTA, RTBHEvent, extract_events
+from repro.core.events import (
+    DEFAULT_DELTA,
+    RTBHEvent,
+    extract_events,
+    merge_threshold_sweep,
+)
 from repro.core.registry import ANALYSES, get_analysis
-from repro.core.study import StudyReport, run_analysis
+from repro.core.study import StudyReport
 from repro.corpus.control import ControlPlaneCorpus
 from repro.corpus.data import DataPlaneCorpus
 from repro.ixp.peeringdb import PeeringDB
-from repro import telemetry
 
 #: every analysis `run_all` executes, in study order; names are registry
 #: names (see :data:`repro.core.registry.ANALYSES`) so reports stay
@@ -99,7 +103,7 @@ class AnalysisPipeline:
     def analysis_fn(self, name: str) -> Callable:
         """The bound zero-argument callable for a registry name.
 
-        The accessor the serial, supervised, and parallel runners use.
+        The accessor the analysis runner uses.
         """
         return getattr(self, "_impl_" + get_analysis(name).name)
 
@@ -136,7 +140,7 @@ class AnalysisPipeline:
             self._impl_fig7_top_sources(top_n), self.peeringdb)
 
     def _impl_fig10_merge_sweep(self, deltas=None):
-        return droprate_sweep(self.control, deltas)
+        return merge_threshold_sweep(self.control, deltas)
 
     def _impl_table2_pre_classes(self) -> Dict[pre_mod.PreRTBHClass, float]:
         return self.pre_classification.class_shares()
@@ -189,7 +193,7 @@ class AnalysisPipeline:
     def warm_shared_caches(self) -> None:
         """Precompute the shared intermediates (events, classifications).
 
-        The supervised runner calls this in the parent before forking the
+        The analysis runner calls this in the parent before forking the
         per-analysis children, so every child inherits the caches via
         copy-on-write instead of recomputing them.  Typed failures are
         swallowed — the affected analyses will surface them individually.
@@ -218,65 +222,25 @@ class AnalysisPipeline:
         ``ok``.  Untyped exceptions always propagate — they are bugs, not
         data problems.
 
-        Passing a :class:`~repro.runtime.supervisor.SupervisorPolicy` as
-        ``supervisor`` delegates to the crash-safe runner instead: each
-        analysis executes in a child process under a wall-clock timeout
-        with bounded retries, and a hung/killed/crashing analysis becomes
-        a ``failed`` outcome rather than taking down the run.
+        A single call to :func:`~repro.runtime.supervisor.run_analyses`;
+        see there for the modes.  Without a ``supervisor``
+        (:class:`~repro.runtime.supervisor.SupervisorPolicy`) and with
+        ``jobs=1`` — the reference path — analyses run in process.  A
+        ``supervisor`` forks each analysis into a child under a
+        wall-clock timeout with bounded retries, so a hung, killed or
+        crashing analysis becomes a ``failed`` outcome; ``jobs > 1`` (0 =
+        all CPUs) keeps up to ``jobs`` such children in flight.
         ``checkpoint`` (a :class:`~repro.runtime.checkpoint
-        .CheckpointJournal`) additionally persists terminal outcomes so a
-        resumed run re-executes only unfinished analyses.
-
-        ``jobs != 1`` delegates to the parallel scheduler
-        (:func:`~repro.parallel.scheduler.run_parallel`): up to ``jobs``
-        analyses run concurrently in forked workers (0 = all CPUs) with
-        the same supervision semantics; ``jobs=1`` is the serial
-        reference path the golden-equivalence suite compares against.
-        ``cache`` (a :class:`~repro.parallel.cache.ResultCache`, with the
-        corpus digest and config hash to key on) skips analyses whose
-        results are already cached for this exact corpus + config.
+        .CheckpointJournal`) persists terminal outcomes so a resumed run
+        re-executes only unfinished analyses.  ``cache`` (a
+        :class:`~repro.parallel.cache.ResultCache`, with the corpus digest
+        and config hash to key on) skips analyses whose results are
+        already cached for this exact corpus + config.
         """
-        if jobs != 1 or cache is not None:
-            from repro.parallel.scheduler import run_parallel
+        from repro.runtime.supervisor import run_analyses
 
-            return run_parallel(self, analyses=analyses, policy=supervisor,
-                                jobs=jobs or None, strict=strict,
-                                journal=checkpoint, cache=cache,
-                                corpus_digest=corpus_digest,
-                                config_hash=config_hash)
-        if supervisor is not None:
-            from repro.runtime.supervisor import run_supervised
-
-            return run_supervised(self, analyses=analyses, policy=supervisor,
-                                  strict=strict, journal=checkpoint)
-        telem = telemetry.current()
-        report = StudyReport()
-        degraded = self.degraded_inputs
-        for corpus_name, corpus in (("control", self.control),
-                                    ("data", self.data)):
-            ingest = getattr(corpus, "ingest_report", None)
-            if ingest is not None and not ingest.ok:
-                report.warnings.append(
-                    f"{corpus_name} ingest dropped {ingest.skipped} of "
-                    f"{ingest.total} records")
-        for name in (analyses if analyses is not None else ANALYSIS_NAMES):
-            with telem.span(f"analyze.{name}") as sp:
-                outcome = run_analysis(
-                    name, self.analysis_fn(name), strict=strict,
-                    degraded_inputs=degraded, fingerprint=True)
-                sp.attrs["status"] = outcome.status.value
-            telem.histogram("pipeline.analysis_seconds",
-                            name=name).observe(outcome.seconds)
-            telem.counter("pipeline.analyses",
-                          status=outcome.status.value).inc()
-            report.outcomes.append(outcome)
-        if telem.enabled:
-            report.telemetry = telem.metrics_snapshot()
-        return report
-
-
-def droprate_sweep(control: ControlPlaneCorpus, deltas=None):
-    """Thin alias kept next to the pipeline for discoverability."""
-    from repro.core.events import merge_threshold_sweep
-
-    return merge_threshold_sweep(control, deltas)
+        return run_analyses(self, analyses=analyses, jobs=jobs,
+                            policy=supervisor, strict=strict,
+                            journal=checkpoint, cache=cache,
+                            corpus_digest=corpus_digest,
+                            config_hash=config_hash)

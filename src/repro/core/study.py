@@ -44,7 +44,7 @@ class AnalysisOutcome:
     #: attempts killed at the supervisor's wall-clock timeout
     timeouts: int = 0
     #: canonical SHA-256 of the value (:mod:`repro.parallel.golden`),
-    #: filled when fingerprinting was requested; survives even when the
+    #: filled for every successful run; survives even when the
     #: value itself could not cross a worker's pickle pipe
     value_digest: Optional[str] = None
     #: True when this outcome was served from the content-addressed
@@ -191,19 +191,19 @@ class StudyReport:
 
 
 def run_analysis(name: str, fn, *, strict: bool,
-                 degraded_inputs: bool,
-                 fingerprint: bool = False) -> AnalysisOutcome:
+                 degraded_inputs: bool) -> AnalysisOutcome:
     """Execute one zero-arg analysis under the capture policy.
 
     Typed :class:`ReproError` failures are captured (or re-raised when
     ``strict``); anything else is a programming error and always
     propagates — graceful degradation must never paper over bugs.
 
-    ``fingerprint=True`` additionally stamps the outcome with the
-    canonical SHA-256 of the value (see :mod:`repro.parallel.golden`);
-    the parallel scheduler always requests this so equivalence against
-    the serial path stays checkable even for values that cannot pickle.
+    A successful outcome carries the canonical SHA-256 of its value
+    (see :mod:`repro.parallel.golden`), computed here so equivalence
+    between runs stays checkable even for values that cannot pickle.
     """
+    from repro.parallel.golden import value_fingerprint
+
     base = (AnalysisStatus.DEGRADED if degraded_inputs else AnalysisStatus.OK)
     start = _time.perf_counter()
     try:
@@ -215,11 +215,7 @@ def run_analysis(name: str, fn, *, strict: bool,
             name=name, status=AnalysisStatus.FAILED,
             error=str(exc), error_type=type(exc).__name__,
             seconds=_time.perf_counter() - start)
-    digest = None
-    if fingerprint:
-        from repro.parallel.golden import value_fingerprint
-
-        digest = value_fingerprint(value)
+    digest = value_fingerprint(value)
     return AnalysisOutcome(name=name, status=base, value=value,
                            seconds=_time.perf_counter() - start,
                            value_digest=digest)

@@ -1,27 +1,21 @@
-"""Parallel execution: process-pool scheduling, caching, equivalence.
+"""Result caching and value fingerprints for the analysis runner.
 
-The package holds the three pieces PR 4 adds on top of the crash-safe
-runtime:
+The analysis runner itself — one loop for inline, supervised and
+``--jobs N`` runs — lives in :mod:`repro.runtime.supervisor`.  This
+package holds the two pieces around it:
 
-* :mod:`repro.parallel.scheduler` — a dependency-aware process pool that
-  runs up to ``--jobs N`` analyses concurrently with the PR 3
-  supervisor's timeout/retry/journal semantics intact,
 * :mod:`repro.parallel.cache` — a content-addressed result cache keyed
   on (corpus digest, config hash, analysis name),
 * :mod:`repro.parallel.golden` — canonical value fingerprints proving a
-  parallel run byte-equivalent to the serial reference path.
+  ``--jobs N`` run byte-equivalent to the inline reference path.
 """
 
 from repro.parallel.cache import ResultCache, corpus_digest
 from repro.parallel.golden import FINGERPRINT_VERSION, value_fingerprint
-from repro.parallel.scheduler import resolve_jobs, run_parallel, schedule_order
 
 __all__ = [
     "FINGERPRINT_VERSION",
     "ResultCache",
     "corpus_digest",
-    "resolve_jobs",
-    "run_parallel",
-    "schedule_order",
     "value_fingerprint",
 ]

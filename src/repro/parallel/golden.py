@@ -11,8 +11,8 @@ identically iff their public state is identical — floats are encoded via
 bytes, and unordered containers are sorted by the fingerprint of their
 elements so iteration order cannot leak in.
 
-The golden-equivalence suite computes fingerprints on the serial path
-and compares them with the fingerprints the parallel scheduler's workers
+The golden-equivalence suite computes fingerprints on the inline path
+and compares them with the fingerprints the runner's forked workers
 computed in their child processes *before* the values crossed a pickle
 pipe; the committed fixtures in ``tests/parallel/golden/`` then pin the
 digests across PRs so silent drift in any analysis is caught.

@@ -8,7 +8,8 @@ Four pieces make long ``generate``/``analyze`` jobs survivable:
   committed steps that ``--resume`` replays;
 * :mod:`repro.runtime.generate` — day-segmented, checkpointed corpus
   generation (byte-identical after a mid-run kill + resume);
-* :mod:`repro.runtime.supervisor` — per-analysis child processes with
+* :mod:`repro.runtime.supervisor` — the one analysis runner: inline for
+  a plain ``jobs=1`` run, otherwise up to ``jobs`` forked children with
   wall-clock timeouts and bounded, jittered retries
   (:mod:`repro.runtime.retry`), so a hung or OOM-killed analysis becomes
   a ``failed`` StudyReport entry instead of a dead run.
@@ -40,7 +41,7 @@ _LAZY = {
     "checkpointed_generate": ("repro.runtime.generate",
                               "checkpointed_generate"),
     "SupervisorPolicy": ("repro.runtime.supervisor", "SupervisorPolicy"),
-    "run_supervised": ("repro.runtime.supervisor", "run_supervised"),
+    "run_analyses": ("repro.runtime.supervisor", "run_analyses"),
 }
 
 __all__ = [
@@ -57,7 +58,7 @@ __all__ = [
     "fsync_dir",
     "is_retryable_exception",
     "remove_stale_tmp",
-    "run_supervised",
+    "run_analyses",
 ]
 
 

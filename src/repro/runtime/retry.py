@@ -8,16 +8,17 @@ timeout, or died raising an OS-level error.  Typed
 deterministic properties of the data and are never retried; neither are
 other Python exceptions, which are bugs.
 
-Jitter is drawn from a :class:`random.Random` seeded per run, so a given
-``(policy, seed)`` produces the exact same backoff schedule every time —
-the determinism contract the rest of the package keeps.
+Jitter is drawn from a :class:`random.Random` the analysis runner seeds
+per analysis (``f"{seed}:{name}"``), so a given ``(policy, seed)``
+produces the exact same backoff schedule every time — the determinism
+contract the rest of the package keeps.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import List, Union
 
 from repro.errors import ReproError, SupervisorError
 
@@ -73,8 +74,8 @@ class RetryPolicy:
                    self.backoff_base * self.backoff_factor ** attempt)
         return base * (1.0 + self.jitter * rng.random())
 
-    def schedule(self, seed: int) -> List[float]:
-        """The full deterministic backoff schedule for a run seed."""
+    def schedule(self, seed: Union[int, str]) -> List[float]:
+        """The full deterministic backoff schedule for an RNG seed."""
         rng = random.Random(seed)
         return [self.delay(attempt, rng)
                 for attempt in range(self.max_retries)]

@@ -1,14 +1,29 @@
-"""The supervised analysis runner: child processes, timeouts, retries.
+"""The analysis runner: one dispatch loop for every ``analyze`` mode.
 
-``AnalysisPipeline.run_all(supervisor=...)`` delegates here.  Each of the
-study's analyses executes in a forked child process; the parent enforces a
-wall-clock timeout, classifies failures (see :mod:`repro.runtime.retry`)
-and re-runs transient ones with exponential backoff, and turns anything
-terminal — a typed failure, a hung child killed at its timeout, an
-OOM-killed child — into a ``failed`` :class:`AnalysisOutcome` instead of
-letting it take down the remaining analyses.
+``AnalysisPipeline.run_all`` is a single call to :func:`run_analyses`.
+One rule decides how an attempt executes: **it is forked iff a
+supervisor policy is given or ``jobs > 1``**.
 
-Supervisor state machine, per analysis::
+* **Inline** (no policy and ``jobs == 1``, or no ``fork`` on this
+  platform).  Each analysis runs in this process under the plain capture
+  policy: a typed :class:`~repro.errors.ReproError` becomes a ``failed``
+  outcome (or is re-raised as itself under ``strict``), anything else is
+  a bug and propagates, and ``attempts`` is always 1.  Each analysis
+  gets one ``analyze.<name>`` span; nothing is warmed up front, the
+  analyses compute the shared intermediates as they need them.
+* **Forked** (a policy, or ``jobs > 1``).  Up to ``jobs`` children are
+  in flight at once, driven by one connection-wait loop in the parent.
+  The parent enforces the policy's wall-clock timeout, classifies how
+  each attempt ended (see :mod:`repro.runtime.retry`) and re-runs
+  transient failures with exponential backoff; anything terminal — a
+  typed failure, a hung child killed at its timeout, an OOM-killed
+  child — becomes a ``failed`` outcome instead of taking down the rest.
+  Shared intermediates (events, pre-RTBH classification, …) are warmed
+  in the parent first, only when something is queued, so the children
+  inherit them copy-on-write.  One ``analyze.parallel`` span (``jobs``,
+  ``queued``, ``completed``) covers the loop.
+
+Per forked analysis::
 
     pending ──► running ──► ok / degraded          (result received)
                    │
@@ -16,26 +31,35 @@ Supervisor state machine, per analysis::
                    ├──► killed  ──► running (retry) … ──► failed
                    └──► failed                      (typed / bug: no retry)
 
-Every terminal outcome is committed to the checkpoint journal (when one
-is given), so ``repro analyze --resume`` re-runs only analyses that never
-reached a terminal state.  Shared intermediates (events, pre-RTBH
-classification, …) are warmed in the parent *before* forking so children
-inherit them via copy-on-write instead of recomputing them 16 times —
-and only when some analysis is left to run after the journal is read.
+Both modes share everything around the attempt:
 
-On platforms without ``fork`` the runner degrades to in-process execution:
-retries still apply to retryable exceptions, but hang/OOM isolation (and
-therefore timeouts) are unavailable.
+* **Resolution first.**  Terminal outcomes already in the checkpoint
+  journal, then finished entries of the content-addressed result cache,
+  are served without running anything.
+* **Ordering.**  The rest is dispatched in :func:`schedule_order`: heavy
+  analyses first (longest-processing-time first), analyses another one
+  recomputes internally (``fig7_top_sources`` inside
+  ``fig8_org_types``, ``sec54_protocol_mix`` inside
+  ``table3_amplification``) no later than their dependents.  Outcomes
+  are merged back into study order.
+* **Determinism.**  Backoff jitter is seeded per analysis,
+  ``f"{seed}:{name}"``, so a schedule never depends on completion order
+  or on ``jobs``; values are fingerprinted before they cross a pipe.
+* **Single writer.**  The parent commits each terminal outcome to the
+  journal and the cache the moment it exists (:func:`_terminal`), so
+  ``repro analyze --resume`` re-runs only analyses that never finished.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Callable, Optional, Sequence
+from multiprocessing.connection import wait as _wait_connections
+from time import monotonic, perf_counter
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.core.study import (
@@ -44,13 +68,39 @@ from repro.core.study import (
     StudyReport,
     run_analysis,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SupervisorError
 from repro.runtime import chaos
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy, is_retryable_exception
 
 #: journal key prefix for per-analysis terminal outcomes
 ANALYSIS_KEY = "analysis:"
+
+#: relative cost estimates (longest-processing-time-first dispatch);
+#: anything absent weighs 1 — exact values only shape the schedule,
+#: never the results
+ANALYSIS_WEIGHTS = {
+    "fig2_time_offset": 6,
+    "fig8_org_types": 5,      # recomputes fig7's source scan internally
+    "fig7_top_sources": 5,
+    "fig4_targeted_visibility": 4,
+    "fig10_merge_sweep": 3,
+    "fig5_drop_by_length": 3,
+    "fig6_drop_cdfs": 3,
+    "fig19_use_cases": 2,
+    "fig14_filterable": 2,
+    "fig18_collateral": 2,
+    "table3_amplification": 2,  # recomputes sec54's protocol mix
+    "sec54_protocol_mix": 2,
+}
+
+#: analyses another analysis recomputes internally: the provider is
+#: dispatched no later than its dependents so a shared intermediate is
+#: never the last thing keeping a worker busy
+ANALYSIS_PROVIDES = {
+    "fig7_top_sources": ("fig8_org_types",),
+    "sec54_protocol_mix": ("table3_amplification",),
+}
 
 
 @dataclass
@@ -69,20 +119,30 @@ class SupervisorPolicy:
     sleep: Callable[[float], None] = time.sleep
 
 
-@dataclass
-class _Attempt:
-    """What one child-process execution produced."""
-
-    event: str                       # "outcome" | "timeout" | "killed" | "raised" | "crashed"
-    outcome: Optional[AnalysisOutcome] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    retryable: bool = False
-    seconds: float = 0.0
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalise a ``--jobs`` value: ``None``/``0`` means all CPUs."""
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise SupervisorError(f"jobs must be >= 0: {jobs}")
+    return jobs
 
 
-def _child_main(conn, name: str, fn, degraded: bool,
-                fingerprint: bool = False, inherited=()) -> None:
+def schedule_order(names: Sequence[str]) -> List[str]:
+    """The dispatch order: heavy first, providers before dependents,
+    study order as the deterministic tie-break."""
+    index = {name: i for i, name in enumerate(names)}
+    weight = {}
+    for name in names:
+        w = ANALYSIS_WEIGHTS.get(name, 1)
+        for dependent in ANALYSIS_PROVIDES.get(name, ()):
+            if dependent in index:
+                w = max(w, ANALYSIS_WEIGHTS.get(dependent, 1) + 1)
+        weight[name] = w
+    return sorted(names, key=lambda n: (-weight[n], index[n]))
+
+
+def _child_main(conn, name: str, fn, degraded: bool, inherited=()) -> None:
     # A forked child holds copies of every pipe read end the parent had
     # open: its own and those of its running siblings.  Close them, so
     # once the parent dies no reader is left and a send blocked on a
@@ -94,8 +154,7 @@ def _child_main(conn, name: str, fn, degraded: bool,
         time.sleep(hang)
     try:
         outcome = run_analysis(name, fn, strict=False,
-                               degraded_inputs=degraded,
-                               fingerprint=fingerprint)
+                               degraded_inputs=degraded)
     except BaseException as exc:  # untyped: a bug or an OS-level failure
         try:
             conn.send({"kind": "raised", "error": str(exc),
@@ -123,76 +182,6 @@ def _fork_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return None
-
-
-def _run_attempt(name: str, fn, degraded: bool,
-                 timeout: Optional[float]) -> _Attempt:
-    """Execute one attempt in a forked child; classify how it ended."""
-    ctx = _fork_context()
-    if ctx is None:  # pragma: no cover - non-POSIX fallback
-        return _run_attempt_inline(name, fn, degraded)
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child_main,
-                       args=(child_conn, name, fn, degraded, True,
-                             (parent_conn,)),
-                       daemon=True)
-    start = perf_counter()
-    proc.start()
-    child_conn.close()
-    # Drain the pipe *before* joining: a large result blocks the child's
-    # send until the parent reads it, so join-then-recv would deadlock.
-    # ``poll`` doubles as the wall-clock timeout; it also wakes on EOF
-    # when the child dies without sending (recv then raises).
-    msg = None
-    timed_out = False
-    try:
-        if parent_conn.poll(timeout):
-            msg = parent_conn.recv()
-        else:
-            timed_out = True
-    except (EOFError, OSError):
-        msg = None  # the child died mid-send; classify by exitcode below
-    if timed_out and proc.is_alive():
-        proc.kill()
-        proc.join()
-        parent_conn.close()
-        return _Attempt(event="timeout", retryable=True,
-                        error=f"timed out after {timeout:g}s and was killed",
-                        error_type="AnalysisTimeout",
-                        seconds=perf_counter() - start)
-    proc.join()
-    parent_conn.close()
-    seconds = perf_counter() - start
-    if msg is None:
-        exitcode = proc.exitcode or 0
-        if exitcode < 0:
-            return _Attempt(event="killed", retryable=True,
-                            error=f"child killed by signal {-exitcode}",
-                            error_type="ChildKilled", seconds=seconds)
-        return _Attempt(event="crashed", retryable=False,
-                        error=f"child exited with code {exitcode} "
-                              "without reporting a result",
-                        error_type="ChildCrashed", seconds=seconds)
-    if msg["kind"] == "raised":
-        return _Attempt(event="raised", error=msg["error"],
-                        error_type=msg["error_type"],
-                        retryable=msg["retryable"], seconds=seconds)
-    return _Attempt(event="outcome", outcome=msg["outcome"], seconds=seconds)
-
-
-def _run_attempt_inline(name: str, fn, degraded: bool) -> _Attempt:
-    """Fallback without process isolation (no fork): retries only."""
-    start = perf_counter()
-    try:
-        outcome = run_analysis(name, fn, strict=False,
-                               degraded_inputs=degraded, fingerprint=True)
-    except BaseException as exc:
-        return _Attempt(event="raised", error=str(exc),
-                        error_type=type(exc).__name__,
-                        retryable=is_retryable_exception(exc),
-                        seconds=perf_counter() - start)
-    return _Attempt(event="outcome", outcome=outcome,
-                    seconds=perf_counter() - start)
 
 
 def _outcome_from_entry(entry: dict) -> AnalysisOutcome:
@@ -253,91 +242,311 @@ def warm_shared_caches(pipeline, telem) -> None:
             warm()
 
 
-def run_supervised(
+@dataclass
+class _Task:
+    """One analysis working its way to a terminal outcome."""
+
+    name: str
+    fn: object
+    rng: random.Random
+    attempts: int = 0
+    timeouts: int = 0
+    delay: float = 0.0
+    retry_at: float = 0.0
+    proc: Optional[object] = None
+    conn: Optional[object] = None
+    started: float = 0.0
+    deadline: Optional[float] = None
+    last_error: Optional[str] = None
+    last_error_type: Optional[str] = None
+    last_seconds: float = 0.0
+
+    def clear_child(self) -> None:
+        self.proc = None
+        self.conn = None
+        self.deadline = None
+
+
+@dataclass
+class _Run:
+    """Mutable runner state shared by the dispatch helpers."""
+
+    ctx: object  # fork context; None runs every attempt in process
+    policy: SupervisorPolicy
+    degraded: bool
+    strict: bool = False
+    journal: Optional[CheckpointJournal] = None
+    cache: Optional[object] = None  # a repro.parallel.cache.ResultCache
+    corpus_digest: Optional[str] = None
+    config_hash: Optional[str] = None
+    telem: object = None
+    queue: List[_Task] = field(default_factory=list)
+    waiting: List[_Task] = field(default_factory=list)
+    running: Dict[object, _Task] = field(default_factory=dict)
+    outcomes: Dict[str, AnalysisOutcome] = field(default_factory=dict)
+    stop_dispatch: bool = False
+
+
+def run_analyses(
     pipeline,
     *,
     analyses: Optional[Sequence[str]] = None,
+    jobs: Optional[int] = 1,
     policy: Optional[SupervisorPolicy] = None,
     strict: bool = False,
     journal: Optional[CheckpointJournal] = None,
+    cache=None,
+    corpus_digest: Optional[str] = None,
+    config_hash: Optional[str] = None,
 ) -> StudyReport:
-    """Run the study's analyses under supervision; see the module docstring.
+    """Run the study's analyses; see the module docstring.
 
     ``pipeline`` is an :class:`~repro.core.pipeline.AnalysisPipeline`
     (anything exposing the analysis methods, ``degraded_inputs``, and the
-    corpora works).  With ``strict=True`` the first ``failed`` terminal
-    outcome raises :class:`~repro.errors.AnalysisError` — after being
-    journaled, so a later ``--resume`` does not re-run it.
+    corpora works).  ``jobs`` of ``None``/``0`` means all CPUs.
+    ``journal`` resumes and records terminal outcomes; ``cache`` (a
+    :class:`~repro.parallel.cache.ResultCache`, used only together with
+    ``corpus_digest``) serves finished ``(corpus_digest, config_hash,
+    name)`` entries and stores fresh ok/degraded outcomes back.
+
+    With ``strict=True`` an inline run re-raises the first typed error
+    as itself.  A forked run stops dispatching at the first failed
+    terminal outcome, lets the in-flight children finish (and be
+    journaled), then raises :class:`~repro.errors.AnalysisError` for the
+    failed analysis earliest in study order; so does either mode when a
+    ``failed`` outcome is served from the journal.
     """
     from repro.core.pipeline import ANALYSIS_NAMES
 
-    policy = policy or SupervisorPolicy()
+    jobs = resolve_jobs(jobs)
     names = list(analyses if analyses is not None else ANALYSIS_NAMES)
+    ctx = _fork_context() if policy is not None or jobs > 1 else None
+    policy = policy or SupervisorPolicy()
     telem = telemetry.current()
-    rng = random.Random(policy.seed)
-    report = StudyReport()
-    degraded = pipeline.degraded_inputs
-    report.warnings.extend(ingest_warnings(pipeline))
-
-    resumed = {}
-    if journal is not None:
-        for name in names:
-            entry = journal.committed(ANALYSIS_KEY + name)
-            if entry is not None:
-                resumed[name] = _outcome_from_entry(entry)
-    if len(resumed) < len(names):
-        warm_shared_caches(pipeline, telem)
-
-    for name in names:
-        if name in resumed:
-            report.outcomes.append(resumed[name])
-            telem.counter("supervisor.resumed").inc()
+    run = _Run(ctx=ctx, policy=policy, degraded=pipeline.degraded_inputs,
+               strict=strict, journal=journal,
+               cache=cache if corpus_digest is not None else None,
+               corpus_digest=corpus_digest, config_hash=config_hash,
+               telem=telem)
+    for name in schedule_order(names):
+        outcome = _resolved_outcome(run, name)
+        if outcome is not None:
+            run.outcomes[name] = outcome
             continue
-        outcome = _supervise_one(name, _analysis_fn(pipeline, name), degraded,
-                                 policy, rng, telem)
-        report.outcomes.append(outcome)
-        telem.counter("pipeline.analyses", status=outcome.status.value).inc()
-        telem.histogram("pipeline.analysis_seconds",
-                        name=name).observe(outcome.seconds)
-        if journal is not None:
-            journal_outcome(journal, outcome)
-        if strict and outcome.status is AnalysisStatus.FAILED:
-            raise AnalysisError(
-                f"{name} failed under supervision after {outcome.attempts} "
-                f"attempt(s): {outcome.error_type}: {outcome.error}")
+        run.queue.append(_Task(
+            name=name, fn=_analysis_fn(pipeline, name),
+            rng=random.Random(f"{policy.seed}:{name}")))
+
+    if ctx is None:
+        _drive(run, jobs)
+    else:
+        if run.queue:
+            warm_shared_caches(pipeline, telem)
+        with telem.span("analyze.parallel", jobs=jobs,
+                        queued=len(run.queue)) as sp:
+            _drive(run, jobs)
+            sp.attrs["completed"] = len(run.outcomes)
+
+    report = StudyReport(warnings=ingest_warnings(pipeline))
+    # a strict stop drops analyses before they run: they have no outcome
+    report.outcomes = [run.outcomes[name] for name in names
+                       if name in run.outcomes]
     if telem.enabled:
         report.telemetry = telem.metrics_snapshot()
+    failed = report.failed()
+    if strict and failed:
+        raise AnalysisError(
+            f"{failed[0].name} failed under supervision after "
+            f"{failed[0].attempts} attempt(s): "
+            f"{failed[0].error_type}: {failed[0].error}")
     return report
 
 
-def _supervise_one(name: str, fn, degraded: bool, policy: SupervisorPolicy,
-                   rng: random.Random, telem) -> AnalysisOutcome:
-    """Drive one analysis to a terminal outcome under the retry policy."""
-    attempts = 0
-    timeouts = 0
-    last: Optional[_Attempt] = None
-    while True:
-        with telem.span(f"analyze.{name}", attempt=attempts) as sp:
-            attempt = _run_attempt(name, fn, degraded, policy.timeout)
-            sp.attrs["event"] = attempt.event
-        attempts += 1
-        last = attempt
-        if attempt.event == "outcome":
-            outcome = attempt.outcome
-            outcome.attempts = attempts
-            outcome.timeouts = timeouts
-            return outcome
-        if attempt.event == "timeout":
-            timeouts += 1
-            telem.counter("supervisor.timeouts", name=name).inc()
-        elif attempt.event == "killed":
-            telem.counter("supervisor.kills", name=name).inc()
-        if not attempt.retryable or attempts > policy.retry.max_retries:
-            break
-        delay = policy.retry.delay(attempts - 1, rng)
-        telem.counter("supervisor.retries", name=name).inc()
-        policy.sleep(delay)
-    return AnalysisOutcome(
-        name=name, status=AnalysisStatus.FAILED,
-        error=last.error, error_type=last.error_type,
-        seconds=last.seconds, attempts=attempts, timeouts=timeouts)
+def _resolved_outcome(run: _Run, name: str) -> Optional[AnalysisOutcome]:
+    """A terminal outcome available without running anything: the journal
+    first (authoritative for this run), then the content-addressed cache."""
+    if run.journal is not None:
+        entry = run.journal.committed(ANALYSIS_KEY + name)
+        if entry is not None:
+            run.telem.counter("supervisor.resumed").inc()
+            return _outcome_from_entry(entry)
+    if run.cache is not None:
+        return run.cache.get(run.corpus_digest, run.config_hash, name)
+    return None
+
+
+def _drive(run: _Run, jobs: int) -> None:
+    """The dispatch loop: fill slots, wait for events, classify attempts."""
+    while run.queue or run.waiting or run.running:
+        if run.stop_dispatch:
+            # strict stop: drop everything not yet terminal.  Dropped
+            # analyses are never journaled, so ``--resume`` runs them.
+            run.queue.clear()
+            run.waiting.clear()
+            if not run.running:
+                break
+        now = monotonic()
+        due = [t for t in run.waiting if t.retry_at <= now]
+        for task in due:
+            run.waiting.remove(task)
+            run.queue.insert(0, task)  # retries go to the head
+        while run.queue and len(run.running) < jobs \
+                and not run.stop_dispatch:
+            task = run.queue.pop(0)
+            if run.ctx is None:
+                _run_inline(run, task)
+            else:
+                _start(run, task)
+        if run.running:
+            _await_events(run)
+        elif run.waiting:
+            # nothing in flight: serve the earliest backoff through the
+            # injectable policy.sleep (tests see the exact schedule and
+            # never wait), then force that task due
+            task = min(run.waiting, key=lambda t: t.retry_at)
+            run.policy.sleep(task.delay)
+            task.retry_at = 0.0
+
+
+def _run_inline(run: _Run, task: _Task) -> None:
+    with run.telem.span(f"analyze.{task.name}") as sp:
+        outcome = run_analysis(task.name, task.fn, strict=run.strict,
+                               degraded_inputs=run.degraded)
+        sp.attrs["status"] = outcome.status.value
+    _terminal(run, task, outcome)
+
+
+def _start(run: _Run, task: _Task) -> None:
+    parent_conn, child_conn = run.ctx.Pipe(duplex=False)
+    proc = run.ctx.Process(
+        target=_child_main,
+        args=(child_conn, task.name, task.fn, run.degraded,
+              (parent_conn, *run.running)),
+        daemon=True)
+    task.started = perf_counter()
+    proc.start()
+    child_conn.close()
+    task.proc = proc
+    task.conn = parent_conn
+    task.deadline = (None if run.policy.timeout is None
+                     else monotonic() + run.policy.timeout)
+    run.running[parent_conn] = task
+    run.telem.counter("parallel.dispatched", name=task.name).inc()
+    run.telem.gauge("parallel.workers").set(len(run.running))
+
+
+def _await_events(run: _Run) -> None:
+    """Block until a child reports, dies, or a deadline/backoff expires."""
+    now = monotonic()
+    horizons = [t.deadline - now for t in run.running.values()
+                if t.deadline is not None]
+    horizons += [t.retry_at - now for t in run.waiting]
+    timeout = max(0.0, min(horizons)) if horizons else None
+    # Drain a ready pipe *before* joining its child: a large result
+    # blocks the child's send until the parent reads it.
+    for conn in _wait_connections(list(run.running), timeout):
+        task = run.running.pop(conn)
+        run.telem.gauge("parallel.workers").set(len(run.running))
+        _attempt_done(run, task, _read_attempt(task))
+    now = monotonic()
+    expired = [t for t in run.running.values()
+               if t.deadline is not None and now >= t.deadline]
+    for task in expired:
+        run.running.pop(task.conn)
+        run.telem.gauge("parallel.workers").set(len(run.running))
+        _attempt_done(run, task, _kill_timed_out(run, task))
+
+
+def _read_attempt(task: _Task) -> dict:
+    """Classify how a readable (or EOF'd) child ended."""
+    try:
+        msg = task.conn.recv()
+    except (EOFError, OSError):
+        msg = None  # the child died mid-send; classify by exitcode
+    task.proc.join()
+    task.conn.close()
+    seconds = perf_counter() - task.started
+    if msg is None:
+        exitcode = task.proc.exitcode or 0
+        if exitcode < 0:
+            return {"event": "killed", "retryable": True,
+                    "error": f"child killed by signal {-exitcode}",
+                    "error_type": "ChildKilled", "seconds": seconds}
+        return {"event": "crashed", "retryable": False,
+                "error": f"child exited with code {exitcode} "
+                         "without reporting a result",
+                "error_type": "ChildCrashed", "seconds": seconds}
+    if msg["kind"] == "raised":
+        return {"event": "raised", "error": msg["error"],
+                "error_type": msg["error_type"],
+                "retryable": msg["retryable"], "seconds": seconds}
+    return {"event": "outcome", "outcome": msg["outcome"],
+            "seconds": seconds}
+
+
+def _kill_timed_out(run: _Run, task: _Task) -> dict:
+    if task.proc.is_alive():
+        task.proc.kill()
+    task.proc.join()
+    task.conn.close()
+    return {"event": "timeout", "retryable": True,
+            "error": f"timed out after {run.policy.timeout:g}s "
+                     "and was killed",
+            "error_type": "AnalysisTimeout",
+            "seconds": perf_counter() - task.started}
+
+
+def _attempt_done(run: _Run, task: _Task, attempt: dict) -> None:
+    """The per-attempt state machine of a forked analysis."""
+    telem = run.telem
+    task.clear_child()
+    task.attempts += 1
+    if attempt["event"] == "outcome":
+        outcome = attempt["outcome"]
+        outcome.attempts = task.attempts
+        outcome.timeouts = task.timeouts
+        _terminal(run, task, outcome)
+        return
+    if attempt["event"] == "timeout":
+        task.timeouts += 1
+        telem.counter("supervisor.timeouts", name=task.name).inc()
+    elif attempt["event"] == "killed":
+        telem.counter("supervisor.kills", name=task.name).inc()
+    task.last_error = attempt["error"]
+    task.last_error_type = attempt["error_type"]
+    task.last_seconds = attempt["seconds"]
+    if not attempt["retryable"] \
+            or task.attempts > run.policy.retry.max_retries:
+        _terminal(run, task, AnalysisOutcome(
+            name=task.name, status=AnalysisStatus.FAILED,
+            error=task.last_error, error_type=task.last_error_type,
+            seconds=task.last_seconds, attempts=task.attempts,
+            timeouts=task.timeouts))
+        return
+    task.delay = run.policy.retry.delay(task.attempts - 1, task.rng)
+    telem.counter("supervisor.retries", name=task.name).inc()
+    task.retry_at = monotonic() + task.delay
+    run.waiting.append(task)
+
+
+def _terminal(run: _Run, task: _Task, outcome: AnalysisOutcome) -> None:
+    """Record a terminal outcome the moment it exists.
+
+    Journal commits and cache stores happen here — not after the loop
+    drains — so a run killed mid-flight resumes with every finished
+    analysis already committed.  The parent is the only journal/cache
+    writer.
+    """
+    run.outcomes[task.name] = outcome
+    run.telem.counter("pipeline.analyses",
+                      status=outcome.status.value).inc()
+    run.telem.histogram("pipeline.analysis_seconds",
+                        name=outcome.name).observe(outcome.seconds)
+    if run.journal is not None:
+        journal_outcome(run.journal, outcome)
+    if run.cache is not None:
+        run.cache.put(run.corpus_digest, run.config_hash, outcome)
+    if run.strict and outcome.status is AnalysisStatus.FAILED:
+        # stop dispatching new work; in-flight children drain and are
+        # journaled, then run_analyses raises for the earliest failure
+        run.stop_dispatch = True

@@ -585,8 +585,7 @@ class StreamEngine:
                 if spec.incremental:
                     outcome = run_analysis(
                         name, self._incremental_fn(name, pipeline),
-                        strict=False, degraded_inputs=degraded,
-                        fingerprint=True)
+                        strict=False, degraded_inputs=degraded)
                     modes[name] = MODE_INCREMENTAL
                 else:
                     outcome = None
@@ -600,7 +599,7 @@ class StreamEngine:
                     else:
                         outcome = run_analysis(
                             name, pipeline.analysis_fn(name), strict=False,
-                            degraded_inputs=degraded, fingerprint=True)
+                            degraded_inputs=degraded)
                         modes[name] = MODE_BATCH
                         if self.cache is not None:
                             self.cache.put(digest, self._config_hash(),

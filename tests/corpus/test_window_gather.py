@@ -190,7 +190,7 @@ def scan_pipeline(tiny_result):
 
 def _outcome(pipeline, name):
     return run_analysis(name, pipeline.analysis_fn(name), strict=False,
-                        degraded_inputs=False, fingerprint=True)
+                        degraded_inputs=False)
 
 
 class TestTinyScenario:

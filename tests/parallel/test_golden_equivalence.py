@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro import AnalysisPipeline, ControlPlaneCorpus, DataPlaneCorpus
-from repro.cli import _load_platform
 from repro.corpus.manifest import (
     CONTROL_FILE,
     DATA_FILE,
@@ -37,6 +36,7 @@ from repro.corpus.manifest import (
     META_FILE,
     file_sha256,
 )
+from repro.corpus.platform import load_platform
 from repro.parallel.golden import FINGERPRINT_VERSION
 from repro.runtime.generate import checkpointed_generate
 from repro.scenario.config import ScenarioConfig
@@ -61,7 +61,7 @@ def _packets_sha256(npz_path: Path) -> str:
 def _make_pipeline(corpus_dir: Path) -> AnalysisPipeline:
     control = ControlPlaneCorpus.load_jsonl(corpus_dir / CONTROL_FILE)
     data = DataPlaneCorpus.load_npz(corpus_dir / DATA_FILE)
-    peers, rs_asn, peeringdb = _load_platform(corpus_dir)
+    peers, rs_asn, peeringdb = load_platform(corpus_dir)
     return AnalysisPipeline(control, data, peer_asns=peers,
                             peeringdb=peeringdb, route_server_asn=rs_asn,
                             host_min_days=HOST_MIN_DAYS)

@@ -1,10 +1,9 @@
-"""Tests for the parallel analysis scheduler against a stub pipeline:
-concurrent dispatch, deterministic merging, retry/timeout parity with
-the serial supervisor, journal resume, and strict-stop semantics."""
+"""Tests for the analysis runner's ``jobs > 1`` pool against a stub
+pipeline: concurrent dispatch, deterministic merging, retry/timeout
+parity with supervised ``jobs=1``, journal resume, and strict-stop
+semantics."""
 
 import os
-import signal
-import time
 
 import pytest
 
@@ -12,61 +11,28 @@ from repro import telemetry
 from repro.core.study import AnalysisStatus
 from repro.errors import AnalysisError, SupervisorError
 from repro.parallel.cache import ResultCache
-from repro.parallel.scheduler import resolve_jobs, run_parallel, schedule_order
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.supervisor import ANALYSIS_KEY, SupervisorPolicy
-
-
-class StubPipeline:
-    """Just enough surface for the scheduler: analysis methods,
-    ``degraded_inputs``, and (absent) corpora."""
-
-    degraded_inputs = False
-
-    def ok_fast(self):
-        return {"answer": 42}
-
-    def ok_other(self):
-        return [1.5, 2.5]
-
-    def slow_ok(self):
-        time.sleep(0.3)
-        return "slow"
-
-    def typed_failure(self):
-        raise AnalysisError("insufficient data")
-
-    def transient(self):
-        raise OSError("transient I/O failure")
-
-    def hangs(self):
-        time.sleep(60)
-        return "never"
-
-    def dies(self):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def big_value(self):
-        return list(range(200_000))
-
-
-def no_sleep_policy(**kwargs):
-    slept = []
-    policy = SupervisorPolicy(sleep=slept.append, **kwargs)
-    return policy, slept
+from repro.runtime.supervisor import (
+    ANALYSIS_KEY,
+    SupervisorPolicy,
+    resolve_jobs,
+    run_analyses,
+    schedule_order,
+)
+from tests.runner_helpers import StubPipeline, no_sleep_policy
 
 
 class TestSchedulerBasics:
     def test_outcomes_merge_in_request_order(self):
         # slow_ok finishes last but must still come back first
         names = ["slow_ok", "ok_fast", "ok_other"]
-        report = run_parallel(StubPipeline(), analyses=names, jobs=3)
+        report = run_analyses(StubPipeline(), analyses=names, jobs=3)
         assert [o.name for o in report.outcomes] == names
         assert all(o.status is AnalysisStatus.OK for o in report.outcomes)
 
     def test_values_and_fingerprints_cross_the_pipe(self):
-        report = run_parallel(StubPipeline(), analyses=["ok_fast", "big_value"],
+        report = run_analyses(StubPipeline(), analyses=["ok_fast", "big_value"],
                               jobs=2)
         by_name = {o.name: o for o in report.outcomes}
         assert by_name["ok_fast"].value == {"answer": 42}
@@ -76,22 +42,22 @@ class TestSchedulerBasics:
     def test_jobs_one_matches_many(self):
         names = ["ok_fast", "ok_other", "typed_failure"]
         policy, _ = no_sleep_policy(retry=RetryPolicy(max_retries=0))
-        serial = run_parallel(StubPipeline(), analyses=names, jobs=1,
+        serial = run_analyses(StubPipeline(), analyses=names, jobs=1,
                               policy=policy)
-        wide = run_parallel(StubPipeline(), analyses=names, jobs=8,
+        wide = run_analyses(StubPipeline(), analyses=names, jobs=8,
                             policy=policy)
         assert serial.canonical_json() == wide.canonical_json()
 
     def test_degraded_inputs_propagate(self):
         pipeline = StubPipeline()
         pipeline.degraded_inputs = True
-        report = run_parallel(pipeline, analyses=["ok_fast"], jobs=2)
+        report = run_analyses(pipeline, analyses=["ok_fast"], jobs=2)
         assert report.outcomes[0].status is AnalysisStatus.DEGRADED
 
     def test_failure_does_not_take_down_the_rest(self):
         policy, _ = no_sleep_policy(timeout=0.3,
                                     retry=RetryPolicy(max_retries=0))
-        report = run_parallel(
+        report = run_analyses(
             StubPipeline(), analyses=["ok_fast", "hangs", "typed_failure"],
             jobs=3, policy=policy)
         by_name = {o.name: o for o in report.outcomes}
@@ -101,7 +67,7 @@ class TestSchedulerBasics:
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(SupervisorError, match="jobs"):
-            run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=-2)
+            run_analyses(StubPipeline(), analyses=["ok_fast"], jobs=-2)
 
     def test_resolve_jobs_zero_means_all_cpus(self):
         assert resolve_jobs(0) == (os.cpu_count() or 1)
@@ -112,7 +78,7 @@ class TestSchedulerBasics:
 class TestRetryParity:
     def test_transient_failure_exhausts_retry_budget(self):
         policy, _ = no_sleep_policy(retry=RetryPolicy(max_retries=2), seed=5)
-        report = run_parallel(StubPipeline(), analyses=["transient"],
+        report = run_analyses(StubPipeline(), analyses=["transient"],
                               jobs=2, policy=policy)
         (outcome,) = report.outcomes
         assert outcome.status is AnalysisStatus.FAILED
@@ -121,7 +87,7 @@ class TestRetryParity:
 
     def test_killed_child_is_retried_then_failed(self):
         policy, _ = no_sleep_policy(retry=RetryPolicy(max_retries=1))
-        report = run_parallel(StubPipeline(), analyses=["dies"],
+        report = run_analyses(StubPipeline(), analyses=["dies"],
                               jobs=2, policy=policy)
         (outcome,) = report.outcomes
         assert outcome.status is AnalysisStatus.FAILED
@@ -133,7 +99,7 @@ class TestRetryParity:
                                     retry=RetryPolicy(max_retries=1))
         telem = telemetry.Telemetry()
         with telemetry.activate(telem):
-            report = run_parallel(StubPipeline(), analyses=["hangs"],
+            report = run_analyses(StubPipeline(), analyses=["hangs"],
                                   jobs=2, policy=policy)
         (outcome,) = report.outcomes
         assert outcome.error_type == "AnalysisTimeout"
@@ -153,7 +119,7 @@ class TestJournal:
     def test_terminal_outcomes_are_committed_with_digests(self, tmp_path):
         journal = self.start_journal(tmp_path)
         policy, _ = no_sleep_policy()
-        run_parallel(StubPipeline(), analyses=["ok_fast", "typed_failure"],
+        run_analyses(StubPipeline(), analyses=["ok_fast", "typed_failure"],
                      jobs=2, policy=policy, journal=journal)
         reloaded = CheckpointJournal.load(journal.path)
         ok = reloaded.committed(ANALYSIS_KEY + "ok_fast")
@@ -164,28 +130,26 @@ class TestJournal:
 
     def test_resume_skips_journaled_analyses(self, tmp_path):
         journal = self.start_journal(tmp_path)
-        run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=2,
+        run_analyses(StubPipeline(), analyses=["ok_fast"], jobs=2,
                      journal=journal)
         pipeline = StubPipeline()
         pipeline.ok_fast = pipeline.dies  # re-running would SIGKILL
         resumed = CheckpointJournal.load(journal.path)
-        report = run_parallel(pipeline, analyses=["ok_fast"], jobs=2,
+        report = run_analyses(pipeline, analyses=["ok_fast"], jobs=2,
                               journal=resumed)
         (outcome,) = report.outcomes
         assert outcome.status is AnalysisStatus.OK
         assert outcome.value is None  # values are not persisted
 
     def test_serial_journal_resumes_in_parallel(self, tmp_path):
-        from repro.runtime.supervisor import run_supervised
-
         journal = self.start_journal(tmp_path)
         policy, _ = no_sleep_policy()
-        run_supervised(StubPipeline(), analyses=["ok_fast"], policy=policy,
-                       journal=journal)
+        run_analyses(StubPipeline(), analyses=["ok_fast"], policy=policy,
+                     journal=journal)
         pipeline = StubPipeline()
         pipeline.ok_fast = pipeline.dies
         resumed = CheckpointJournal.load(journal.path)
-        report = run_parallel(pipeline, analyses=["ok_fast"], jobs=4,
+        report = run_analyses(pipeline, analyses=["ok_fast"], jobs=4,
                               journal=resumed)
         assert report.outcomes[0].status is AnalysisStatus.OK
 
@@ -196,7 +160,7 @@ class TestStrict:
         journal.start({"command": "analyze"})
         policy, _ = no_sleep_policy()
         with pytest.raises(AnalysisError, match="typed_failure failed"):
-            run_parallel(StubPipeline(), analyses=["typed_failure"],
+            run_analyses(StubPipeline(), analyses=["typed_failure"],
                          jobs=2, policy=policy, journal=journal, strict=True)
         reloaded = CheckpointJournal.load(journal.path)
         assert reloaded.committed(ANALYSIS_KEY + "typed_failure") is not None
@@ -208,7 +172,7 @@ class TestStrict:
         journal.start({"command": "analyze"})
         policy, _ = no_sleep_policy(retry=RetryPolicy(max_retries=0))
         with pytest.raises(AnalysisError):
-            run_parallel(StubPipeline(),
+            run_analyses(StubPipeline(),
                          analyses=["typed_failure", "slow_ok"],
                          jobs=1, policy=policy, journal=journal, strict=True)
         reloaded = CheckpointJournal.load(journal.path)
@@ -220,12 +184,12 @@ class TestCacheIntegration:
     def test_cache_hit_skips_execution(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         policy, _ = no_sleep_policy()
-        first = run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=2,
+        first = run_analyses(StubPipeline(), analyses=["ok_fast"], jobs=2,
                              policy=policy, cache=cache,
                              corpus_digest="c0ffee", config_hash="cfg")
         pipeline = StubPipeline()
         pipeline.ok_fast = pipeline.dies  # a real re-run would SIGKILL
-        second = run_parallel(pipeline, analyses=["ok_fast"], jobs=2,
+        second = run_analyses(pipeline, analyses=["ok_fast"], jobs=2,
                               policy=policy, cache=cache,
                               corpus_digest="c0ffee", config_hash="cfg")
         assert second.outcomes[0].cached
@@ -237,10 +201,10 @@ class TestCacheIntegration:
     def test_different_corpus_digest_misses(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         policy, _ = no_sleep_policy()
-        run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=2,
+        run_analyses(StubPipeline(), analyses=["ok_fast"], jobs=2,
                      policy=policy, cache=cache,
                      corpus_digest="c0ffee", config_hash="cfg")
-        report = run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=2,
+        report = run_analyses(StubPipeline(), analyses=["ok_fast"], jobs=2,
                               policy=policy, cache=cache,
                               corpus_digest="0ther", config_hash="cfg")
         assert not report.outcomes[0].cached
@@ -248,10 +212,10 @@ class TestCacheIntegration:
     def test_failures_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         policy, _ = no_sleep_policy(retry=RetryPolicy(max_retries=0))
-        run_parallel(StubPipeline(), analyses=["typed_failure"], jobs=2,
+        run_analyses(StubPipeline(), analyses=["typed_failure"], jobs=2,
                      policy=policy, cache=cache,
                      corpus_digest="c0ffee", config_hash="cfg")
-        report = run_parallel(StubPipeline(), analyses=["typed_failure"],
+        report = run_analyses(StubPipeline(), analyses=["typed_failure"],
                               jobs=2, policy=policy, cache=cache,
                               corpus_digest="c0ffee", config_hash="cfg")
         assert not report.outcomes[0].cached  # recomputed, not served
@@ -286,7 +250,7 @@ class TestWarmUpOnlyWhenQueued:
         for name in ANALYSIS_NAMES:
             cache.put("c0ffee", "cfg", AnalysisOutcome(
                 name=name, status=AnalysisStatus.OK, value_digest="ab"))
-        report = run_parallel(fresh_pipeline, jobs=2, cache=cache,
+        report = run_analyses(fresh_pipeline, jobs=2, cache=cache,
                               corpus_digest="c0ffee", config_hash="cfg")
         assert all(o.cached for o in report.outcomes)
         assert len(report.outcomes) == len(ANALYSIS_NAMES)
@@ -295,13 +259,13 @@ class TestWarmUpOnlyWhenQueued:
     def test_all_journaled_supervised_run_computes_no_intermediate(
             self, tmp_path, fresh_pipeline):
         from repro.core.pipeline import ANALYSIS_NAMES
-        from repro.runtime.supervisor import run_supervised
 
         journal = CheckpointJournal(tmp_path / "journal.jsonl")
         journal.start({"command": "analyze"})
         for name in ANALYSIS_NAMES:
             journal.commit(ANALYSIS_KEY + name, name=name, status="ok")
-        report = run_supervised(fresh_pipeline, journal=journal)
+        report = run_analyses(fresh_pipeline, policy=SupervisorPolicy(),
+                              journal=journal)
         assert [o.status for o in report.outcomes] == \
             [AnalysisStatus.OK] * len(ANALYSIS_NAMES)
         assert self.warmed(fresh_pipeline) == []
@@ -309,7 +273,7 @@ class TestWarmUpOnlyWhenQueued:
     def test_one_uncached_analysis_still_warms(self, tmp_path,
                                                fresh_pipeline):
         cache = ResultCache(tmp_path / "cache")
-        report = run_parallel(fresh_pipeline, analyses=["fig3_load"],
+        report = run_analyses(fresh_pipeline, analyses=["fig3_load"],
                               jobs=2, cache=cache, corpus_digest="c0ffee",
                               config_hash="cfg")
         assert report.outcomes[0].status is AnalysisStatus.OK

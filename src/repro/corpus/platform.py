@@ -1,4 +1,4 @@
-"""Loader for the ``platform.json`` sidecar of a corpus directory.
+"""The ``platform.json`` sidecar of a corpus directory: reader and writer.
 
 The sidecar carries everything the analysis pipeline needs beyond the two
 corpora: the member ASNs, the route-server ASN, and the PeeringDB
@@ -16,6 +16,7 @@ from typing import List, Tuple
 from repro.corpus.manifest import META_FILE
 from repro.errors import CorpusError
 from repro.ixp.peeringdb import OrgType, PeeringDB, PeeringDBRecord
+from repro.runtime.atomic import atomic_writer
 
 
 def load_platform(corpus_dir: str | Path) -> Tuple[List[int], int, PeeringDB]:
@@ -33,6 +34,12 @@ def load_platform(corpus_dir: str | Path) -> Tuple[List[int], int, PeeringDB]:
             org_type=OrgType(entry["org_type"]), scope=entry["scope"],
         ))
     return list(meta["peer_asns"]), int(meta["route_server_asn"]), db
+
+
+def write_platform_meta(corpus_dir: str | Path, meta: dict) -> None:
+    """Atomically (re)write ``platform.json`` from ``meta``."""
+    with atomic_writer(Path(corpus_dir) / META_FILE) as fh:
+        fh.write(json.dumps(meta, indent=2))
 
 
 def read_platform_meta(corpus_dir: str | Path) -> dict:

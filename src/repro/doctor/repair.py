@@ -51,10 +51,10 @@ from repro.corpus.manifest import (
     CONTROL_FILE,
     DATA_FILE,
     MANIFEST_FILE,
-    META_FILE,
     file_sha256,
     write_manifest,
 )
+from repro.corpus.platform import read_platform_meta
 from repro.errors import DoctorError, ReproError
 from repro.doctor.report import (
     Damage,
@@ -67,7 +67,6 @@ from repro.doctor.scrub import (
     DOCTOR_QUARANTINE_DIR,
     JournalScan,
     generation_params,
-    journal_days,
     scan_journal_file,
     scrub_corpus,
 )
@@ -79,6 +78,9 @@ from repro.runtime.generate import (
     SEGMENT_DIR,
     _segment_key,
     _segment_name,
+    committed_days,
+    finalize,
+    segment_entry,
 )
 
 #: execution order of repair plans — journals first (later repairs read
@@ -250,7 +252,7 @@ class _RepairEngine:
         if plan == "rebuild-tap-journal":
             return self._rebuild_tap_journal()
         if plan == "refinalize":
-            return _refinalize_tap(self.corpus)
+            return _finalize_committed(self.corpus)
         if plan == "quarantine":
             return _quarantine(self.corpus, path)
         raise DoctorError(f"unknown repair plan {plan!r}")
@@ -279,7 +281,7 @@ class _RepairEngine:
         artifact = ", ".join(sorted({d.artifact for d in damages}))
         try:
             if whole_dir:
-                days = list(range(journal_days(self.scan.steps)))
+                days = list(range(len(committed_days(self.scan.steps))))
             detail = _repair_tap_segments(self.corpus, self.scan, days,
                                           damages)
             action = RepairAction(plan="repair-tap-segments",
@@ -318,24 +320,15 @@ class _RepairEngine:
         journal = CheckpointJournal(self.corpus / JOURNAL_FILE)
         journal.start({"command": "tap", "version": 1})
         day = 0
-        while True:
-            control = seg_dir / _segment_name("control", day)
-            data = seg_dir / _segment_name("data", day)
-            if not (control.exists() and data.exists()):
-                break
-            journal.commit(_segment_key("control", day),
-                           sha256=file_sha256(control),
-                           bytes=control.stat().st_size,
-                           records=control.read_bytes().count(b"\n"))
-            with np.load(data) as archive:
-                records = int(len(archive["packets"]))
-            journal.commit(_segment_key("data", day),
-                           sha256=file_sha256(data),
-                           bytes=data.stat().st_size, records=records)
+        while all((seg_dir / _segment_name(plane, day)).exists()
+                  for plane in ("control", "data")):
+            for plane in ("control", "data"):
+                journal.commit(_segment_key(plane, day),
+                               **segment_entry(seg_dir, plane, day))
             day += 1
         self.scan = scan_journal_file(self.corpus / JOURNAL_FILE)
         if day > 0:
-            _refinalize_tap(self.corpus)
+            _finalize_committed(self.corpus)
             self.scan = scan_journal_file(self.corpus / JOURNAL_FILE)
         _drop_overtaken_stream_checkpoint(self.corpus, day)
         return f"recommitted {day} day(s) from disk segments"
@@ -460,10 +453,9 @@ def _repair_tap_segments(corpus: Path, scan: JournalScan, days: List[int],
         control_bytes = b""
     offsets: Dict[int, int] = {}
     position = 0
-    for day in range(journal_days(scan.steps)):
+    for day, (control, _) in enumerate(committed_days(scan.steps)):
         offsets[day] = position
-        position += int(scan.steps[_segment_key("control", day)]
-                        .get("bytes", 0) or 0)
+        position += int(control.get("bytes", 0) or 0)
     empty_data = _empty_data_segment_bytes()
     import hashlib
     rebuilt = 0
@@ -500,7 +492,7 @@ def _repair_tap_segments(corpus: Path, scan: JournalScan, days: List[int],
     _quarantine_damaged_segments(corpus, damages, keep)
     _truncate_tap_journal(corpus, scan, keep)
     if keep > 0:
-        _refinalize_tap(corpus)
+        _finalize_committed(corpus)
     _drop_overtaken_stream_checkpoint(corpus, keep)
     return (f"re-sliced {rebuilt} segment file(s); day(s) "
             f"{failed_days} unrecoverable — commit log truncated to "
@@ -531,46 +523,17 @@ def _truncate_tap_journal(corpus: Path, scan: JournalScan,
             journal.commit(key, **entry)
 
 
-def _refinalize_tap(corpus: Path) -> str:
-    """Rebuild the finalized corpus files from the committed segments —
-    the same refinalize contract :class:`~repro.taps.session.TapSession`
-    keeps after every commit batch."""
-    from repro.dataplane.packet import PACKET_DTYPE
-
+def _finalize_committed(corpus: Path) -> str:
+    """Run :func:`~repro.runtime.generate.finalize` over the commit log's
+    contiguous committed days; ``platform.json`` is left as it is."""
     journal = CheckpointJournal.load(corpus / JOURNAL_FILE)
-    steps = {key: journal.committed(key) for key in journal.keys()}
-    days = journal_days(steps)
-    seg_dir = corpus / SEGMENT_DIR
+    days = len(committed_days(journal))
     try:
-        meta = json.loads((corpus / META_FILE).read_text())
-        sampling_rate = int(meta.get("sampling_rate", 10_000))
-    except (OSError, ValueError, TypeError):
+        sampling_rate = int(read_platform_meta(corpus)
+                            .get("sampling_rate", 10_000))
+    except (ReproError, TypeError, ValueError):
         sampling_rate = 10_000
-    control_messages = 0
-    with atomic_writer(corpus / CONTROL_FILE, mode="wb") as fh:
-        for day in range(days):
-            data = (seg_dir / _segment_name("control", day)).read_bytes()
-            control_messages += data.count(b"\n")
-            fh.write(data)
-    arrays = []
-    for day in range(days):
-        with np.load(seg_dir / _segment_name("data", day)) as archive:
-            arrays.append(archive["packets"])
-    packets = (np.concatenate(arrays) if arrays
-               else np.zeros(0, dtype=PACKET_DTYPE))
-    with atomic_writer(corpus / DATA_FILE, mode="wb") as fh:
-        np.savez_compressed(fh, packets=packets,
-                            sampling_rate=sampling_rate)
-    counts = {"control_messages": control_messages,
-              "data_packets": int(len(packets))}
-    write_manifest(corpus, counts=counts)
-    journal.commit(
-        FINALIZE_KEY,
-        control_messages=counts["control_messages"],
-        data_packets=counts["data_packets"],
-        control_sha256=file_sha256(corpus / CONTROL_FILE),
-        data_sha256=file_sha256(corpus / DATA_FILE),
-    )
+    finalize(corpus, journal, days, sampling_rate=sampling_rate)
     return f"refinalized {days} day(s) from committed segments"
 
 

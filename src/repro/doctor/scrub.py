@@ -41,6 +41,7 @@ from repro.runtime.generate import (
     JOURNAL_FILE,
     SEGMENT_DIR,
     _segment_key,
+    _segment_name,
 )
 
 #: the supervised-analyze journal (same name the CLI uses)
@@ -114,15 +115,6 @@ def scan_journal_file(path: str | Path) -> JournalScan:
         scan.header_bad = True
         scan.torn_offset = 0
     return scan
-
-
-def journal_days(steps: Dict[str, dict]) -> int:
-    """Contiguous days with both planes' segment steps, from day 0."""
-    day = 0
-    while (_segment_key("control", day) in steps
-           and _segment_key("data", day) in steps):
-        day += 1
-    return day
 
 
 def generation_params(corpus_dir: Path,
@@ -287,8 +279,7 @@ def _scrub_segments(corpus: Path, scan: JournalScan, report: DamageReport,
     for key, entry in sorted(segment_steps.items()):
         _, plane, day_text = key.split(":")
         day = int(day_text)
-        suffix = "jsonl" if plane == "control" else "npz"
-        path = seg_dir / f"{plane}-{day:03d}.{suffix}"
+        path = seg_dir / _segment_name(plane, day)
         artifact = _rel(corpus, path)
         report.count("segment")
         plan, context = _segment_damage_plan(tap_corpus, params)
@@ -456,16 +447,13 @@ def _cache_roots(corpus: Path,
 def _scrub_caches(corpus: Path, report: DamageReport,
                   cache_dir: str | Path | None) -> None:
     from repro.parallel.cache import ENTRY_VERSION, corpus_digest
+    from repro.streaming.engine import stream_corpus_digests
 
     roots = _cache_roots(corpus, cache_dir)
     if not roots:
         return
     current = corpus_digest(corpus)
-    try:
-        from repro.streaming.engine import stream_corpus_digests
-        stream_digests = stream_corpus_digests(corpus)
-    except Exception:
-        stream_digests = set()
+    stream_digests = stream_corpus_digests(corpus)
     for root in roots:
         for path in sorted(root.glob("*.json")):
             report.count("cache-entry")

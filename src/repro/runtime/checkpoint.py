@@ -44,7 +44,8 @@ class CheckpointJournal:
     def load(cls, path: str | Path) -> "CheckpointJournal":
         """Read an existing journal, tolerating a torn trailing line.
 
-        A journal whose *first* line is unreadable is unusable and raises
+        A journal whose *first* line is unreadable (bad JSON or bytes
+        that are not UTF-8) is unusable and raises
         :class:`~repro.errors.CheckpointError`; a bad line later is
         treated as the torn tail of a crashed append — it and anything
         after it are ignored.
@@ -52,13 +53,15 @@ class CheckpointJournal:
         journal = cls(path)
         if not journal.path.exists():
             return journal
-        with open(journal.path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
+        with open(journal.path, "rb") as fh:
+            for line_no, raw in enumerate(fh, 1):
+                line = raw.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    # UnicodeDecodeError is a ValueError: a flipped byte
+                    # is handled like any other unparseable line
+                    record = json.loads(line.decode("utf-8"))
                     if not isinstance(record, dict):
                         raise ValueError("not an object")
                 except ValueError as exc:

@@ -23,6 +23,13 @@ Because segments are contiguous time slices of the sorted corpora,
 concatenating them reproduces exactly the bytes an uninterrupted run
 writes — the chaos tests assert the checksums match.
 
+This module is the only one that knows the commit log's on-disk layout.
+``generate``, ``repro advance``, the tap session and ``repro doctor``
+all go through :func:`write_segment` / :func:`segment_entry` (a day
+segment and its journal entry), :func:`committed_days` (the contiguous
+day prefix with both planes committed) and :func:`finalize` (the corpus
+files, ``platform.json``, manifest and ``finalize`` commit).
+
 With ``jobs > 1`` the day segments are fanned across forked workers.
 Workers only *write* (atomically, under unique temp names); every
 journal commit stays in the parent — a single journal writer keeps the
@@ -40,7 +47,7 @@ import shutil
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,10 +57,11 @@ from repro.corpus.manifest import (
     CONTROL_FILE,
     DATA_FILE,
     MANIFEST_FILE,
-    META_FILE,
     file_sha256,
     write_manifest,
 )
+from repro.corpus.platform import write_platform_meta
+from repro.dataplane.packet import PACKET_DTYPE
 from repro.errors import CheckpointError
 from repro.runtime.atomic import atomic_writer, remove_stale_tmp
 from repro.runtime.checkpoint import CheckpointJournal
@@ -177,16 +185,21 @@ def checkpointed_generate(
     with telem.span("generate.write", out=str(out)):
         with telem.span("generate.segments", days=result.day_count,
                         jobs=jobs):
-            segments = _write_segments(result, seg_dir, journal, report,
-                                       jobs=jobs)
+            _write_segments(result, seg_dir, journal, report, jobs=jobs)
         if run is not None:
             # stamp the elapsed wall time into the embedded provenance
             # record before it is checksummed into the manifest
             run = dict(run)
             run["wall_seconds"] = perf_counter() - t0
         with telem.span("generate.finalize"):
-            _finalize(result, out, seg_dir, segments, journal, report,
-                      run=run, extra_meta=extra_meta)
+            counts = finalize(out, journal, result.day_count,
+                              sampling_rate=result.data.sampling_rate,
+                              meta={**_platform_meta(result),
+                                    **(extra_meta or {})},
+                              run=run)
+    report.control_messages = counts["control_messages"]
+    report.data_packets = counts["data_packets"]
+    report.manifest_path = str(out / MANIFEST_FILE)
     if not keep_segments:
         shutil.rmtree(seg_dir, ignore_errors=True)
     return report
@@ -195,17 +208,15 @@ def checkpointed_generate(
 def _write_segments(result: ScenarioResult, seg_dir: Path,
                     journal: CheckpointJournal,
                     report: GenerateReport,
-                    jobs: int = 1) -> Dict[str, List[Path]]:
+                    jobs: int = 1) -> None:
     """Write every day slice of both corpora, skipping committed ones."""
     telem = telemetry.current()
-    paths: Dict[str, List[Path]] = {"control": [], "data": []}
     pending: List[tuple] = []
     control_slices = result.control_day_slices()
     data_slices = result.data_day_slices()
     for plane, slices in (("control", control_slices), ("data", data_slices)):
         for day, chunk in enumerate(slices):
             path = seg_dir / _segment_name(plane, day)
-            paths[plane].append(path)
             report.segments_total += 1
             entry = journal.committed(_segment_key(plane, day))
             if entry is not None and path.exists() \
@@ -223,22 +234,24 @@ def _write_segments(result: ScenarioResult, seg_dir: Path,
         if ctx is not None:
             _write_pending_parallel(pending, seg_dir, journal, report,
                                     min(jobs, len(pending)), ctx, telem)
-            return paths
+            return
 
     for plane, day, chunk in pending:
-        path = _write_segment_file(seg_dir, plane, day, chunk)
         journal.commit(_segment_key(plane, day),
-                       sha256=file_sha256(path),
-                       bytes=path.stat().st_size,
-                       records=len(chunk))
+                       **write_segment(seg_dir, plane, day, chunk))
         report.segments_written += 1
         telem.counter("runtime.segments", plane=plane,
                       outcome="written").inc()
-    return paths
 
 
-def _write_segment_file(seg_dir: Path, plane: str, day: int, chunk) -> Path:
-    """Atomically write one day segment; identical bytes on every path."""
+def write_segment(seg_dir: Path, plane: str, day: int, chunk) -> dict:
+    """Atomically write one day segment and return its journal entry.
+
+    ``chunk`` is the day's control-plane messages or data-plane packet
+    array; the bytes are identical on every path.  The entry is the
+    segment's SHA-256, size and record count, committed under
+    ``_segment_key(plane, day)``.
+    """
     path = seg_dir / _segment_name(plane, day)
     if plane == "control":
         with atomic_writer(path) as fh:
@@ -247,7 +260,40 @@ def _write_segment_file(seg_dir: Path, plane: str, day: int, chunk) -> Path:
     else:
         with atomic_writer(path, mode="wb") as fh:
             np.savez_compressed(fh, packets=chunk)
-    return path
+    return segment_entry(seg_dir, plane, day, records=len(chunk))
+
+
+def segment_entry(seg_dir: Path, plane: str, day: int,
+                  records: Optional[int] = None) -> dict:
+    """The journal entry of a segment on disk: SHA-256, size and record
+    count, the count read from the file unless ``records`` is given."""
+    path = seg_dir / _segment_name(plane, day)
+    if records is None and plane == "control":
+        records = path.read_bytes().count(b"\n")
+    elif records is None:
+        with np.load(path) as archive:
+            records = int(len(archive["packets"]))
+    return {"sha256": file_sha256(path), "bytes": path.stat().st_size,
+            "records": records}
+
+
+def committed_days(log: Union[CheckpointJournal, Mapping[str, dict]]
+                   ) -> List[Tuple[dict, dict]]:
+    """The ``(control, data)`` segment entries of every committed day.
+
+    Days count from 0 and stop at the first day missing either plane's
+    commit: that contiguous prefix is what :func:`finalize` assembles and
+    what watchers may consume.  ``log`` is a loaded journal or a
+    key → entry mapping such as the doctor's ``JournalScan.steps``.
+    """
+    lookup = log.committed if isinstance(log, CheckpointJournal) else log.get
+    days: List[Tuple[dict, dict]] = []
+    while True:
+        control = lookup(_segment_key("control", len(days)))
+        data = lookup(_segment_key("data", len(days)))
+        if control is None or data is None:
+            return days
+        days.append((control, data))
 
 
 def _segment_worker(conn, tasks, seg_dir: Path, inherited=()) -> None:
@@ -265,11 +311,8 @@ def _segment_worker(conn, tasks, seg_dir: Path, inherited=()) -> None:
         other.close()
     try:
         for plane, day, chunk in tasks:
-            path = _write_segment_file(seg_dir, plane, day, chunk)
-            conn.send({"key": _segment_key(plane, day), "plane": plane,
-                       "sha256": file_sha256(path),
-                       "bytes": path.stat().st_size,
-                       "records": len(chunk)})
+            conn.send((plane, day,
+                       write_segment(seg_dir, plane, day, chunk)))
     finally:
         conn.close()
 
@@ -298,7 +341,7 @@ def _write_pending_parallel(pending, seg_dir: Path,
         while conns:
             for conn in _wait_connections(list(conns)):
                 try:
-                    msg = conn.recv()
+                    plane, day, entry = conn.recv()
                 except (EOFError, OSError):
                     proc = conns.pop(conn)
                     conn.close()
@@ -308,10 +351,9 @@ def _write_pending_parallel(pending, seg_dir: Path,
                             "segment worker died with exit code "
                             f"{proc.exitcode}; re-run with --resume")
                     continue
-                journal.commit(msg["key"], sha256=msg["sha256"],
-                               bytes=msg["bytes"], records=msg["records"])
+                journal.commit(_segment_key(plane, day), **entry)
                 report.segments_written += 1
-                telem.counter("runtime.segments", plane=msg["plane"],
+                telem.counter("runtime.segments", plane=plane,
                               outcome="written").inc()
     finally:
         for proc in procs:
@@ -321,39 +363,46 @@ def _write_pending_parallel(pending, seg_dir: Path,
         telem.gauge("runtime.segment_workers").set(0)
 
 
-def _finalize(result: ScenarioResult, out: Path, seg_dir: Path,
-              segments: Dict[str, List[Path]], journal: CheckpointJournal,
-              report: GenerateReport, *, run: Optional[dict],
-              extra_meta: Optional[dict]) -> None:
-    """Assemble the final corpus files from the committed segments."""
-    # control.jsonl: byte-concatenation of the day segments
-    with atomic_writer(out / CONTROL_FILE, mode="wb") as fh:
-        for seg in segments["control"]:
-            fh.write(seg.read_bytes())
-    # data.npz: one packed record array from the day slices
-    arrays = [np.load(seg)["packets"] for seg in segments["data"]]
-    packets = np.concatenate(arrays)
-    with atomic_writer(out / DATA_FILE, mode="wb") as fh:
-        np.savez_compressed(fh, packets=packets,
-                            sampling_rate=result.data.sampling_rate)
-    meta = _platform_meta(result)
-    meta.update(extra_meta or {})
-    with atomic_writer(out / META_FILE) as fh:
-        fh.write(json.dumps(meta, indent=2))
+def finalize(out: Path, journal: CheckpointJournal, days: int, *,
+             sampling_rate: int, meta: Optional[dict] = None,
+             run: Optional[dict] = None) -> dict:
+    """Assemble the corpus files from the first ``days`` committed days.
 
-    counts = {"control_messages": len(result.control),
-              "data_packets": len(result.data)}
-    manifest_path = write_manifest(out, counts=counts, run=run)
-    report.control_messages = counts["control_messages"]
-    report.data_packets = counts["data_packets"]
-    report.manifest_path = str(manifest_path)
+    ``control.jsonl`` is the byte concatenation of the control segments,
+    ``data.npz`` one packed array of the data segments (empty when
+    ``days`` is 0).  ``meta``, when given, is written as
+    ``platform.json`` next; ``None`` leaves the file as it is.  The
+    manifest then checksums the directory and the ``finalize`` step is
+    committed, so ``platform.json`` never runs ahead of the corpus files.
+    Returns the record counts, taken from the bytes read.
+    """
+    seg_dir = out / SEGMENT_DIR
+    control_messages = 0
+    with atomic_writer(out / CONTROL_FILE, mode="wb") as fh:
+        for day in range(days):
+            data = (seg_dir / _segment_name("control", day)).read_bytes()
+            control_messages += data.count(b"\n")
+            fh.write(data)
+    arrays = []
+    for day in range(days):
+        with np.load(seg_dir / _segment_name("data", day)) as archive:
+            arrays.append(archive["packets"])
+    packets = (np.concatenate(arrays) if arrays
+               else np.zeros(0, dtype=PACKET_DTYPE))
+    with atomic_writer(out / DATA_FILE, mode="wb") as fh:
+        np.savez_compressed(fh, packets=packets, sampling_rate=sampling_rate)
+    if meta is not None:
+        write_platform_meta(out, meta)
+    counts = {"control_messages": control_messages,
+              "data_packets": int(len(packets))}
+    write_manifest(out, counts=counts, run=run)
     journal.commit(
         FINALIZE_KEY,
-        control_messages=counts["control_messages"],
-        data_packets=counts["data_packets"],
         control_sha256=file_sha256(out / CONTROL_FILE),
         data_sha256=file_sha256(out / DATA_FILE),
+        **counts,
     )
+    return counts
 
 
 def _platform_meta(result: ScenarioResult) -> dict:

@@ -7,10 +7,10 @@ segments stay authoritative for the existing prefix, and only the day
 slices *beyond* the current day count of a regenerated longer run are
 appended (each filtered against the previous committed maximum timestamp
 so the concatenated corpus stays time-sorted even around the clamped
-last-day overflow).  The corpus files, ``platform.json`` (original
+last-day overflow).  :func:`~repro.runtime.generate.finalize` then
+rebuilds the corpus files, ``platform.json`` (original
 membership/PeeringDB preserved — only ``duration_days`` moves), the
-manifest, and the ``finalize`` journal entry are then rebuilt from the
-full segment set.
+manifest and the ``finalize`` journal entry from the full segment set.
 
 Every new segment is committed to the same checkpoint journal the
 generation wrote, so a concurrently running ``repro watch`` picks the
@@ -28,23 +28,18 @@ from typing import List, Optional
 import numpy as np
 
 from repro import telemetry
-from repro.corpus.manifest import (
-    CONTROL_FILE,
-    DATA_FILE,
-    META_FILE,
-    file_sha256,
-    write_manifest,
-)
+from repro.corpus.manifest import MANIFEST_FILE, file_sha256
 from repro.errors import StreamError
-from repro.runtime.atomic import atomic_writer, remove_stale_tmp
+from repro.runtime.atomic import remove_stale_tmp
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.generate import (
-    FINALIZE_KEY,
     JOURNAL_FILE,
     SEGMENT_DIR,
     _segment_key,
     _segment_name,
-    _write_segment_file,
+    committed_days,
+    finalize,
+    write_segment,
 )
 from repro.corpus.platform import read_platform_meta
 from repro.scenario.config import ScenarioConfig
@@ -105,14 +100,6 @@ def _provenance(meta: dict, corpus_dir: Path) -> tuple:
             "written by `repro generate` can be advanced") from exc
 
 
-def _committed_days(journal: CheckpointJournal) -> int:
-    day = 0
-    while (journal.committed(_segment_key("control", day)) is not None
-           and journal.committed(_segment_key("data", day)) is not None):
-        day += 1
-    return day
-
-
 def _tail_fence(corpus_dir: Path, old_days: int) -> float:
     """Max committed timestamp across *both* planes' last segments.
 
@@ -160,7 +147,7 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
             f"{out}: no checkpoint journal; only corpora written by "
             "`repro generate` can be advanced")
     journal = CheckpointJournal.load(journal_path)
-    old_days = _committed_days(journal)
+    old_days = len(committed_days(journal))
     if old_days == 0:
         raise StreamError(f"{out}: journal holds no committed day segments")
     seg_dir = out / SEGMENT_DIR
@@ -199,21 +186,33 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
                     chunk, dropped = _filter_chunk(plane, chunk, fence)
                     report.records_dropped += dropped
                     path = seg_dir / _segment_name(plane, day)
-                    key = _segment_key(plane, day)
-                    entry = journal.committed(key)
+                    entry = journal.committed(_segment_key(plane, day))
                     if entry is not None and path.exists() \
                             and file_sha256(path) == entry.get("sha256"):
                         report.segments_skipped += 1
                         continue
-                    path = _write_segment_file(seg_dir, plane, day, chunk)
-                    journal.commit(key, sha256=file_sha256(path),
-                                   bytes=path.stat().st_size,
-                                   records=len(chunk))
+                    journal.commit(_segment_key(plane, day),
+                                   **write_segment(seg_dir, plane, day,
+                                                   chunk))
                     report.segments_written += 1
                     telem.counter("advance.segments", plane=plane).inc()
 
+    try:  # the original generation's provenance record is carried forward
+        run = json.loads((out / MANIFEST_FILE).read_text()).get("run")
+    except (OSError, ValueError, AttributeError):
+        run = None
     with telem.span("advance.finalize"):
-        _refinalize(out, seg_dir, journal, new_days, meta, report)
+        # membership / PeeringDB / route server stay those of the original
+        # generation — the regenerated longer scenario's platform may
+        # differ, but the appended traffic was filtered against the
+        # committed prefix, which was produced under the original platform
+        counts = finalize(out, journal, new_days,
+                          sampling_rate=int(meta.get("sampling_rate",
+                                                     10_000)),
+                          meta=dict(meta, duration_days=new_days),
+                          run=run if isinstance(run, dict) else None)
+    report.control_messages = counts["control_messages"]
+    report.data_packets = counts["data_packets"]
     telem.event("stream.advanced", out=str(out), days_added=days,
                 day_count=new_days,
                 segments_written=report.segments_written)
@@ -229,53 +228,3 @@ def _filter_chunk(plane: str, chunk, fence: float) -> tuple:
         return kept, len(chunk) - len(kept)
     keep = chunk["time"] >= fence
     return chunk[keep], int(len(chunk) - keep.sum())
-
-
-def _existing_run_manifest(out: Path):
-    """Carry the original generation's provenance record forward."""
-    try:
-        manifest = json.loads((out / "manifest.json").read_text())
-    except (OSError, ValueError):
-        return None
-    run = manifest.get("run")
-    return dict(run) if isinstance(run, dict) else None
-
-
-def _refinalize(out: Path, seg_dir: Path, journal: CheckpointJournal,
-                day_count: int, meta: dict, report: AdvanceReport) -> None:
-    """Rebuild the corpus files and manifest from the full segment set."""
-    control_messages = 0
-    with atomic_writer(out / CONTROL_FILE, mode="wb") as fh:
-        for day in range(day_count):
-            data = (seg_dir / _segment_name("control", day)).read_bytes()
-            control_messages += data.count(b"\n")
-            fh.write(data)
-    arrays = []
-    for day in range(day_count):
-        with np.load(seg_dir / _segment_name("data", day)) as archive:
-            arrays.append(archive["packets"])
-    packets = np.concatenate(arrays)
-    sampling_rate = int(meta.get("sampling_rate", 10_000))
-    with atomic_writer(out / DATA_FILE, mode="wb") as fh:
-        np.savez_compressed(fh, packets=packets, sampling_rate=sampling_rate)
-    # membership / PeeringDB / route server stay those of the original
-    # generation — the regenerated longer scenario's platform may differ,
-    # but the appended traffic was filtered against the committed prefix,
-    # which was produced under the original platform
-    new_meta = dict(meta)
-    new_meta["duration_days"] = day_count
-    with atomic_writer(out / META_FILE) as fh:
-        fh.write(json.dumps(new_meta, indent=2))
-    counts = {"control_messages": control_messages,
-              "data_packets": int(len(packets))}
-    run = _existing_run_manifest(out)
-    write_manifest(out, counts=counts, run=run)
-    report.control_messages = counts["control_messages"]
-    report.data_packets = counts["data_packets"]
-    journal.commit(
-        FINALIZE_KEY,
-        control_messages=counts["control_messages"],
-        data_packets=counts["data_packets"],
-        control_sha256=file_sha256(out / CONTROL_FILE),
-        data_sha256=file_sha256(out / DATA_FILE),
-    )

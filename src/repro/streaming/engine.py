@@ -41,13 +41,20 @@ from repro.corpus.ingest import ErrorPolicy, IngestReport, check_policy
 from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, file_sha256
 from repro.corpus.platform import load_platform, read_platform_meta
 from repro.dataplane.packet import PACKET_DTYPE
-from repro.errors import CorpusError, IngestError, ReproError, StreamError
+from repro.errors import (
+    CheckpointError,
+    CorpusError,
+    IngestError,
+    ReproError,
+    StreamError,
+)
 from repro.parallel.cache import ResultCache
 from repro.runtime.generate import (
     JOURNAL_FILE,
     SEGMENT_DIR,
     _segment_key,
     _segment_name,
+    committed_days,
 )
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.supervisor import ingest_warnings
@@ -76,30 +83,27 @@ def stream_corpus_digests(corpus_dir: str | Path) -> set:
 
     ``repro validate`` uses this to tell a legitimately prefix-keyed
     stream cache entry apart from one left behind by a different
-    (e.g. since-regenerated) corpus.
+    (e.g. since-regenerated) corpus.  A journal whose header is
+    unreadable has no usable commit log, so it yields no digests.
     """
     journal_path = Path(corpus_dir) / JOURNAL_FILE
     if not journal_path.exists():
         return set()
-    journal = CheckpointJournal.load(journal_path)
-    shas = []
-    day = 0
-    while True:
-        control = journal.committed(_segment_key("control", day))
-        data = journal.committed(_segment_key("data", day))
-        if control is None or data is None:
-            break
-        shas.append((day, control.get("sha256"), data.get("sha256")))
-        day += 1
+    try:
+        days = committed_days(CheckpointJournal.load(journal_path))
+    except CheckpointError:
+        return set()
     digests = set()
     for subset in ((CONTROL,), (DATA,), (CONTROL, DATA)):
         h = hashlib.sha256()
         digests.add("stream:" + h.hexdigest())
-        for day, control_sha, data_sha in shas:
+        for day, (control, data) in enumerate(days):
             if CONTROL in subset:
-                h.update(f"control:{day}:{control_sha}\n".encode("utf-8"))
+                h.update(f"control:{day}:{control.get('sha256')}\n"
+                         .encode("utf-8"))
             if DATA in subset:
-                h.update(f"data:{day}:{data_sha}\n".encode("utf-8"))
+                h.update(f"data:{day}:{data.get('sha256')}\n"
+                         .encode("utf-8"))
             digests.add("stream:" + h.hexdigest())
     return digests
 
@@ -271,14 +275,6 @@ class StreamEngine:
                 "is this a generated corpus directory?")
         return CheckpointJournal.load(path)
 
-    def _committed_days(self, journal: CheckpointJournal) -> int:
-        """Days with *both* planes' segments committed, from day 0 on."""
-        day = 0
-        while (journal.committed(_segment_key("control", day)) is not None
-               and journal.committed(_segment_key("data", day)) is not None):
-            day += 1
-        return day
-
     def tick(self, *, final: bool = False) -> int:
         """Consume every newly committed day; returns how many.
 
@@ -294,18 +290,15 @@ class StreamEngine:
         telem = telemetry.current()
         if self._taps is not None:
             self._taps.pump(final=final)
-        journal = self._journal()
-        committed = self._committed_days(journal)
-        telem.gauge("stream.lag_days").set(committed - self.watermark_days)
+        days = committed_days(self._journal())
+        telem.gauge("stream.lag_days").set(len(days) - self.watermark_days)
         consumed = 0
         with telem.span("stream.tick", watermark=self.watermark_days,
-                        committed=committed) as sp:
-            while self.watermark_days < committed:
+                        committed=len(days)) as sp:
+            while self.watermark_days < len(days):
                 day = self.watermark_days
-                control_sha = journal.committed(
-                    _segment_key("control", day))["sha256"]
-                data_sha = journal.committed(
-                    _segment_key("data", day))["sha256"]
+                control_sha = days[day][0]["sha256"]
+                data_sha = days[day][1]["sha256"]
                 self._ingest_day(day, control_sha, data_sha, feed=True)
                 self._consumed.append(ConsumedDay(
                     day=day, control_sha256=control_sha,
@@ -319,8 +312,7 @@ class StreamEngine:
                             control_sha256=control_sha[:12],
                             data_sha256=data_sha[:12])
             sp.attrs["consumed_days"] = consumed
-        telem.gauge("stream.lag_days").set(
-            self._committed_days(journal) - self.watermark_days)
+        telem.gauge("stream.lag_days").set(len(days) - self.watermark_days)
         self._ticks += 1
         if self.scrub_every and self._ticks % self.scrub_every == 0:
             self._scrub_tick()
@@ -373,7 +365,7 @@ class StreamEngine:
         """
         telem = telemetry.current()
         try:
-            committed = self._committed_days(self._journal())
+            committed = len(committed_days(self._journal()))
         except StreamError:
             committed = 0
         sample: dict = {

@@ -30,7 +30,6 @@ re-read records land, so rewinds cannot double-count either.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,24 +38,19 @@ from typing import Callable, Dict, List, Sequence, Set, Union
 import numpy as np
 
 from repro import telemetry
-from repro.corpus.manifest import (
-    CONTROL_FILE,
-    DATA_FILE,
-    META_FILE,
-    file_sha256,
-    write_manifest,
-)
+from repro.corpus.manifest import META_FILE
+from repro.corpus.platform import read_platform_meta, write_platform_meta
 from repro.dataplane.packet import PACKET_DTYPE
-from repro.errors import TapError
-from repro.runtime.atomic import atomic_writer, remove_stale_tmp
+from repro.errors import CorpusError, TapError
+from repro.runtime.atomic import remove_stale_tmp
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.generate import (
-    FINALIZE_KEY,
     JOURNAL_FILE,
     SEGMENT_DIR,
     _segment_key,
-    _segment_name,
-    _write_segment_file,
+    committed_days,
+    finalize,
+    write_segment,
 )
 from repro.scenario.config import DAY
 from repro.taps.adapters import TapSpec, parse_tap_spec
@@ -88,19 +82,17 @@ class TapSession:
         self.route_server_asn = int(route_server_asn)
         self.sampling_rate = int(sampling_rate)
         self._journal = CheckpointJournal.load(self.corpus_dir / JOURNAL_FILE)
-        self.committed_days = self._count_committed(self._journal)
+        self.committed_days = len(committed_days(self._journal))
         self.records_late = 0
         self._buffers: Dict[int, List[tuple]] = {}
         self._last_generation = [sup.generation for sup in supervisors]
         self._observed_peers: Set[int] = set()
-        meta_path = self.corpus_dir / META_FILE
-        if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text())
-                self._observed_peers.update(
-                    int(asn) for asn in meta.get("peer_asns", ()))
-            except (OSError, ValueError):
-                pass
+        try:
+            self._observed_peers.update(
+                int(asn) for asn in
+                read_platform_meta(self.corpus_dir).get("peer_asns", ()))
+        except (CorpusError, ValueError):
+            pass
 
     # -- construction --------------------------------------------------------
 
@@ -150,7 +142,7 @@ class TapSession:
                       route_server_asn=route_server_asn,
                       sampling_rate=sampling_rate)
         if not (out / META_FILE).exists():
-            session._write_platform()
+            write_platform_meta(out, session._platform_meta())
         return session
 
     # -- status --------------------------------------------------------------
@@ -215,7 +207,11 @@ class TapSession:
                     report.records_buffered += 1
             report.days_committed = self._commit_ready(final)
             if (report.days_committed or final) and self.committed_days:
-                self._finalize()
+                # refresh the corpus files + manifest from the committed
+                # days, so batch analyze/validate see a complete corpus
+                finalize(self.corpus_dir, self._journal, self.committed_days,
+                         sampling_rate=self.sampling_rate,
+                         meta=self._platform_meta())
                 report.finalized = True
             fence = self.committed_days * DAY
             for sup in self.supervisors:
@@ -227,14 +223,6 @@ class TapSession:
         return report
 
     # -- committing ----------------------------------------------------------
-
-    @staticmethod
-    def _count_committed(journal: CheckpointJournal) -> int:
-        day = 0
-        while (journal.committed(_segment_key("control", day)) is not None
-               and journal.committed(_segment_key("data", day)) is not None):
-            day += 1
-        return day
 
     def _commit_ready(self, final: bool) -> int:
         committed = 0
@@ -263,24 +251,18 @@ class TapSession:
         self._observed_peers.update(msg.peer_asn for msg in messages)
         seg_dir = self.corpus_dir / SEGMENT_DIR
         with telem.span("tap.commit", day=day, records=len(messages)):
-            path = _write_segment_file(seg_dir, "control", day, messages)
-            self._journal.commit(_segment_key("control", day),
-                                 sha256=file_sha256(path),
-                                 bytes=path.stat().st_size,
-                                 records=len(messages))
-            empty = np.zeros(0, dtype=PACKET_DTYPE)
-            path = _write_segment_file(seg_dir, "data", day, empty)
-            self._journal.commit(_segment_key("data", day),
-                                 sha256=file_sha256(path),
-                                 bytes=path.stat().st_size,
-                                 records=0)
+            for plane, chunk in (("control", messages),
+                                 ("data", np.zeros(0, dtype=PACKET_DTYPE))):
+                self._journal.commit(_segment_key(plane, day),
+                                     **write_segment(seg_dir, plane, day,
+                                                     chunk))
         self.committed_days = day + 1
         telem.counter("tap.days_committed").inc()
 
-    # -- finalize ------------------------------------------------------------
+    # -- platform sidecar ----------------------------------------------------
 
-    def _write_platform(self) -> None:
-        meta = {
+    def _platform_meta(self) -> dict:
+        return {
             "peer_asns": sorted(self._observed_peers),
             "route_server_asn": self.route_server_asn,
             "sampling_rate": self.sampling_rate,
@@ -291,38 +273,3 @@ class TapSession:
                 for sup in self.supervisors
             },
         }
-        with atomic_writer(self.corpus_dir / META_FILE) as fh:
-            fh.write(json.dumps(meta, indent=2))
-
-    def _finalize(self) -> None:
-        """Rebuild the corpus files + manifest from the committed segments
-        (the same refinalize contract ``repro advance`` keeps), so batch
-        ``analyze``/``validate`` see a complete corpus directory."""
-        out = self.corpus_dir
-        seg_dir = out / SEGMENT_DIR
-        control_messages = 0
-        with atomic_writer(out / CONTROL_FILE, mode="wb") as fh:
-            for day in range(self.committed_days):
-                data = (seg_dir / _segment_name("control", day)).read_bytes()
-                control_messages += data.count(b"\n")
-                fh.write(data)
-        arrays = []
-        for day in range(self.committed_days):
-            with np.load(seg_dir / _segment_name("data", day)) as archive:
-                arrays.append(archive["packets"])
-        packets = (np.concatenate(arrays) if arrays
-                   else np.zeros(0, dtype=PACKET_DTYPE))
-        with atomic_writer(out / DATA_FILE, mode="wb") as fh:
-            np.savez_compressed(fh, packets=packets,
-                                sampling_rate=self.sampling_rate)
-        self._write_platform()
-        counts = {"control_messages": control_messages,
-                  "data_packets": int(len(packets))}
-        write_manifest(out, counts=counts)
-        self._journal.commit(
-            FINALIZE_KEY,
-            control_messages=counts["control_messages"],
-            data_packets=counts["data_packets"],
-            control_sha256=file_sha256(out / CONTROL_FILE),
-            data_sha256=file_sha256(out / DATA_FILE),
-        )

@@ -1,6 +1,7 @@
 """Manifest + validate_corpus: checksums, counts, gaps, and exit semantics."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -150,3 +151,58 @@ class TestManifest:
         assert "OK" in validate_corpus(tmp_path).format()
         fault_files.truncate_file(tmp_path / CONTROL_FILE, 0.9)
         assert "CORRUPT" in validate_corpus(tmp_path).format()
+
+
+def _cached_copy(stream_corpus, tmp_path):
+    """A copy of the corpus with one result-cache entry, so ``validate``
+    and the doctor scrub both read the commit log for stream digests."""
+    from repro.core.study import AnalysisOutcome, AnalysisStatus
+    from repro.parallel.cache import ResultCache, corpus_digest
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(stream_corpus, corpus,
+                    ignore=shutil.ignore_patterns(".cache", ".stream*"))
+    ResultCache.for_corpus(corpus).put(
+        corpus_digest(corpus), None,
+        AnalysisOutcome(name="fig3_load", status=AnalysisStatus.OK,
+                        value=None, value_digest="0" * 16))
+    return corpus
+
+
+def _journal_damages(corpus):
+    from repro.doctor import scrub_corpus
+
+    return {(d.kind, d.damage) for d in scrub_corpus(corpus).damages}
+
+
+def test_unreadable_journal_header_leaves_validate_to_the_corpus_files(
+        stream_corpus, tmp_path):
+    """With a result cache present, a garbled commit-log header yields no
+    stream digests instead of crashing ``validate``; the doctor scrub
+    still reports the header."""
+    from repro.runtime.generate import JOURNAL_FILE
+
+    corpus = _cached_copy(stream_corpus, tmp_path)
+    journal = corpus / JOURNAL_FILE
+    steps = journal.read_text().splitlines(keepends=True)[1:]
+    journal.write_text("{garbage\n" + "".join(steps))
+
+    assert validate_corpus(corpus).ok
+    assert ("journal", "bad-header") in _journal_damages(corpus)
+
+
+def test_flipped_journal_byte_is_reported_not_raised(stream_corpus,
+                                                     tmp_path):
+    """A non-UTF-8 byte on a later commit-log line (``flip_bytes``
+    damage) is a torn tail: with a result cache present, ``validate``
+    stays ok and the doctor scrub reports the tear."""
+    from repro.runtime.generate import JOURNAL_FILE
+
+    corpus = _cached_copy(stream_corpus, tmp_path)
+    journal = corpus / JOURNAL_FILE
+    blob = bytearray(journal.read_bytes())
+    blob[blob.index(b"\n") + 1] ^= 0xFF  # '{' of the first step line
+    journal.write_bytes(bytes(blob))
+
+    assert validate_corpus(corpus).ok
+    assert ("journal", "torn-tail") in _journal_damages(corpus)

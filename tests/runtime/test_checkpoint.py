@@ -1,10 +1,12 @@
 """Tests for the checkpoint journal: durable commits, reload semantics,
 torn-tail tolerance, and header guards against cross-run resume."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
 from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.generate import FINALIZE_KEY, committed_days, finalize
 
 HEADER = {"command": "generate", "seed": 7, "config_hash": "abc123"}
 
@@ -71,6 +73,23 @@ class TestCrashTolerance:
         with pytest.raises(CheckpointError, match="corrupt journal header"):
             CheckpointJournal.load(path)
 
+    def test_undecodable_line_is_a_torn_tail(self, journal):
+        journal.commit("done:1")
+        journal.commit("done:2")
+        blob = bytearray(journal.path.read_bytes())
+        second_step = blob.rindex(b"done:2")
+        blob[second_step] ^= 0xFF  # 'd' -> 0x9b, not valid UTF-8
+        journal.path.write_bytes(bytes(blob))
+        reloaded = CheckpointJournal.load(journal.path)
+        assert reloaded.committed("done:1") is not None
+        assert reloaded.committed("done:2") is None
+
+    def test_undecodable_header_raises(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(b'{"type": "header", "seed": \xff}\n')
+        with pytest.raises(CheckpointError, match="corrupt journal header"):
+            CheckpointJournal.load(path)
+
 
 class TestHeaderGuard:
     def test_matching_header_passes(self, journal):
@@ -85,3 +104,34 @@ class TestHeaderGuard:
         j = CheckpointJournal.load(tmp_path / "absent.jsonl")
         with pytest.raises(CheckpointError, match="nothing to resume"):
             j.require_header(HEADER)
+
+
+class TestCommittedDays:
+    @pytest.mark.parametrize("missing", ["control", "data"])
+    def test_stops_at_first_day_missing_a_plane(self, journal, missing):
+        from repro.doctor.scrub import scan_journal_file
+
+        for day in range(3):
+            for plane in ("control", "data"):
+                if not (day == 1 and plane == missing):
+                    journal.commit(f"segment:{plane}:{day:03d}",
+                                   sha256=f"{plane}{day}")
+        journal.commit(FINALIZE_KEY)
+        days = committed_days(journal)
+        assert [(c["sha256"], d["sha256"]) for c, d in days] == [
+            ("control0", "data0")]
+        assert committed_days(CheckpointJournal.load(journal.path)) == days
+        assert committed_days(scan_journal_file(journal.path).steps) == days
+
+    def test_empty_log_has_no_days(self, journal):
+        assert committed_days(journal) == []
+
+    def test_finalize_of_zero_days_publishes_an_empty_corpus(self, tmp_path,
+                                                             journal):
+        counts = finalize(tmp_path, journal, 0, sampling_rate=10_000)
+        assert counts == {"control_messages": 0, "data_packets": 0}
+        assert (tmp_path / "control.jsonl").read_bytes() == b""
+        with np.load(tmp_path / "data.npz") as archive:
+            assert len(archive["packets"]) == 0
+        assert CheckpointJournal.load(journal.path).committed(
+            FINALIZE_KEY)["data_packets"] == 0

@@ -1,13 +1,21 @@
 """``repro advance``: incremental corpus extension through the commit
 log, and the watcher's equivalence with batch across the extension."""
 
+import json
 import shutil
 
 import pytest
 
 from repro import AnalyzeOptions, Study
+from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, MANIFEST_FILE
 from repro.errors import StreamError
-from repro.runtime.generate import JOURNAL_FILE, SEGMENT_DIR
+from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.generate import (
+    JOURNAL_FILE,
+    SEGMENT_DIR,
+    committed_days,
+    finalize,
+)
 from repro.streaming import StreamEngine, advance_corpus
 
 #: incremental analyses plus the two batch ones most sensitive to the
@@ -55,9 +63,7 @@ def test_advance_extends_and_stream_matches_batch(corpus):
 def test_advance_resume_completes_torn_finalize(corpus):
     """A re-run after a crash between the segment commits and finalize
     resumes the interrupted extension instead of stacking days on it."""
-    import json
-
-    from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, file_sha256
+    from repro.corpus.manifest import file_sha256
 
     first = advance_corpus(corpus, 1)
     assert first.day_count == 4
@@ -77,3 +83,54 @@ def test_advance_resume_completes_torn_finalize(corpus):
     for name, sha in shas.items():
         assert file_sha256(corpus / name) == sha
     assert Study.open(corpus).validate().ok
+
+
+def test_crash_inside_finalize_leaves_platform_behind(corpus, monkeypatch):
+    """``finalize`` writes ``platform.json`` only after ``data.npz``, so
+    a crash while it packs the data plane leaves the finalized duration
+    behind the journal and the re-run finishes the same extension."""
+    import repro.runtime.generate as generate
+
+    real_writer = generate.atomic_writer
+
+    def dying_writer(path, *args, **kwargs):
+        if path.name == DATA_FILE:
+            raise OSError("simulated crash while packing data.npz")
+        return real_writer(path, *args, **kwargs)
+
+    monkeypatch.setattr(generate, "atomic_writer", dying_writer)
+    with pytest.raises(OSError, match="simulated crash"):
+        advance_corpus(corpus, 1)
+    monkeypatch.undo()
+    meta = json.loads((corpus / "platform.json").read_text())
+    assert meta["duration_days"] == 3
+
+    resumed = advance_corpus(corpus, 1)
+    assert resumed.day_count == 4
+    assert resumed.segments_written == 0
+    assert Study.open(corpus).validate().ok
+
+
+def _published(corpus):
+    manifest = json.loads((corpus / MANIFEST_FILE).read_text())
+    return ((corpus / CONTROL_FILE).read_bytes(),
+            (corpus / DATA_FILE).read_bytes(),
+            manifest["files"], manifest["counts"])
+
+
+@pytest.mark.parametrize("advance_days", [0, 1])
+def test_finalize_reproduces_the_published_corpus(corpus, advance_days):
+    """``finalize`` over the committed segments rebuilds exactly the
+    corpus files and manifest that ``generate`` (and ``advance``)
+    published."""
+    if advance_days:
+        advance_corpus(corpus, advance_days)
+    before = _published(corpus)
+    journal = CheckpointJournal.load(corpus / JOURNAL_FILE)
+    sampling_rate = json.loads(
+        (corpus / "platform.json").read_text())["sampling_rate"]
+    days = len(committed_days(journal))
+    assert days == 3 + advance_days
+    counts = finalize(corpus, journal, days, sampling_rate=sampling_rate)
+    assert _published(corpus) == before
+    assert counts == before[3]

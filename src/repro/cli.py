@@ -141,6 +141,7 @@ from repro.errors import (
     ObsSnapshotError,
     ObsUnreachableError,
     ReproError,
+    ScenarioError,
     StreamCheckpointError,
     StreamError,
     TapError,
@@ -200,11 +201,23 @@ def _write_telemetry(telem: telemetry.Telemetry, args: argparse.Namespace,
         telem.write_metrics(args.metrics, manifest=manifest)
 
 
+def _paper_config(args: argparse.Namespace):
+    """The paper scenario ``--scale``/``--days``/``--seed`` describe, or
+    None (after printing why) when they are invalid."""
+    try:
+        return ScenarioConfig.paper(scale=args.scale,
+                                    duration_days=args.days, seed=args.seed)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.runtime.generate import checkpointed_generate
 
-    config = ScenarioConfig.paper(scale=args.scale, duration_days=args.days,
-                                  seed=args.seed)
+    config = _paper_config(args)
+    if config is None:
+        return EXIT_USAGE
     telem = _make_telemetry(args)
     manifest = telemetry.run_manifest("generate", seed=args.seed,
                                       config=config)
@@ -255,7 +268,10 @@ def _analyze_supervision(args: argparse.Namespace, path: Path):
     header = {"command": "analyze", "corpus": str(path),
               "policy": "strict" if args.strict else "skip",
               "host_min_days": args.host_min_days}
-    journal = CheckpointJournal.load(path / ANALYZE_JOURNAL_FILE)
+    # a fresh run never parses the journal it is about to truncate
+    journal = (CheckpointJournal.load(path / ANALYZE_JOURNAL_FILE)
+               if args.resume
+               else CheckpointJournal(path / ANALYZE_JOURNAL_FILE))
     if args.resume and journal.header is not None:
         journal.require_header(header)
     else:
@@ -547,8 +563,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    config = ScenarioConfig.paper(scale=args.scale, duration_days=args.days,
-                                  seed=args.seed)
+    config = _paper_config(args)
+    if config is None:
+        return EXIT_USAGE
     telem = _make_telemetry(args)
     manifest = telemetry.run_manifest("summary", seed=args.seed,
                                       config=config)

@@ -41,6 +41,38 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def read_manifest(corpus_dir: str | Path) -> dict:
+    """Parse ``manifest.json``: ``FileNotFoundError`` when it is absent,
+    ``ValueError`` when it is not a manifest object with a ``files``
+    mapping."""
+    manifest = json.loads((Path(corpus_dir) / MANIFEST_FILE).read_text())
+    if not isinstance(manifest, dict) \
+            or not isinstance(manifest.get("files"), dict):
+        raise ValueError("not a manifest object")
+    return manifest
+
+
+def verify_file(path: str | Path, entry: dict, *,
+                deep: bool = True) -> Optional[str]:
+    """Check one file against the entry that vouches for it.
+
+    ``entry`` is a manifest ``files`` entry or a journal commit: its
+    ``bytes`` (checked when recorded) and ``sha256`` (checked only when
+    ``deep``).  Returns ``None`` when the file verifies, else the first
+    check that failed: ``"missing"``, ``"size"`` or ``"sha256"``.
+    """
+    path = Path(path)
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        return "missing"
+    if entry.get("bytes") is not None and size != entry["bytes"]:
+        return "size"
+    if deep and file_sha256(path) != entry.get("sha256"):
+        return "sha256"
+    return None
+
+
 def build_manifest(corpus_dir: str | Path,
                    counts: Optional[Dict[str, int]] = None,
                    run: Optional[dict] = None) -> dict:
@@ -227,31 +259,29 @@ def validate_corpus(corpus_dir: str | Path, *,
         return report
 
     manifest: Optional[dict] = None
-    manifest_path = corpus_dir / MANIFEST_FILE
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            report.error("bad-manifest", f"{MANIFEST_FILE} unreadable: {exc}")
-    else:
+    try:
+        manifest = read_manifest(corpus_dir)
+    except FileNotFoundError:
         report.warning("no-manifest",
                        f"{MANIFEST_FILE} absent; checksums not verifiable")
+    except (OSError, ValueError) as exc:
+        report.error("bad-manifest", f"{MANIFEST_FILE} unreadable: {exc}")
 
     if manifest is not None:
         run = manifest.get("run")
         if isinstance(run, dict):
             report.run_manifest = run
-        for name, meta in manifest.get("files", {}).items():
-            path = corpus_dir / name
-            if not path.exists():
+        for name, meta in manifest["files"].items():
+            failed = verify_file(corpus_dir / name, meta)
+            if failed == "missing":
                 report.error("missing-file",
                              f"{name} listed in manifest but absent")
-                continue
-            if path.stat().st_size != meta.get("bytes"):
+            elif failed == "size":
                 report.error("size-mismatch",
-                             f"{name}: {path.stat().st_size} bytes on disk, "
-                             f"{meta.get('bytes')} in manifest")
-            elif file_sha256(path) != meta.get("sha256"):
+                             f"{name}: {(corpus_dir / name).stat().st_size} "
+                             f"bytes on disk, {meta.get('bytes')} in "
+                             "manifest")
+            elif failed == "sha256":
                 report.error("checksum-mismatch",
                              f"{name}: SHA-256 differs from manifest")
 
@@ -337,50 +367,19 @@ def validate_corpus(corpus_dir: str | Path, *,
             report.warning("span-mismatch",
                            "control and data feeds do not overlap in time")
 
-    _check_result_caches(corpus_dir, report, cache_dir)
-    return report
+    from repro.doctor.scrub import audit_caches
 
-
-def _check_result_caches(corpus_dir: Path, report: ValidationReport,
-                         cache_dir: Optional[str | Path]) -> None:
-    """Flag cached analysis results whose corpus digest no longer matches.
-
-    A stale entry means the corpus was regenerated (or edited) after the
-    result was cached; ``analyze`` would recompute on a key miss, but a
-    cache that *only* holds foreign digests is a deployment error worth
-    failing ``validate`` over — most likely a cache directory pointed at
-    the wrong corpus.
-    """
-    from repro.parallel.cache import (
-        DEFAULT_CACHE_DIRNAME,
-        ResultCache,
-        corpus_digest,
-    )
-
-    roots = []
-    if cache_dir is not None:
-        roots.append(Path(cache_dir))
-    default = corpus_dir / DEFAULT_CACHE_DIRNAME
-    if default.is_dir() and all(r.resolve() != default.resolve()
-                                for r in roots):
-        roots.append(default)
-    if not roots:
-        return
-    digest = corpus_digest(corpus_dir)
-    # a streaming watcher keys its batch-fallback entries per consumed
-    # day prefix ("stream:<sha>"); entries matching a prefix of this
-    # corpus's own commit log are current, not foreign
-    from repro.streaming.engine import stream_corpus_digests
-    stream_digests = stream_corpus_digests(corpus_dir)
-    for root in roots:
-        cache = ResultCache(root)
-        for path, entry in cache.stale_entries(digest):
-            if str(entry.get("corpus_digest")) in stream_digests:
-                continue
-            recorded = str(entry.get("corpus_digest"))[:12]
-            current = "absent" if digest is None else digest[:12]
+    # only a stale entry is an error here: garbled and wrong-version
+    # entries are silent cache misses, which the doctor reports
+    current, audited = audit_caches(corpus_dir, cache_dir)
+    for entry in audited:
+        if entry.verdict == "stale":
+            recorded = str(entry.record.get("corpus_digest"))[:12]
             report.error(
                 "stale-cache",
-                f"{root}: cached result for {entry.get('name')!r} is keyed "
-                f"to corpus digest {recorded}… but this corpus digests to "
-                f"{current}…; drop the cache or re-run analyze")
+                f"{entry.path.parent.parent}: cached result for "
+                f"{entry.record.get('name')!r} is keyed to corpus digest "
+                f"{recorded}… but this corpus digests to "
+                f"{'absent' if current is None else current[:12]}…; drop "
+                "the cache or re-run analyze")
+    return report

@@ -42,7 +42,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.corpus.manifest import (
     CONTROL_FILE,
     DATA_FILE,
     MANIFEST_FILE,
-    file_sha256,
+    verify_file,
     write_manifest,
 )
 from repro.corpus.platform import read_platform_meta
@@ -65,13 +65,15 @@ from repro.doctor.report import (
 from repro.doctor.scrub import (
     DOCTOR_JOURNAL_FILE,
     DOCTOR_QUARANTINE_DIR,
-    JournalScan,
     generation_params,
-    scan_journal_file,
     scrub_corpus,
 )
 from repro.runtime.atomic import atomic_write_text, atomic_writer, fsync_dir
-from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.checkpoint import (
+    CheckpointJournal,
+    JournalScan,
+    scan_journal_file,
+)
 from repro.runtime.generate import (
     FINALIZE_KEY,
     JOURNAL_FILE,
@@ -194,16 +196,24 @@ class _RepairEngine:
 
     def _execute(self, plan: str, damage: Damage, *,
                  journal: bool = True) -> None:
-        try:
-            detail = self._dispatch(plan, damage) or ""
-            action = RepairAction(plan=plan, artifact=damage.artifact,
-                                  ok=True, detail=detail)
-        except (ReproError, OSError, ValueError) as exc:
-            action = RepairAction(plan=plan, artifact=damage.artifact,
-                                  ok=False, detail=str(exc))
-        self._record(action, journal=journal)
+        action = self._attempt(plan, damage.artifact,
+                               lambda: self._dispatch(plan, damage),
+                               journal=journal)
         if plan == "quarantine" and action.ok:
             self.result.unrecoverable.append(damage)
+
+    def _attempt(self, plan: str, artifact: str,
+                 repair: Callable[[], Optional[str]], *,
+                 journal: bool = True) -> RepairAction:
+        """Run one repair and record its outcome."""
+        try:
+            action = RepairAction(plan=plan, artifact=artifact, ok=True,
+                                  detail=repair() or "")
+        except (ReproError, OSError, ValueError) as exc:
+            action = RepairAction(plan=plan, artifact=artifact, ok=False,
+                                  detail=str(exc))
+        self._record(action, journal=journal)
+        return action
 
     def _record(self, action: RepairAction, *, journal: bool = True) -> None:
         self.result.actions.append(action)
@@ -262,35 +272,20 @@ class _RepairEngine:
     def _execute_regenerate(self, damages: List[Damage]) -> None:
         """One deterministic regeneration covers every synthetic damage."""
         resume = all(d.context.get("resume", True) for d in damages)
-        artifact = ", ".join(sorted({d.artifact for d in damages}))
-        try:
-            detail = _regenerate(self.corpus, self.scan, resume=resume)
-            action = RepairAction(plan="regenerate", artifact=artifact,
-                                  ok=True, detail=detail)
-        except (ReproError, OSError, ValueError) as exc:
-            action = RepairAction(plan="regenerate", artifact=artifact,
-                                  ok=False, detail=str(exc))
-        self._record(action)
+        self._attempt("regenerate", _artifacts(damages),
+                      lambda: _regenerate(self.corpus, self.scan,
+                                          resume=resume))
 
     def _execute_tap_segments(self, damages: List[Damage]) -> None:
         """Re-slice damaged tap segments from the finalized corpus files;
         truncate the commit log at the first day that will not verify."""
-        days = sorted({int(d.context["day"]) for d in damages
-                       if "day" in d.context})
-        whole_dir = any("day" not in d.context for d in damages)
-        artifact = ", ".join(sorted({d.artifact for d in damages}))
-        try:
-            if whole_dir:
-                days = list(range(len(committed_days(self.scan.steps))))
-            detail = _repair_tap_segments(self.corpus, self.scan, days,
-                                          damages)
-            action = RepairAction(plan="repair-tap-segments",
-                                  artifact=artifact, ok=True, detail=detail)
-        except (ReproError, OSError, ValueError) as exc:
-            action = RepairAction(plan="repair-tap-segments",
-                                  artifact=artifact, ok=False,
-                                  detail=str(exc))
-        self._record(action)
+        if any("day" not in d.context for d in damages):
+            days = list(range(len(committed_days(self.scan.steps))))
+        else:
+            days = sorted({int(d.context["day"]) for d in damages})
+        self._attempt("repair-tap-segments", _artifacts(damages),
+                      lambda: _repair_tap_segments(self.corpus, self.scan,
+                                                   days, damages))
 
     def _rebuild_manifest(self) -> str:
         """Rebuild ``manifest.json``, cross-checked against finalize."""
@@ -302,9 +297,8 @@ class _RepairEngine:
         for name, key in ((CONTROL_FILE, "control_sha256"),
                           (DATA_FILE, "data_sha256")):
             recorded = finalized.get(key)
-            path = self.corpus / name
-            if recorded and path.exists() \
-                    and file_sha256(path) != recorded:
+            if recorded and verify_file(self.corpus / name,
+                                        {"sha256": recorded}) == "sha256":
                 raise DoctorError(
                     f"{name}: on-disk checksum differs from the finalize "
                     "entry; rebuilding the manifest would mask file "
@@ -334,6 +328,11 @@ class _RepairEngine:
         return f"recommitted {day} day(s) from disk segments"
 
 
+def _artifacts(damages: List[Damage]) -> str:
+    """The artifact label of a repair that covers several damages."""
+    return ", ".join(sorted({d.artifact for d in damages}))
+
+
 # -- primitive repairs -------------------------------------------------------
 
 def _truncate_file(path: Path, offset: int) -> str:
@@ -361,24 +360,15 @@ def _reset_tap_offset(path: Path, source: Optional[str]) -> str:
 
 
 def _trim_events(path: Path) -> str:
-    text = path.read_text(encoding="utf-8", errors="replace")
-    kept: List[str] = []
-    dropped = 0
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            if isinstance(json.loads(stripped), dict):
-                kept.append(stripped)
-            else:
-                dropped += 1
-        except ValueError:
-            dropped += 1
+    from repro.obs.events import read_event_file
+
+    records = list(read_event_file(path))
+    kept = [record for record in records if record is not None]
     with atomic_writer(path) as fh:
-        for line in kept:
-            fh.write(line + "\n")
-    return f"kept {len(kept)} event(s), dropped {dropped} torn line(s)"
+        for record in kept:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return (f"kept {len(kept)} event(s), dropped "
+            f"{len(records) - len(kept)} torn line(s)")
 
 
 def _quarantine(corpus: Path, path: Path) -> str:
@@ -413,10 +403,6 @@ def _regenerate(corpus: Path, scan: JournalScan, *, resume: bool) -> str:
     # resume fast-path trusts an existing manifest, which is exactly what
     # cannot be trusted mid-repair
     (corpus / MANIFEST_FILE).unlink(missing_ok=True)
-    if not resume:
-        # a fresh run rewrites the journal from scratch, but loading an
-        # unusable header raises before the rewrite — drop it first
-        (corpus / JOURNAL_FILE).unlink(missing_ok=True)
     run = telemetry.run_manifest("generate", seed=params["seed"],
                                  config=config)
     report = checkpointed_generate(
@@ -468,8 +454,7 @@ def _repair_tap_segments(corpus: Path, scan: JournalScan, days: List[int],
                 ok = False
                 continue
             path = seg_dir / _segment_name(plane, day)
-            if path.exists() and entry.get("sha256") \
-                    and file_sha256(path) == entry["sha256"]:
+            if verify_file(path, entry) is None:
                 continue  # this plane survived; only the other is damaged
             if plane == "control":
                 start = offsets.get(day, len(control_bytes))

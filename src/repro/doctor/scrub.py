@@ -22,20 +22,21 @@ artifact — only for a target that is not a corpus directory at all
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.corpus.manifest import (
     CONTROL_FILE,
     DATA_FILE,
     MANIFEST_FILE,
     META_FILE,
-    file_sha256,
+    read_manifest,
+    verify_file,
 )
 from repro.errors import DoctorError
 from repro.doctor.report import Damage, DamageReport
 from repro.runtime.atomic import TMP_PREFIX
+from repro.runtime.checkpoint import JournalScan, scan_journal_file
 from repro.runtime.generate import (
     FINALIZE_KEY,
     JOURNAL_FILE,
@@ -50,71 +51,6 @@ ANALYSIS_JOURNAL_FILE = ".analysis.checkpoint.jsonl"
 DOCTOR_JOURNAL_FILE = ".doctor.checkpoint.jsonl"
 #: where unrecoverable artifacts are moved instead of deleted
 DOCTOR_QUARANTINE_DIR = ".doctor.quarantine"
-
-
-@dataclass
-class JournalScan:
-    """Byte-accurate structural scan of one checkpoint journal file."""
-
-    path: Path
-    header: Optional[dict] = None
-    #: step entries in file order (later duplicates win, like load())
-    steps: Dict[str, dict] = field(default_factory=dict)
-    #: byte offset of the first unparseable line, or None when intact
-    torn_offset: Optional[int] = None
-    #: the unparseable line is the *first* line — no usable header
-    header_bad: bool = False
-    exists: bool = True
-
-
-def scan_journal_file(path: str | Path) -> JournalScan:
-    """Parse a journal like ``CheckpointJournal.load`` but byte-exactly.
-
-    Where ``load`` silently drops a torn tail, this records the byte
-    offset the file must be truncated at to make the tear permanent —
-    appends after an un-truncated torn line concatenate onto it and are
-    lost on the next load, so the tear is real damage, not cosmetics.
-    """
-    scan = JournalScan(path=Path(path))
-    try:
-        raw = scan.path.read_bytes()
-    except FileNotFoundError:
-        scan.exists = False
-        return scan
-    # an unterminated final line is torn even when it parses: the next
-    # append concatenates onto it and produces an unparseable line, so
-    # the tail must be truncated away before the journal is appended to
-    tail_offset = None
-    if raw and not raw.endswith(b"\n"):
-        tail_offset = raw.rfind(b"\n") + 1
-        raw = raw[:tail_offset]
-    offset = 0
-    saw_line = False
-    for chunk in raw.split(b"\n"):
-        line = chunk.strip()
-        if line:
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError("not an object")
-            except (ValueError, UnicodeDecodeError):
-                scan.torn_offset = offset
-                scan.header_bad = not saw_line
-                break
-            if not saw_line and record.get("type") == "header":
-                scan.header = record
-            elif record.get("type") == "step" and "key" in record:
-                scan.steps[record["key"]] = record
-            saw_line = True
-        offset += len(chunk) + 1
-    if scan.torn_offset is None and tail_offset is not None:
-        scan.torn_offset = tail_offset
-        scan.header_bad = not saw_line
-    if not saw_line and scan.torn_offset is None:
-        # an existing-but-empty journal has no header to trust
-        scan.header_bad = True
-        scan.torn_offset = 0
-    return scan
 
 
 def generation_params(corpus_dir: Path,
@@ -174,8 +110,9 @@ def scrub_corpus(corpus_dir: str | Path, *, deep: bool = True,
     report = DamageReport(corpus_dir=str(corpus), deep=deep)
     with telemetry.current().span("doctor.scrub", corpus=str(corpus),
                                   deep=deep):
-        scan = _scrub_journals(corpus, report)
+        scan = scan_journal_file(journal_path)
         tap_corpus = _is_tap_corpus(corpus, scan)
+        _scrub_journals(corpus, scan, tap_corpus, report)
         params = (None if tap_corpus
                   else generation_params(corpus, scan.header))
         _scrub_segments(corpus, scan, report, tap_corpus, params, deep)
@@ -202,56 +139,46 @@ def _is_tap_corpus(corpus: Path, scan: JournalScan) -> bool:
 
 # -- journals ----------------------------------------------------------------
 
-def _scrub_journals(corpus: Path, report: DamageReport) -> JournalScan:
-    """Scrub all three journals; returns the commit-log scan."""
-    main_scan = scan_journal_file(corpus / JOURNAL_FILE)
-    tap_corpus = _is_tap_corpus(corpus, main_scan)
-    if main_scan.exists:
-        report.count("journal")
-        if main_scan.header_bad:
-            report.add(Damage(
-                artifact=JOURNAL_FILE, kind="journal", damage="bad-header",
-                severity="error",
-                detail="journal header unreadable; commit log unusable",
-                plan="rebuild-tap-journal" if tap_corpus
-                else "regenerate",
-                context={"resume": False}))
-        elif main_scan.torn_offset is not None:
-            report.add(Damage(
-                artifact=JOURNAL_FILE, kind="journal", damage="torn-tail",
-                severity="error",
-                detail=(f"unparseable line at byte {main_scan.torn_offset}; "
-                        "entries after it are unreachable"),
-                plan="rebuild-tap-journal" if tap_corpus
-                else "truncate-journal",
-                context={"offset": main_scan.torn_offset}))
-    for name, discard_plan in ((ANALYSIS_JOURNAL_FILE, "discard-journal"),
-                               (DOCTOR_JOURNAL_FILE, "discard-journal")):
-        scan = scan_journal_file(corpus / name)
-        if not scan.exists:
+def _scrub_journals(corpus: Path, scan: JournalScan, tap_corpus: bool,
+                    report: DamageReport) -> None:
+    """Scrub the commit log (``scan``) and the two derived journals."""
+    for name in (JOURNAL_FILE, ANALYSIS_JOURNAL_FILE, DOCTOR_JOURNAL_FILE):
+        derived = name != JOURNAL_FILE
+        journal = scan_journal_file(corpus / name) if derived else scan
+        if not journal.exists:
             continue
         report.count("journal")
-        if scan.header_bad:
+        severity = "warning" if derived else "error"
+        if journal.header_bad:
             report.add(Damage(
                 artifact=name, kind="journal", damage="bad-header",
-                severity="warning",
-                detail="derived journal unreadable; safe to discard",
-                plan=discard_plan))
-        elif scan.torn_offset is not None:
+                severity=severity,
+                detail=("derived journal unreadable; safe to discard"
+                        if derived else
+                        "journal header unreadable; commit log unusable"),
+                plan=("discard-journal" if derived
+                      else "rebuild-tap-journal" if tap_corpus
+                      else "regenerate"),
+                context={} if derived else {"resume": False}))
+        elif journal.torn_offset is not None:
             report.add(Damage(
                 artifact=name, kind="journal", damage="torn-tail",
-                severity="warning",
-                detail=f"unparseable line at byte {scan.torn_offset}",
-                plan="truncate-journal",
-                context={"offset": scan.torn_offset}))
-    return main_scan
+                severity=severity,
+                detail=(f"unparseable line at byte {journal.torn_offset}; "
+                        "entries after it are unreachable"),
+                plan=("rebuild-tap-journal" if tap_corpus and not derived
+                      else "truncate-journal"),
+                context={"offset": journal.torn_offset}))
 
 
 # -- segments ----------------------------------------------------------------
 
-def _segment_damage_plan(tap_corpus: bool, params: Optional[dict]) -> tuple:
+def _content_plan(tap_plan: str, tap_corpus: bool,
+                  params: Optional[dict]) -> tuple:
+    """The repair plan for damaged corpus content: ``tap_plan`` on a tap
+    corpus, else regenerate from trusted parameters or quarantine."""
     if tap_corpus:
-        return "repair-tap-segments", {}
+        return tap_plan, {}
     if params is None:
         return "quarantine", {}
     return "regenerate", {"resume": True}
@@ -263,11 +190,11 @@ def _scrub_segments(corpus: Path, scan: JournalScan, report: DamageReport,
     seg_dir = corpus / SEGMENT_DIR
     segment_steps = {key: entry for key, entry in scan.steps.items()
                      if key.startswith("segment:")}
+    plan, context = _content_plan("repair-tap-segments", tap_corpus, params)
     if not seg_dir.is_dir():
         # segments not kept is a legitimate layout — unless a stream
         # checkpoint proves a watcher depends on them
         if segment_steps and (corpus / ".stream.checkpoint.json").exists():
-            plan, context = _segment_damage_plan(tap_corpus, params)
             report.add(Damage(
                 artifact=SEGMENT_DIR, kind="segment", damage="missing",
                 severity="error",
@@ -282,31 +209,24 @@ def _scrub_segments(corpus: Path, scan: JournalScan, report: DamageReport,
         path = seg_dir / _segment_name(plane, day)
         artifact = _rel(corpus, path)
         report.count("segment")
-        plan, context = _segment_damage_plan(tap_corpus, params)
-        context = dict(context, plane=plane, day=day)
-        if not path.exists():
+        failed = verify_file(path, entry, deep=deep)
+        if failed is not None:
+            damage, detail = _file_damage(failed, path, entry, "the journal")
             report.add(Damage(
-                artifact=artifact, kind="segment", damage="missing",
-                severity="error",
-                detail="journaled segment file absent", plan=plan,
-                context=context))
-            continue
-        size = path.stat().st_size
-        if entry.get("bytes") is not None and size != entry["bytes"]:
-            report.add(Damage(
-                artifact=artifact, kind="segment", damage="checksum-drift",
-                severity="error",
-                detail=(f"{size} bytes on disk, {entry['bytes']} in "
-                        "journal"),
-                plan=plan, context=context))
-            continue
-        if deep and entry.get("sha256") \
-                and file_sha256(path) != entry["sha256"]:
-            report.add(Damage(
-                artifact=artifact, kind="segment", damage="checksum-drift",
-                severity="error",
-                detail="SHA-256 differs from the journal commit",
-                plan=plan, context=context))
+                artifact=artifact, kind="segment", damage=damage,
+                severity="error", detail=detail, plan=plan,
+                context=dict(context, plane=plane, day=day)))
+
+
+def _file_damage(failed: str, path: Path, entry: dict,
+                 witness: str) -> Tuple[str, str]:
+    """The damage tag and detail for a failed :func:`verify_file` check."""
+    if failed == "missing":
+        return "missing", f"recorded in {witness} but absent"
+    if failed == "size":
+        return "checksum-drift", (f"{path.stat().st_size} bytes on disk, "
+                                  f"{entry['bytes']} in {witness}")
+    return "checksum-drift", f"SHA-256 differs from {witness}"
 
 
 # -- corpus files + manifest -------------------------------------------------
@@ -314,82 +234,48 @@ def _scrub_segments(corpus: Path, scan: JournalScan, report: DamageReport,
 def _scrub_corpus_files(corpus: Path, scan: JournalScan,
                         report: DamageReport, tap_corpus: bool,
                         params: Optional[dict], deep: bool) -> None:
-    manifest_path = corpus / MANIFEST_FILE
     finalized = scan.steps.get(FINALIZE_KEY)
-    file_plan, file_context = (
-        ("refinalize", {}) if tap_corpus
-        else ("regenerate", {"resume": True}) if params is not None
-        else ("quarantine", {}))
+    file_plan, file_context = _content_plan("refinalize", tap_corpus, params)
     report.count("manifest")
     manifest = None
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            if not isinstance(manifest, dict) \
-                    or not isinstance(manifest.get("files"), dict):
-                raise ValueError("not a manifest object")
-        except (OSError, ValueError) as exc:
+    try:
+        manifest = read_manifest(corpus)
+    except FileNotFoundError:
+        if finalized is not None:
             report.add(Damage(
-                artifact=MANIFEST_FILE, kind="manifest", damage="garbled",
-                severity="error", detail=f"unreadable: {exc}",
-                plan="rebuild-manifest" if finalized is not None
-                else file_plan,
-                context=dict(file_context)))
-            manifest = None
-    elif finalized is not None:
+                artifact=MANIFEST_FILE, kind="manifest", damage="missing",
+                severity="error",
+                detail="finalize is journaled but the manifest is absent",
+                plan="rebuild-manifest"))
+    except (OSError, ValueError) as exc:
         report.add(Damage(
-            artifact=MANIFEST_FILE, kind="manifest", damage="missing",
-            severity="error",
-            detail="finalize is journaled but the manifest is absent",
-            plan="rebuild-manifest"))
-    if manifest is None:
+            artifact=MANIFEST_FILE, kind="manifest", damage="garbled",
+            severity="error", detail=f"unreadable: {exc}",
+            plan="rebuild-manifest" if finalized is not None
+            else file_plan,
+            context=dict(file_context)))
+    if manifest is not None:
+        witness, entries = "the manifest", manifest["files"]
+    elif finalized is not None and deep:
         # the manifest is gone, but the finalize journal entry carries
         # its own checksums of the two corpus files — second witness
-        if finalized is not None and deep:
+        witness, entries = "the finalize entry", {
+            name: {"sha256": finalized[key]}
             for name, key in ((CONTROL_FILE, "control_sha256"),
-                              (DATA_FILE, "data_sha256")):
-                recorded = finalized.get(key)
-                path = corpus / name
-                if not recorded:
-                    continue
-                report.count("corpus-file")
-                if not path.exists():
-                    report.add(Damage(
-                        artifact=name, kind="corpus-file",
-                        damage="missing", severity="error",
-                        detail="journaled at finalize but absent",
-                        plan=file_plan, context=dict(file_context)))
-                elif file_sha256(path) != recorded:
-                    report.add(Damage(
-                        artifact=name, kind="corpus-file",
-                        damage="checksum-drift", severity="error",
-                        detail="SHA-256 differs from the finalize entry",
-                        plan=file_plan, context=dict(file_context)))
+                              (DATA_FILE, "data_sha256"))
+            if finalized.get(key)}
+    else:
         return
-    for name, meta in sorted(manifest.get("files", {}).items()):
-        path = corpus / name
+    for name, entry in sorted(entries.items()):
         report.count("corpus-file")
-        if not path.exists():
+        failed = verify_file(corpus / name, entry, deep=deep)
+        if failed is not None:
+            damage, detail = _file_damage(failed, corpus / name, entry,
+                                          witness)
             report.add(Damage(
-                artifact=name, kind="corpus-file", damage="missing",
-                severity="error", detail="listed in manifest but absent",
-                plan=file_plan, context=dict(file_context)))
-            continue
-        size = path.stat().st_size
-        if meta.get("bytes") is not None and size != meta["bytes"]:
-            report.add(Damage(
-                artifact=name, kind="corpus-file", damage="checksum-drift",
-                severity="error",
-                detail=f"{size} bytes on disk, {meta['bytes']} in manifest",
-                plan=file_plan, context=dict(file_context)))
-            continue
-        if deep and meta.get("sha256") \
-                and file_sha256(path) != meta["sha256"]:
-            report.add(Damage(
-                artifact=name, kind="corpus-file", damage="checksum-drift",
-                severity="error",
-                detail="SHA-256 differs from the manifest",
-                plan=file_plan, context=dict(file_context)))
+                artifact=name, kind="corpus-file", damage=damage,
+                severity="error", detail=detail, plan=file_plan,
+                context=dict(file_context)))
 
 
 # -- stream checkpoint -------------------------------------------------------
@@ -444,99 +330,112 @@ def _cache_roots(corpus: Path,
     return [root for root in roots if root.is_dir()]
 
 
-def _scrub_caches(corpus: Path, report: DamageReport,
-                  cache_dir: str | Path | None) -> None:
+class CacheAudit(NamedTuple):
+    """One analysis-cache entry as :func:`audit_caches` classified it."""
+
+    path: Path
+    #: "garbled" | "version" | "current" | "stream" | "stale"
+    verdict: str
+    #: the parsed entry (None when garbled)
+    record: Optional[dict] = None
+    #: why a garbled entry did not parse
+    error: str = ""
+
+
+def audit_caches(corpus: Path, cache_dir: str | Path | None
+                 ) -> Tuple[Optional[str], List[CacheAudit]]:
+    """Classify every entry of the corpus's analysis caches.
+
+    The roots are ``cache_dir`` plus the corpus-local default.  An entry
+    is *current* when it is keyed to this corpus's digest, *stream* when
+    keyed to a ``stream:`` prefix of this corpus's commit log (a
+    watcher's batch-fallback entry), and *stale* otherwise — with no
+    usable manifest, every entry that is not a stream prefix is stale.
+    Returns the corpus digest (None without a usable manifest) and the
+    entries.  ``validate`` and the scrub apply their own policies.
+    """
+    roots = _cache_roots(corpus, cache_dir)
+    if not roots:
+        return None, []
     from repro.parallel.cache import ENTRY_VERSION, corpus_digest
     from repro.streaming.engine import stream_corpus_digests
 
-    roots = _cache_roots(corpus, cache_dir)
-    if not roots:
-        return
     current = corpus_digest(corpus)
     stream_digests = stream_corpus_digests(corpus)
+    audited = []
     for root in roots:
         for path in sorted(root.glob("*.json")):
-            report.count("cache-entry")
-            artifact = _rel(corpus, path)
             try:
-                entry = json.loads(path.read_text())
-                if not isinstance(entry, dict):
+                record = json.loads(path.read_text())
+                if not isinstance(record, dict):
                     raise ValueError("not an object")
             except (OSError, ValueError) as exc:
-                report.add(Damage(
-                    artifact=artifact, kind="cache-entry", damage="garbled",
-                    severity="error", detail=f"unreadable: {exc}",
-                    plan="evict-cache-entry"))
+                audited.append(CacheAudit(path, "garbled", error=str(exc)))
                 continue
-            if entry.get("version") != ENTRY_VERSION:
-                report.add(Damage(
-                    artifact=artifact, kind="cache-entry",
-                    damage="digest-drift", severity="error",
-                    detail=f"unsupported entry version "
-                           f"{entry.get('version')!r}",
-                    plan="evict-cache-entry"))
-                continue
-            digest = str(entry.get("corpus_digest"))
-            if current is not None and digest != current \
-                    and digest not in stream_digests:
-                report.add(Damage(
-                    artifact=artifact, kind="cache-entry",
-                    damage="digest-drift", severity="error",
-                    detail=(f"keyed to corpus digest {digest[:12]}… but "
-                            f"this corpus digests to {current[:12]}…"),
-                    plan="evict-cache-entry"))
+            digest = str(record.get("corpus_digest"))
+            verdict = ("version" if record.get("version") != ENTRY_VERSION
+                       else "current" if digest == current
+                       else "stream" if digest in stream_digests
+                       else "stale")
+            audited.append(CacheAudit(path, verdict, record))
+    return current, audited
+
+
+def _scrub_caches(corpus: Path, report: DamageReport,
+                  cache_dir: str | Path | None) -> None:
+    current, audited = audit_caches(corpus, cache_dir)
+    for entry in audited:
+        report.count("cache-entry")
+        if entry.verdict == "garbled":
+            detail, damage = f"unreadable: {entry.error}", "garbled"
+        elif entry.verdict == "version":
+            detail, damage = (f"unsupported entry version "
+                              f"{entry.record.get('version')!r}",
+                              "digest-drift")
+        elif entry.verdict == "stale" and current is not None:
+            digest = str(entry.record.get("corpus_digest"))
+            detail, damage = (f"keyed to corpus digest {digest[:12]}… but "
+                              f"this corpus digests to {current[:12]}…",
+                              "digest-drift")
+        else:
+            continue
+        report.add(Damage(
+            artifact=_rel(corpus, entry.path), kind="cache-entry",
+            damage=damage, severity="error", detail=detail,
+            plan="evict-cache-entry"))
 
 
 # -- obs ---------------------------------------------------------------------
 
 def _scrub_obs(corpus: Path, report: DamageReport) -> None:
-    from repro.obs.events import DEFAULT_BACKUPS, iter_event_files
-    from repro.obs.snapshot import events_path, snapshot_path
+    from repro.errors import ObsSnapshotError
+    from repro.obs.events import (
+        DEFAULT_BACKUPS,
+        iter_event_files,
+        read_event_file,
+    )
+    from repro.obs.snapshot import events_path, load_snapshot, snapshot_path
 
     snapshot = snapshot_path(corpus)
     if snapshot.exists():
         report.count("obs-snapshot")
         try:
-            raw = json.loads(snapshot.read_text())
-            if not isinstance(raw, dict):
-                raise ValueError("not an object")
-            from repro.obs.snapshot import SNAPSHOT_VERSION
-            if raw.get("version") != SNAPSHOT_VERSION:
-                raise ValueError(
-                    f"unsupported version {raw.get('version')!r}")
-        except (OSError, ValueError) as exc:
+            load_snapshot(corpus)
+        except ObsSnapshotError as exc:
             report.add(Damage(
                 artifact=_rel(corpus, snapshot), kind="obs-snapshot",
                 damage="garbled", severity="warning",
-                detail=f"unreadable: {exc} (derived state)",
+                detail=f"{exc} (derived state)",
                 plan="discard-obs-snapshot"))
     for file in iter_event_files(events_path(corpus), DEFAULT_BACKUPS):
         report.count("obs-events")
-        torn = _count_torn_lines(file)
+        torn = sum(record is None for record in read_event_file(file))
         if torn:
             report.add(Damage(
                 artifact=_rel(corpus, file), kind="obs-events",
                 damage="torn-tail", severity="warning",
                 detail=f"{torn} unparseable line(s)",
                 plan="trim-events"))
-
-
-def _count_torn_lines(path: Path) -> int:
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return 0
-    torn = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            if not isinstance(json.loads(line), dict):
-                torn += 1
-        except ValueError:
-            torn += 1
-    return torn
 
 
 # -- tap offset sidecars -----------------------------------------------------

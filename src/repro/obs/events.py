@@ -130,7 +130,7 @@ def read_events(path: str | Path, *,
     skipped = 0
     floor = _RANK[min_severity]
     for file in iter_event_files(path, backups):
-        for record in _read_one(file):
+        for record in read_event_file(file):
             if record is None:
                 skipped += 1
             elif _RANK.get(record.get("severity"), 1) >= floor:
@@ -138,7 +138,9 @@ def read_events(path: str | Path, *,
     return events, skipped
 
 
-def _read_one(path: Path) -> Iterator[Optional[dict]]:
+def read_event_file(path: Path) -> Iterator[Optional[dict]]:
+    """Each non-blank line of one log file as its event, or None when
+    the line is torn (unparseable or not an object)."""
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError:

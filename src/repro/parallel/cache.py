@@ -21,7 +21,8 @@ restores the outcome's status/fingerprint but not the in-memory value.
 Every entry records the corpus digest it was keyed on, which is what
 lets ``repro validate`` detect a *stale* cache: a cache directory whose
 entries reference a digest the current manifest no longer matches is an
-error, not a pass (see :func:`stale_entries`).
+error, not a pass.  :func:`repro.doctor.scrub.audit_caches` classifies
+the entries for both ``validate`` and ``repro doctor``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.core.study import AnalysisOutcome, AnalysisStatus
-from repro.corpus.manifest import MANIFEST_FILE
+from repro.corpus.manifest import read_manifest
 from repro import telemetry
 
 #: subdirectory holding the per-analysis entries (room for other kinds)
@@ -55,15 +56,11 @@ def corpus_digest(corpus_dir: str | Path) -> Optional[str]:
     Returns ``None`` when there is no usable manifest: an unmanifested
     corpus cannot be safely cached against.
     """
-    path = Path(corpus_dir) / MANIFEST_FILE
     try:
-        manifest = json.loads(path.read_text())
+        files = read_manifest(corpus_dir)["files"]
     except (OSError, ValueError):
         return None
-    files = manifest.get("files")
-    if not isinstance(files, dict) or not files:
-        return None
-    return digest_of_files(files)
+    return digest_of_files(files) if files else None
 
 
 def digest_of_files(files: dict) -> str:
@@ -118,8 +115,9 @@ class ResultCache:
         """The cached outcome for this (corpus, config, analysis), if any.
 
         An unreadable or mismatching entry is treated as a miss — the
-        analysis simply recomputes; ``repro validate`` is the tool that
-        *reports* cache corruption.
+        analysis simply recomputes.  ``repro doctor`` reports garbled and
+        wrong-version entries; ``repro validate`` reports entries keyed
+        to a corpus digest that no longer matches.
         """
         path = self._entry_path(self.key(corpus, config_hash, name))
         try:
@@ -222,7 +220,7 @@ class ResultCache:
                                         reason="size").inc()
         return evicted
 
-    # -- maintenance / validation --------------------------------------------
+    # -- maintenance ---------------------------------------------------------
 
     def entries(self) -> Iterator[Tuple[Path, dict]]:
         """Every readable entry in the cache (path, parsed JSON)."""
@@ -236,13 +234,3 @@ class ResultCache:
                 continue
             if isinstance(entry, dict):
                 yield path, entry
-
-    def stale_entries(self, corpus: str) -> List[Tuple[Path, dict]]:
-        """Entries keyed to a corpus digest other than ``corpus``.
-
-        These are results of a corpus that no longer exists in this
-        directory — serving them would silently report another corpus's
-        numbers, so ``repro validate`` turns any of them into an error.
-        """
-        return [(path, entry) for path, entry in self.entries()
-                if entry.get("corpus_digest") != corpus]

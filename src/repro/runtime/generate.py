@@ -58,6 +58,7 @@ from repro.corpus.manifest import (
     DATA_FILE,
     MANIFEST_FILE,
     file_sha256,
+    verify_file,
     write_manifest,
 )
 from repro.corpus.platform import write_platform_meta
@@ -156,7 +157,9 @@ def checkpointed_generate(
     remove_stale_tmp(seg_dir)
 
     header = _header(config)
-    journal = CheckpointJournal.load(out / JOURNAL_FILE)
+    # a fresh run never parses the journal it is about to truncate
+    journal = (CheckpointJournal.load(out / JOURNAL_FILE) if resume
+               else CheckpointJournal(out / JOURNAL_FILE))
     report = GenerateReport(out_dir=str(out), resumed=resume)
     if resume and journal.header is not None:
         journal.require_header(header)
@@ -219,8 +222,7 @@ def _write_segments(result: ScenarioResult, seg_dir: Path,
             path = seg_dir / _segment_name(plane, day)
             report.segments_total += 1
             entry = journal.committed(_segment_key(plane, day))
-            if entry is not None and path.exists() \
-                    and file_sha256(path) == entry.get("sha256"):
+            if entry is not None and verify_file(path, entry) is None:
                 report.segments_skipped += 1
                 telem.counter("runtime.segments", plane=plane,
                               outcome="skipped").inc()
@@ -284,7 +286,7 @@ def committed_days(log: Union[CheckpointJournal, Mapping[str, dict]]
     Days count from 0 and stop at the first day missing either plane's
     commit: that contiguous prefix is what :func:`finalize` assembles and
     what watchers may consume.  ``log`` is a loaded journal or a
-    key → entry mapping such as the doctor's ``JournalScan.steps``.
+    key → entry mapping such as a ``JournalScan``'s ``steps``.
     """
     lookup = log.committed if isinstance(log, CheckpointJournal) else log.get
     days: List[Tuple[dict, dict]] = []

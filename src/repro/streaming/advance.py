@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import telemetry
-from repro.corpus.manifest import MANIFEST_FILE, file_sha256
+from repro.corpus.manifest import read_manifest, verify_file
 from repro.errors import StreamError
 from repro.runtime.atomic import remove_stale_tmp
 from repro.runtime.checkpoint import CheckpointJournal
@@ -187,8 +187,8 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
                     report.records_dropped += dropped
                     path = seg_dir / _segment_name(plane, day)
                     entry = journal.committed(_segment_key(plane, day))
-                    if entry is not None and path.exists() \
-                            and file_sha256(path) == entry.get("sha256"):
+                    if entry is not None \
+                            and verify_file(path, entry) is None:
                         report.segments_skipped += 1
                         continue
                     journal.commit(_segment_key(plane, day),
@@ -198,8 +198,8 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
                     telem.counter("advance.segments", plane=plane).inc()
 
     try:  # the original generation's provenance record is carried forward
-        run = json.loads((out / MANIFEST_FILE).read_text()).get("run")
-    except (OSError, ValueError, AttributeError):
+        run = read_manifest(out).get("run")
+    except (OSError, ValueError):
         run = None
     with telem.span("advance.finalize"):
         # membership / PeeringDB / route server stay those of the original

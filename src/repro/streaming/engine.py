@@ -42,7 +42,6 @@ from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, file_sha256
 from repro.corpus.platform import load_platform, read_platform_meta
 from repro.dataplane.packet import PACKET_DTYPE
 from repro.errors import (
-    CheckpointError,
     CorpusError,
     IngestError,
     ReproError,
@@ -56,7 +55,7 @@ from repro.runtime.generate import (
     _segment_name,
     committed_days,
 )
-from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.checkpoint import CheckpointJournal, scan_journal_file
 from repro.runtime.supervisor import ingest_warnings
 from repro.streaming.reducers import (
     ControlReducer,
@@ -81,18 +80,15 @@ def stream_corpus_digests(corpus_dir: str | Path) -> set:
     """Every ``stream:`` cache corpus key a watcher of this corpus may
     have written: one per (committed day prefix, input-plane subset).
 
-    ``repro validate`` uses this to tell a legitimately prefix-keyed
+    The cache audit uses this to tell a legitimately prefix-keyed
     stream cache entry apart from one left behind by a different
     (e.g. since-regenerated) corpus.  A journal whose header is
     unreadable has no usable commit log, so it yields no digests.
     """
-    journal_path = Path(corpus_dir) / JOURNAL_FILE
-    if not journal_path.exists():
+    scan = scan_journal_file(Path(corpus_dir) / JOURNAL_FILE)
+    if not scan.exists or scan.header_bad:
         return set()
-    try:
-        days = committed_days(CheckpointJournal.load(journal_path))
-    except CheckpointError:
-        return set()
+    days = committed_days(scan.steps)
     digests = set()
     for subset in ((CONTROL,), (DATA,), (CONTROL, DATA)):
         h = hashlib.sha256()

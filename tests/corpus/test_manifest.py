@@ -206,3 +206,84 @@ def test_flipped_journal_byte_is_reported_not_raised(stream_corpus,
 
     assert validate_corpus(corpus).ok
     assert ("journal", "torn-tail") in _journal_damages(corpus)
+
+
+def _list_absent_file(corpus):
+    manifest = json.loads((corpus / MANIFEST_FILE).read_text())
+    manifest["files"]["notes.txt"] = {"sha256": "0" * 64, "bytes": 1}
+    (corpus / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+
+def _truncate_data(corpus):
+    blob = (corpus / DATA_FILE).read_bytes()
+    (corpus / DATA_FILE).write_bytes(blob[:len(blob) // 2])
+
+
+def _flip_control_byte(corpus):
+    blob = bytearray((corpus / CONTROL_FILE).read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    (corpus / CONTROL_FILE).write_bytes(bytes(blob))
+
+
+def _garble_manifest(corpus):
+    (corpus / MANIFEST_FILE).write_text("{torn")
+
+
+def _cache_entry(corpus, digest):
+    from repro.core.study import AnalysisOutcome, AnalysisStatus
+    from repro.parallel.cache import ResultCache
+
+    return ResultCache.for_corpus(corpus).put(
+        digest, None,
+        AnalysisOutcome(name="fig3_load", status=AnalysisStatus.OK,
+                        value=None, value_digest="0" * 16))
+
+
+def _stale_cache_entry(corpus):
+    _cache_entry(corpus, "f" * 64)
+
+
+def _stream_cache_entry(corpus):
+    from repro.streaming.engine import stream_corpus_digests
+
+    _cache_entry(corpus, max(stream_corpus_digests(corpus)))
+
+
+def _garbled_cache_entry(corpus):
+    _cache_entry(corpus, "f" * 64).write_text("{torn")
+
+
+@pytest.mark.parametrize("damage, code, scrubbed", [
+    (_list_absent_file, "missing-file", ("corpus-file", "missing")),
+    (_truncate_data, "size-mismatch", ("corpus-file", "checksum-drift")),
+    (_flip_control_byte, "checksum-mismatch",
+     ("corpus-file", "checksum-drift")),
+    (_garble_manifest, "bad-manifest", ("manifest", "garbled")),
+    (_stale_cache_entry, "stale-cache", ("cache-entry", "digest-drift")),
+    (_stream_cache_entry, None, None),
+    (_garbled_cache_entry, None, ("cache-entry", "garbled")),
+], ids=["absent-listed-file", "truncated-data", "flipped-control-byte",
+        "garbled-manifest", "stale-cache", "stream-prefix-cache",
+        "garbled-cache"])
+def test_validate_and_doctor_agree(stream_corpus, tmp_path, damage, code,
+                                   scrubbed):
+    """One integrity verdict per damage: validate's issue code (or its
+    absence) and the doctor scrub's ``(kind, damage)`` come from the same
+    file verifier and cache audit."""
+    from repro.doctor import scrub_corpus
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(stream_corpus, corpus,
+                    ignore=shutil.ignore_patterns(".cache", ".stream*"))
+    damage(corpus)
+    errors = {i.code for i in validate_corpus(corpus).issues
+              if i.severity == "error"}
+    damages = {(d.kind, d.damage) for d in scrub_corpus(corpus).damages}
+    if code is None:
+        assert not errors
+    else:
+        assert code in errors
+    if scrubbed is None:
+        assert not damages
+    else:
+        assert scrubbed in damages

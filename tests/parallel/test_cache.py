@@ -97,14 +97,28 @@ class TestRoundTrip:
         assert cache.get("corpus", "cfg", "fig1") is None
 
 
+def stale_names(corpus, cache_dir):
+    """Names of the entries the cache audit calls stale for ``corpus``."""
+    from repro.doctor.scrub import audit_caches
+
+    _, audited = audit_caches(corpus, cache_dir)
+    return [a.record["name"] for a in audited if a.verdict == "stale"]
+
+
 class TestStaleEntries:
     def test_stale_detection(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("current", "cfg", outcome(name="fig1"))
-        cache.put("previous", "cfg", outcome(name="fig2"))
-        stale = cache.stale_entries("current")
-        assert [e["name"] for _, e in stale] == ["fig2"]
-        assert cache.stale_entries("previous")[0][1]["name"] == "fig1"
+        from repro.corpus.manifest import write_manifest
+
+        current, previous = tmp_path / "current", tmp_path / "previous"
+        for corpus in (current, previous):
+            corpus.mkdir()
+            (corpus / "control.jsonl").write_text(corpus.name)
+            write_manifest(corpus)
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(corpus_digest(current), "cfg", outcome(name="fig1"))
+        cache.put(corpus_digest(previous), "cfg", outcome(name="fig2"))
+        assert stale_names(current, cache.root) == ["fig2"]
+        assert stale_names(previous, cache.root)[0] == "fig1"
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
-from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.checkpoint import CheckpointJournal, scan_journal_file
 from repro.runtime.generate import FINALIZE_KEY, committed_days, finalize
 
 HEADER = {"command": "generate", "seed": 7, "config_hash": "abc123"}
@@ -84,6 +84,33 @@ class TestCrashTolerance:
         assert reloaded.committed("done:1") is not None
         assert reloaded.committed("done:2") is None
 
+    def test_commits_after_a_tear_survive_reload(self, journal):
+        journal.commit("done:1")
+        with open(journal.path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "step", "key": "torn:2", "sha2')
+        resumed = CheckpointJournal.load(journal.path)
+        resumed.commit("after:2")
+        resumed.commit("after:3")
+        reloaded = CheckpointJournal.load(journal.path)
+        assert list(reloaded.keys()) == ["done:1", "after:2", "after:3"]
+        assert b"torn:2" not in journal.path.read_bytes()
+
+    def test_unterminated_parseable_line_is_dropped_then_truncated(
+            self, journal):
+        journal.commit("done:1")
+        intact = journal.path.read_bytes()
+        with open(journal.path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "step", "key": "unterminated:2"}')
+        loaded = CheckpointJournal.load(journal.path)
+        assert loaded.committed("unterminated:2") is None
+        # loading alone never writes
+        assert journal.path.read_bytes().endswith(b'"unterminated:2"}')
+        loaded.commit("next:2")
+        assert journal.path.read_bytes().startswith(intact)
+        assert b"unterminated:2" not in journal.path.read_bytes()
+        assert list(CheckpointJournal.load(journal.path).keys()) == [
+            "done:1", "next:2"]
+
     def test_undecodable_header_raises(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_bytes(b'{"type": "header", "seed": \xff}\n')
@@ -109,8 +136,6 @@ class TestHeaderGuard:
 class TestCommittedDays:
     @pytest.mark.parametrize("missing", ["control", "data"])
     def test_stops_at_first_day_missing_a_plane(self, journal, missing):
-        from repro.doctor.scrub import scan_journal_file
-
         for day in range(3):
             for plane in ("control", "data"):
                 if not (day == 1 and plane == missing):
@@ -135,3 +160,31 @@ class TestCommittedDays:
             assert len(archive["packets"]) == 0
         assert CheckpointJournal.load(journal.path).committed(
             FINALIZE_KEY)["data_packets"] == 0
+
+
+def test_resume_over_a_torn_journal_matches_a_clean_run(tmp_path):
+    """A journal torn inside its first data-segment commit, with the
+    manifest gone: ``generate --resume`` truncates the tear before it
+    appends, so every commit it makes is reachable and the journal ends
+    byte-identical to an uninterrupted run's."""
+    from repro.doctor import scrub_corpus
+    from repro.runtime.generate import JOURNAL_FILE, checkpointed_generate
+    from repro.scenario.config import ScenarioConfig
+
+    config = ScenarioConfig.paper(scale=0.005, duration_days=3, seed=3)
+    clean, torn = tmp_path / "clean", tmp_path / "torn"
+    for out in (clean, torn):
+        checkpointed_generate(config, out, keep_segments=True)
+    path = torn / JOURNAL_FILE
+    lines = path.read_bytes().split(b"\n")
+    assert b"segment:data:000" in lines[4]
+    path.write_bytes(b"\n".join(lines[:4]) + b"\n" + lines[4][:20])
+    (torn / "manifest.json").unlink()
+
+    checkpointed_generate(config, torn, resume=True, keep_segments=True)
+
+    journal = CheckpointJournal.load(path)
+    assert len(journal) == 7
+    assert len(committed_days(journal)) == 3
+    assert scrub_corpus(torn).clean
+    assert path.read_bytes() == (clean / JOURNAL_FILE).read_bytes()

@@ -92,6 +92,49 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["generate", "summary"])
+    @pytest.mark.parametrize("bad", [["--days", "2"], ["--scale", "-1"]],
+                             ids=["days-2", "scale-neg"])
+    def test_bad_scenario_arguments_are_usage_errors(self, command, bad,
+                                                     tmp_path, capsys):
+        argv = [command, "--scale", "0.005", "--days", "3", *bad]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "corpus")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestFreshRunsOverUnreadableJournals:
+    """A fresh run rewrites its journal, so it never parses the old one."""
+
+    def test_generate_over_garbage_journal_header(self, tmp_path):
+        from repro.runtime.generate import JOURNAL_FILE
+
+        clean, garbled = tmp_path / "clean", tmp_path / "garbled"
+        garbled.mkdir()
+        (garbled / JOURNAL_FILE).write_text("{garbage\n")
+        for out in (clean, garbled):
+            assert main(["generate", "--scale", "0.005", "--days", "3",
+                         "--seed", "3", "--out", str(out),
+                         "--quiet"]) == EXIT_OK
+        for name in (CONTROL_FILE, DATA_FILE, META_FILE, JOURNAL_FILE):
+            assert (garbled / name).read_bytes() == \
+                (clean / name).read_bytes(), name
+
+    def test_supervised_analyze_over_garbage_journal_header(
+            self, corpus_copy, capsys):
+        from repro.cli import ANALYZE_JOURNAL_FILE
+
+        (corpus_copy / ANALYZE_JOURNAL_FILE).write_text("{garbage\n")
+        rc = main(["analyze", str(corpus_copy), "--supervised",
+                   "--host-min-days", "4"])
+        assert rc == EXIT_OK
+        header = (corpus_copy / ANALYZE_JOURNAL_FILE).read_text() \
+            .splitlines()[0]
+        assert json.loads(header)["command"] == "analyze"
+
 
 class TestAnalyzeErrorPaths:
     def test_missing_control_file(self, corpus_copy, capsys):

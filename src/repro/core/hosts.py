@@ -21,7 +21,7 @@ from repro.corpus.control import ControlPlaneCorpus
 from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError
 from repro.ixp.peeringdb import OrgType, PeeringDB
-from repro.net.ip import IPv4Prefix
+from repro.net.ip import PREFIX_MASKS, IPv4Prefix
 from repro.net.radix import RadixTree
 
 DAY = 86_400.0
@@ -131,20 +131,35 @@ def classify_hosts(
     exclusions = _exclusion_intervals(events)
     packets = data.packets
 
+    # one stable sort per direction: a host's rows are one slice of it,
+    # in the corpus's time order
+    by_dst = np.argsort(packets["dst_ip"], kind="stable")
+    by_src = np.argsort(packets["src_ip"], kind="stable")
+    sorted_dst = packets["dst_ip"][by_dst]
+    sorted_src = packets["src_ip"][by_src]
+
     # candidate hosts: addresses covered by any RTBH prefix, as traffic
     # destinations or sources
-    unique_dst = np.unique(packets["dst_ip"])
-    unique_src = np.unique(packets["src_ip"])
-    covered = [ip for ip in np.union1d(unique_dst, unique_src)
-               if origin_tree.lookup(int(ip)) is not None]
+    covered = np.array(
+        [ip for ip in np.union1d(_runs(sorted_dst), _runs(sorted_src)).tolist()
+         if origin_tree.lookup(ip) is not None], dtype=np.uint32)
+    in_lo = np.searchsorted(sorted_dst, covered, side="left").tolist()
+    in_hi = np.searchsorted(sorted_dst, covered, side="right").tolist()
+    out_lo = np.searchsorted(sorted_src, covered, side="left").tolist()
+    out_hi = np.searchsorted(sorted_src, covered, side="right").tolist()
+    # host x exclusion prefix: which exclusion windows apply to each host
+    networks = np.array([p.network_int for p in exclusions], dtype=np.uint32)
+    masks = np.array([PREFIX_MASKS[p.length] for p in exclusions],
+                     dtype=np.uint32)
+    applies = (covered[:, None] & masks) == networks
+    windows = list(exclusions.values())
 
     hosts: List[HostProfile] = []
-    for ip in covered:
-        ip = int(ip)
-        incoming = packets[packets["dst_ip"] == np.uint32(ip)]
-        outgoing = packets[packets["src_ip"] == np.uint32(ip)]
-        incoming = _outside_exclusions(incoming, ip, exclusions)
-        outgoing = _outside_exclusions(outgoing, ip, exclusions)
+    for h, ip in enumerate(covered.tolist()):
+        host_windows = [w for j in np.flatnonzero(applies[h]).tolist()
+                        for w in windows[j]]
+        incoming = _outside(packets[by_dst[in_lo[h]:in_hi[h]]], host_windows)
+        outgoing = _outside(packets[by_src[out_lo[h]:out_hi[h]]], host_windows)
         if len(incoming) == 0 and len(outgoing) == 0:
             continue
         in_days = set((incoming["time"] // DAY).astype(int).tolist())
@@ -174,36 +189,42 @@ def classify_hosts(
     return HostStudy(hosts=hosts, min_days=min_days)
 
 
-def _outside_exclusions(packets: np.ndarray, ip: int,
-                        exclusions: Dict[IPv4Prefix, List[Tuple[float, float]]]) -> np.ndarray:
-    if len(packets) == 0:
+def _runs(sorted_values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    first = np.ones(len(sorted_values), dtype=bool)
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return sorted_values[first]
+
+
+def _outside(packets: np.ndarray,
+             windows: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """The ``packets`` outside every ``[start, end)`` window."""
+    if len(packets) == 0 or not windows:
         return packets
     keep = np.ones(len(packets), dtype=bool)
     times = packets["time"]
-    for prefix, intervals in exclusions.items():
-        if ip not in prefix:
-            continue
-        for start, end in intervals:
-            keep &= ~((times >= start) & (times < end))
+    for start, end in windows:
+        keep &= ~((times >= start) & (times < end))
     return packets[keep]
 
 
 def _daily_top_ports(incoming: np.ndarray) -> set[Tuple[int, int]]:
-    """Distinct daily top (protocol, destination port) pairs."""
-    tops: set[Tuple[int, int]] = set()
+    """Distinct daily top (protocol, destination port) pairs.
+
+    A day's top pair is its most frequent one, the smallest on ties; one
+    sort over (day, pair) yields every day's run lengths at once.
+    """
     if len(incoming) == 0:
-        return tops
+        return set()
     days = (incoming["time"] // DAY).astype(np.int64)
-    order = np.argsort(days, kind="stable")
-    days = days[order]
-    sorted_packets = incoming[order]
-    bounds = np.flatnonzero(np.r_[True, days[1:] != days[:-1]])
-    bounds = np.r_[bounds, len(days)]
-    for b in range(len(bounds) - 1):
-        chunk = sorted_packets[bounds[b]:bounds[b + 1]]
-        key = chunk["protocol"].astype(np.int64) << np.int64(16)
-        key |= chunk["dst_port"].astype(np.int64)
-        values, counts = np.unique(key, return_counts=True)
-        top = int(values[np.argmax(counts)])
-        tops.add((top >> 16, top & 0xFFFF))
-    return tops
+    key = incoming["protocol"].astype(np.int64) << np.int64(16)
+    key |= incoming["dst_port"].astype(np.int64)
+    order = np.lexsort((key, days))
+    days, key = days[order], key[order]
+    starts = np.flatnonzero(
+        np.r_[True, (days[1:] != days[:-1]) | (key[1:] != key[:-1])])
+    counts = np.diff(np.r_[starts, len(days)])
+    run_day, run_key = days[starts], key[starts]
+    best = np.lexsort((run_key, -counts, run_day))
+    first = np.r_[True, run_day[best][1:] != run_day[best][:-1]]
+    return {(top >> 16, top & 0xFFFF) for top in run_key[best][first].tolist()}

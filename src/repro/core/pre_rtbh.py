@@ -27,26 +27,39 @@ N_SLOTS = int(PRE_WINDOW / SLOT)
 FEATURE_NAMES = ("packets", "flows", "src_ips", "dst_ports", "non_tcp_flows")
 
 
-def slot_features(packets: np.ndarray, window_start: float,
-                  n_slots: int = N_SLOTS, slot: float = SLOT) -> np.ndarray:
-    """The §5.3 feature matrix, ``(n_slots, 5)``.
+#: Rows a pre-window batch may gather before it is classified: the
+#: packets of its windows plus ``N_SLOTS`` feature slots per event with
+#: data.  Bounds the batch's packet rows and its ``(events·5, N_SLOTS)``
+#: detector matrix alike.
+_BATCH_ROWS = 1 << 15
 
-    ``packets`` must already be restricted to the traffic of interest.
-    Uniques (flows, sources, ports) are counted per slot.
+
+def window_slot_features(packets: np.ndarray, window: np.ndarray,
+                         window_starts: np.ndarray, n_slots: int = N_SLOTS,
+                         slot: float = SLOT) -> np.ndarray:
+    """The §5.3 features of many windows at once, ``(windows, 5, n_slots)``.
+
+    Row ``i`` of ``packets`` belongs to window ``window[i]``, which starts at
+    ``window_starts[window[i]]``; rows outside their window's ``n_slots``
+    slots are ignored.  Packets are counted per (window, slot) with one
+    ``bincount``; each unique count (flows, sources, ports, non-TCP flows)
+    sorts one ``(window·slot, value)`` key and counts its runs.
     """
-    features = np.zeros((n_slots, len(FEATURE_NAMES)), dtype=np.float64)
+    window_starts = np.asarray(window_starts, dtype=np.float64)
+    n_cells = len(window_starts) * n_slots
+    features = np.zeros((len(window_starts), len(FEATURE_NAMES), n_slots),
+                        dtype=np.float64)
     if len(packets) == 0:
         return features
-    slots = ((packets["time"] - window_start) // slot).astype(np.int64)
+    window = np.asarray(window, dtype=np.int64)
+    slots = ((packets["time"] - window_starts[window]) // slot).astype(np.int64)
+    cell = window * n_slots + slots
     valid = (slots >= 0) & (slots < n_slots)
-    packets = packets[valid]
-    slots = slots[valid]
-    if len(packets) == 0:
-        return features
-    order = np.argsort(slots, kind="stable")
-    packets, slots = packets[order], slots[order]
-    bounds = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-    bounds = np.r_[bounds, len(slots)]
+    if not valid.all():
+        packets, cell = packets[valid], cell[valid]
+        if len(packets) == 0:
+            return features
+    cell = cell.astype(np.uint64)
     flow_key = (
         packets["src_ip"].astype(np.uint64) * np.uint64(2654435761)
         ^ (packets["dst_ip"].astype(np.uint64) << np.uint64(16))
@@ -54,18 +67,40 @@ def slot_features(packets: np.ndarray, window_start: float,
         ^ (packets["dst_port"].astype(np.uint64) << np.uint64(48))
         ^ packets["protocol"].astype(np.uint64)
     )
-    for b in range(len(bounds) - 1):
-        lo, hi = bounds[b], bounds[b + 1]
-        s = slots[lo]
-        chunk = packets[lo:hi]
-        keys = flow_key[lo:hi]
-        features[s, 0] = hi - lo
-        features[s, 1] = len(np.unique(keys))
-        features[s, 2] = len(np.unique(chunk["src_ip"]))
-        features[s, 3] = len(np.unique(chunk["dst_port"]))
-        non_tcp = chunk["protocol"] != 6
-        features[s, 4] = len(np.unique(keys[non_tcp])) if non_tcp.any() else 0
+    # dense flow ids fit the low 32 bits next to the cell
+    _, flow_id = np.unique(flow_key, return_inverse=True)
+    flow_id = flow_id.reshape(-1).astype(np.uint64)
+    non_tcp = packets["protocol"] != 6
+    cell_hi = cell << np.uint64(32)
+
+    def distinct(keys: np.ndarray) -> np.ndarray:
+        keys = np.sort(keys)
+        runs = keys[np.flatnonzero(keys[1:] != keys[:-1]) + 1]
+        cells = np.r_[keys[:1], runs] >> np.uint64(32)
+        return np.bincount(cells.astype(np.intp), minlength=n_cells)
+
+    counts = (
+        np.bincount(cell.astype(np.intp), minlength=n_cells),
+        distinct(cell_hi | flow_id),
+        distinct(cell_hi | packets["src_ip"].astype(np.uint64)),
+        distinct(cell_hi | packets["dst_port"].astype(np.uint64)),
+        distinct(cell_hi[non_tcp] | flow_id[non_tcp]),
+    )
+    for j, count in enumerate(counts):
+        features[:, j, :] = count.reshape(-1, n_slots)
     return features
+
+
+def slot_features(packets: np.ndarray, window_start: float,
+                  n_slots: int = N_SLOTS, slot: float = SLOT) -> np.ndarray:
+    """The §5.3 feature matrix of one window, ``(n_slots, 5)``.
+
+    ``packets`` must already be restricted to the traffic of interest.
+    Uniques (flows, sources, ports) are counted per slot.
+    """
+    return window_slot_features(
+        packets, np.zeros(len(packets), dtype=np.int64), [window_start],
+        n_slots, slot)[0].T
 
 
 class PreRTBHClass(str, Enum):
@@ -173,69 +208,98 @@ def classify_pre_rtbh_events(
     detector: EWMAAnomalyDetector | None = None,
     anomaly_horizon_min: float = 10.0,
 ) -> PreRTBHClassification:
-    """Run the full §5.2–5.3 pipeline over all events."""
+    """Run the full §5.2–5.3 pipeline over all events, in event order.
+
+    Pre-windows are gathered into batches of at most ``_BATCH_ROWS`` rows;
+    each batch computes its features and runs the detector in one call.
+    An event's result depends only on data *before* ``event.start`` (and
+    the fixed corpus start), so the streaming engine classifies each event
+    exactly once — at the watermark where it first appears — and the
+    outcome never changes as the corpus grows.
+    """
     detector = detector or EWMAAnomalyDetector(AnomalyConfig())
     result = PreRTBHClassification()
     corpus_start = data.start_time if len(data) else 0.0
+    batch: List[Tuple[RTBHEvent, np.ndarray]] = []
+    rows = 0
     for event in events:
-        result.events.append(classify_single_event(
-            data, event, detector, corpus_start=corpus_start,
-            anomaly_horizon_min=anomaly_horizon_min))
+        window = data.window_packets(
+            event.prefix, [(event.start - PRE_WINDOW, event.start)])
+        batch.append((event, window))
+        if len(window):
+            rows += len(window) + N_SLOTS
+        if rows >= _BATCH_ROWS:
+            result.events.extend(_classify_batch(
+                batch, detector, corpus_start, anomaly_horizon_min))
+            batch, rows = [], 0
+    result.events.extend(_classify_batch(
+        batch, detector, corpus_start, anomaly_horizon_min))
     return result
 
 
-def classify_single_event(
-    data: DataPlaneCorpus,
-    event: RTBHEvent,
+def _classify_batch(
+    batch: Sequence[Tuple[RTBHEvent, np.ndarray]],
     detector: EWMAAnomalyDetector,
-    *,
     corpus_start: float,
-    anomaly_horizon_min: float = 10.0,
-) -> PreRTBHEvent:
-    """Classify one event's 72 h pre-window.
-
-    The result depends only on data *before* ``event.start`` (and the
-    fixed ``corpus_start``), so the streaming engine classifies each
-    event exactly once — at the watermark where it first appears — and
-    the outcome never changes as the corpus grows.
-    """
-    window_start = event.start - PRE_WINDOW
-    window = data.window_packets(event.prefix, [(window_start, event.start)])
-    total = len(window)
-    if total == 0:
-        return PreRTBHEvent(
-            event_id=event.event_id,
-            classification=PreRTBHClass.NO_DATA,
-            slots_with_data=0, total_packets=0,
-        )
-    features = slot_features(window, window_start)
-    flags = detector.detect_multi(features)
+    anomaly_horizon_min: float,
+) -> List[PreRTBHEvent]:
+    """Classify a batch of (event, gathered pre-window) pairs."""
+    with_data = [(event, window) for event, window in batch if len(window)]
+    window_starts = np.array([event.start - PRE_WINDOW
+                              for event, _ in with_data])
+    features = np.zeros((0, len(FEATURE_NAMES), N_SLOTS))
+    flags = np.zeros(features.shape, dtype=bool)
+    if with_data:
+        windows = [window for _, window in with_data]
+        features = window_slot_features(
+            np.concatenate(windows),
+            np.repeat(np.arange(len(windows)), [len(w) for w in windows]),
+            window_starts)
+        flags = detector.detect(
+            features.reshape(-1, N_SLOTS)).reshape(features.shape)
     # Slots before the corpus began are *artificially* zero; they must
     # not serve as detection history. Re-apply the full-window rule
     # relative to the first real slot.
-    first_real = int(max(0.0, np.ceil((corpus_start - window_start) / SLOT)))
-    if first_real > 0:
-        cutoff = min(first_real + detector.config.min_window, N_SLOTS)
-        flags[:cutoff] = False
+    first_real = np.maximum(np.ceil((corpus_start - window_starts) / SLOT),
+                            0.0).astype(np.int64)
+    cutoff = np.where(first_real > 0,
+                      np.minimum(first_real + detector.config.min_window,
+                                 N_SLOTS), 0)
+    flags &= np.arange(N_SLOTS) >= cutoff[:, None, None]
     levels = flags.sum(axis=1)
-    anomalous = np.flatnonzero(levels > 0)
-    anomalies = tuple(
-        (float((N_SLOTS - s) * SLOT / 60.0), int(levels[s])) for s in anomalous
-    )
-    slots_with_data = int((features[:, 0] > 0).sum())
+    slots_with_data = (features[:, 0, :] > 0).sum(axis=1)
     # Fig. 13: relative rise of the final 5-minute slot
-    means = features.mean(axis=0)
-    last = features[-1]
+    means = features.mean(axis=2)
+    last = features[:, :, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         factors = np.where(means > 0, last / means, np.nan)
-    has_recent = any(off <= anomaly_horizon_min for off, _ in anomalies)
-    return PreRTBHEvent(
-        event_id=event.event_id,
-        classification=(PreRTBHClass.DATA_ANOMALY if has_recent
-                        else PreRTBHClass.DATA_NO_ANOMALY),
-        slots_with_data=slots_with_data,
-        total_packets=total,
-        anomalies=anomalies,
-        amplification_factors=tuple(float(f) for f in factors),
-        last_slot_is_max=bool(last[0] > 0 and last[0] >= features[:, 0].max()),
-    )
+    last_is_max = (last[:, 0] > 0) & (last[:, 0] >= features[:, 0, :].max(
+        axis=1, initial=0.0))
+
+    out: List[PreRTBHEvent] = []
+    b = 0
+    for event, window in batch:
+        if len(window) == 0:
+            out.append(PreRTBHEvent(
+                event_id=event.event_id,
+                classification=PreRTBHClass.NO_DATA,
+                slots_with_data=0, total_packets=0,
+            ))
+            continue
+        anomalous = np.flatnonzero(levels[b] > 0)
+        anomalies = tuple(zip(
+            ((N_SLOTS - anomalous) * SLOT / 60.0).tolist(),
+            levels[b][anomalous].tolist()))
+        has_recent = any(off <= anomaly_horizon_min for off, _ in anomalies)
+        out.append(PreRTBHEvent(
+            event_id=event.event_id,
+            classification=(PreRTBHClass.DATA_ANOMALY if has_recent
+                            else PreRTBHClass.DATA_NO_ANOMALY),
+            slots_with_data=int(slots_with_data[b]),
+            total_packets=len(window),
+            anomalies=anomalies,
+            amplification_factors=tuple(factors[b].tolist()),
+            last_slot_is_max=bool(last_is_max[b]),
+        ))
+        b += 1
+    return out

@@ -81,6 +81,14 @@ class IntervalSet:
         out[valid] = times[valid] < self._ends[idx[valid]]
         return out
 
+    @property
+    def edges(self) -> np.ndarray:
+        """Every interval boundary in time order: ``start_0, end_0,
+        start_1, ...`` (finalized sets only)."""
+        if self._starts is None:
+            raise FabricError("IntervalSet not finalized")
+        return np.column_stack((self._starts, self._ends)).reshape(-1)
+
     def contains_scalar(self, time: float) -> bool:
         return bool(self.contains(np.array([time]))[0])
 
@@ -102,7 +110,6 @@ class IntervalSet:
             else:
                 merged.open_at(current[0])
                 merged.close_at(current[1])
-                current = None
                 current = (start, end)
             end_time = max(end_time, end)
         if current is not None:

@@ -8,6 +8,10 @@ the previous slot keeps a spike from masking itself.
 
 The paper requires a full 24-hour window (288 five-minute slots) before the
 first detection; slots before that are never flagged.
+
+Detection works along the last axis: a ``(series, slots)`` matrix is
+scanned as that many independent series in one call, with the same float
+operations per row as a 1-D call (see :mod:`repro.stats.ewma`).
 """
 
 from __future__ import annotations
@@ -49,13 +53,13 @@ class AnomalyConfig:
 
 
 class EWMAAnomalyDetector:
-    """Flags anomalous slots in a scalar time series."""
+    """Flags anomalous slots in time series (one per row of the input)."""
 
     def __init__(self, config: AnomalyConfig | None = None):
         self.config = config or AnomalyConfig()
 
     def detect(self, series: np.ndarray) -> np.ndarray:
-        """Boolean mask of anomalous slots.
+        """Boolean mask of anomalous slots along the last axis.
 
         A slot ``t`` is anomalous when
         ``x_t > mean_{t-1} + threshold * sd_{t-1}`` and ``t >= min_window``.
@@ -63,19 +67,20 @@ class EWMAAnomalyDetector:
         the mean, so a constant series never alarms.
         """
         x = np.asarray(series, dtype=np.float64)
-        flags = np.zeros(len(x), dtype=bool)
-        if len(x) < 2:
+        flags = np.zeros(x.shape, dtype=bool)
+        if x.shape[-1] < 2:
             return flags
         mean, sd = ewm_mean_std(x, self.config.span)
-        prev_mean, prev_sd = mean[:-1], sd[:-1]
-        exceeds = x[1:] > prev_mean + self.config.threshold * prev_sd
+        prev_mean, prev_sd = mean[..., :-1], sd[..., :-1]
+        current = x[..., 1:]
+        exceeds = current > prev_mean + self.config.threshold * prev_sd
         # With sd == 0 the bound degenerates to "x > mean": require a real
         # jump (strictly above a flat history) to avoid float-noise alarms.
         flat = prev_sd == 0.0
-        exceeds &= ~flat | (x[1:] > prev_mean * (1.0 + 1e-9) + 1e-9)
-        exceeds &= x[1:] >= self.config.min_value
-        flags[1:] = exceeds
-        flags[: self.config.min_window] = False
+        exceeds &= ~flat | (current > prev_mean * (1.0 + 1e-9) + 1e-9)
+        exceeds &= current >= self.config.min_value
+        flags[..., 1:] = exceeds
+        flags[..., : self.config.min_window] = False
         return flags
 
     def detect_multi(self, features: np.ndarray) -> np.ndarray:
@@ -87,10 +92,7 @@ class EWMAAnomalyDetector:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"expected 2-D (slots, features), got {features.shape}")
-        out = np.zeros(features.shape, dtype=bool)
-        for j in range(features.shape[1]):
-            out[:, j] = self.detect(features[:, j])
-        return out
+        return self.detect(np.ascontiguousarray(features.T)).T
 
     def anomaly_level(self, features: np.ndarray) -> np.ndarray:
         """Number of simultaneously anomalous features per slot."""

@@ -10,10 +10,14 @@ i.e. the ``adjust=True`` convention of common data-analysis tools the paper
 cites. The moving standard deviation uses the same weights
 (``sqrt(E_w[x^2] - E_w[x]^2)``, the biased weighted variance).
 
-The recursion ``num_t = x_t + (1-alpha) * num_{t-1}`` is evaluated in
-vectorized blocks: within a block the cumulative sums are computed with a
-single scaling trick, and only the carry crosses block boundaries, so long
-series stay fast and numerically safe.
+Every function works along the last axis, so a ``(series, slots)`` matrix
+is as many independent series in one call. The recursion
+``num_t = x_t + (1-alpha) * num_{t-1}`` is evaluated in vectorized blocks:
+within a block the cumulative sums are computed with a single scaling
+trick, and only the carry crosses block boundaries, so long series stay
+fast and numerically safe. ``cumsum`` along the last axis is a sequential
+accumulate, so each row of a matrix sees the same float operations as the
+1-D call on that row and the results are bit-equal.
 """
 
 from __future__ import annotations
@@ -24,43 +28,46 @@ _BLOCK = 512
 
 
 def _ewm_numerators(x: np.ndarray, alpha: float) -> np.ndarray:
-    """num_t = sum_{i<=t} (1-alpha)^(t-i) * x_i, computed blockwise."""
+    """num_t = sum_{i<=t} (1-alpha)^(t-i) * x_i along the last axis,
+    computed blockwise."""
     decay = 1.0 - alpha
-    n = len(x)
+    n = x.shape[-1]
     if decay <= 0.0:
         return x.astype(np.float64)
     # Keep decay**-block below ~1e87 so the scaling trick cannot overflow.
     block = int(min(_BLOCK, max(1.0, 200.0 / -np.log(decay))))
-    out = np.empty(n, dtype=np.float64)
-    carry = 0.0
+    out = np.empty(x.shape, dtype=np.float64)
+    carry = np.zeros(x.shape[:-1] + (1,), dtype=np.float64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        chunk = x[lo:hi].astype(np.float64)
+        chunk = x[..., lo:hi].astype(np.float64)
         k = hi - lo
         # within the block: num_t = decay^t * cumsum(x_i / decay^i) + decay^(t+1) * carry
         powers = decay ** np.arange(k)
-        scaled = np.cumsum(chunk / powers)
-        out[lo:hi] = powers * scaled + powers * decay * carry
-        carry = out[hi - 1]
+        scaled = np.cumsum(chunk / powers, axis=-1)
+        out[..., lo:hi] = powers * scaled + powers * decay * carry
+        carry = out[..., hi - 1:hi]
     return out
 
 
 def ewm_mean(x: np.ndarray, span: int) -> np.ndarray:
-    """Exponentially weighted moving average with the paper's span
-    convention (``alpha = 2 / (span + 1)``, adjust=True)."""
+    """Exponentially weighted moving average along the last axis, with the
+    paper's span convention (``alpha = 2 / (span + 1)``, adjust=True)."""
     if span < 1:
         raise ValueError(f"span must be >= 1: {span}")
     x = np.asarray(x, dtype=np.float64)
-    if len(x) == 0:
+    if x.shape[-1] == 0:
         return x.copy()
     alpha = 2.0 / (span + 1.0)
     num = _ewm_numerators(x, alpha)
-    den = _ewm_numerators(np.ones_like(x), alpha)
+    # every row shares the one denominator sequence
+    den = _ewm_numerators(np.ones(x.shape[-1]), alpha)
     return num / den
 
 
 def ewm_mean_std(x: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """EWM mean and standard deviation with shared weights.
+    """EWM mean and standard deviation along the last axis, with shared
+    weights.
 
     The variance is the biased weighted variance
     ``E_w[x^2] - (E_w[x])^2``, floored at zero against rounding.

@@ -59,15 +59,28 @@ def estimate_time_offset(
     if total == 0:
         raise AnalysisError("no dropped packets to align")
 
+    # A sample farther than this from every edge of its interval set is
+    # on the same side of all of them at every trial offset (1 s of slack
+    # covers the rounding of ``times + offset``), so it is counted once,
+    # unshifted; only the samples near an edge are scanned per offset.
+    reach = float(np.abs(offsets).max()) + 1.0
     matched = np.zeros(len(offsets), dtype=np.int64)
     for prefix, times in dropped_times_by_prefix.items():
         intervals = announced_intervals.get(prefix)
         if intervals is None or len(intervals) == 0:
             continue
         times = np.asarray(times, dtype=np.float64)
-        for i, offset in enumerate(offsets):
-            # Shift data-plane times onto the control-plane clock.
-            matched[i] += int(intervals.contains(times + offset).sum())
+        edges = intervals.edges
+        right = np.searchsorted(edges, times)
+        gap_before = times - edges[np.maximum(right - 1, 0)]
+        gap_after = edges[np.minimum(right, len(edges) - 1)] - times
+        near = (((right > 0) & (gap_before <= reach))
+                | ((right < len(edges)) & (gap_after <= reach)))
+        matched += int(intervals.contains(times[~near]).sum())
+        # Shift data-plane times onto the control-plane clock.
+        shifted = times[near] + offsets[:, None]
+        matched += intervals.contains(shifted.reshape(-1)).reshape(
+            shifted.shape).sum(axis=1)
 
     share = matched / total
     # On plateaus (several offsets explain the same share) prefer the

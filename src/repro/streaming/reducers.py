@@ -41,12 +41,11 @@ from repro.core.pre_rtbh import (
     PreRTBHClass,
     PreRTBHClassification,
     PreRTBHEvent,
-    classify_single_event,
+    classify_pre_rtbh_events,
 )
 from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError, StreamError
 from repro.net.ip import IPv4Prefix
-from repro.stats.anomaly import AnomalyConfig, EWMAAnomalyDetector
 
 
 class ControlReducer:
@@ -249,7 +248,7 @@ class TrafficReducer:
 
 
 class PreRTBHReducer:
-    """§5.2–5.3 classification, one event at a time.
+    """§5.2–5.3 classification of each event, once.
 
     Classification of an event depends only on (a) data strictly before
     the event start and (b) the fixed corpus start time, both immutable
@@ -264,17 +263,16 @@ class PreRTBHReducer:
 
     def advance(self, data: DataPlaneCorpus,
                 events: Sequence[RTBHEvent]) -> int:
-        """Classify events not seen before; returns how many were new."""
+        """Classify events not seen before, in one batched call; returns
+        how many were new."""
         pending = [ev for ev in events
                    if ev.event_id not in self.classified]
         if not pending:
             return 0
-        detector = EWMAAnomalyDetector(AnomalyConfig())
-        corpus_start = data.start_time if len(data) else 0.0
-        for event in pending:
-            self.classified[event.event_id] = classify_single_event(
-                data, event, detector, corpus_start=corpus_start,
-                anomaly_horizon_min=self.anomaly_horizon_min)
+        classified = classify_pre_rtbh_events(
+            data, pending, anomaly_horizon_min=self.anomaly_horizon_min)
+        for event in classified.events:
+            self.classified[event.event_id] = event
         return len(pending)
 
     def classification(self, events: Sequence[RTBHEvent],

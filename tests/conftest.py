@@ -3,9 +3,15 @@ analysis pipeline. Small enough (< 2 s) to keep the suite fast while still
 exercising every analysis end to end."""
 
 import pytest
+from hypothesis import settings
 
 from repro import AnalysisPipeline
 from repro.scenario import ScenarioConfig, run_scenario
+
+# Opt-in (``pytest --hypothesis-profile ci``): the property and oracle
+# tests that leave ``max_examples`` to the profile run ten times as many
+# examples, without a deadline. The default profile is Hypothesis's own.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

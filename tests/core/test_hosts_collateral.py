@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp import BLACKHOLE
 from repro.bgp.message import announce, withdraw
 from repro.core.collateral import collateral_damage
 from repro.core.events import RTBHEvent, extract_events
-from repro.core.hosts import HostClass, classify_hosts, host_port_features
+from repro.core.hosts import (
+    HostClass,
+    _daily_top_ports,
+    classify_hosts,
+    host_port_features,
+)
 from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
 from repro.dataplane.packet import packets_from_arrays
 from repro.net import IPv4Address, IPv4Prefix
@@ -118,6 +125,45 @@ class TestHostClassification:
                                extract_events(control), min_days=1)
         assert study.hosts == []
 
+    def test_nested_prefix_events_both_excluded(self):
+        # one host under a /24 and a /32 RTBH event: traffic inside either
+        # event (or its reaction margin) must not reach the profile
+        rng = np.random.default_rng(8)
+        cols = daily_traffic(SERVER_IP, 25, 443, False, rng)
+        net24 = IPv4Prefix(SERVER_IP & 0xFFFFFF00, 24)
+        host32 = IPv4Prefix(SERVER_IP, 32)
+        windows = {net24: (10 * DAY, 10 * DAY + 3600.0),
+                   host32: (20 * DAY, 20 * DAY + 3600.0)}
+        msgs = []
+        for prefix, (start, end) in windows.items():
+            msgs.append(announce(start, 100, prefix, NH, as_path=(100, 65001),
+                                 communities=frozenset({BLACKHOLE})))
+            msgs.append(withdraw(end, 100, prefix))
+            for k in range(6):   # odd ports, margin and event alike
+                t = start - 500.0 + k * 700.0
+                for key, value in (("time", t), ("src_ip", 9000 + k),
+                                   ("dst_ip", SERVER_IP),
+                                   ("src_port", 1000 + k),
+                                   ("dst_port", 2000 + k), ("protocol", 17),
+                                   ("dropped", False)):
+                    cols[key].append(value)
+        control = ControlPlaneCorpus(sorted(msgs, key=lambda m: m.time))
+        events = extract_events(control)
+        assert {ev.prefix for ev in events} == set(windows)
+        data = build_data(cols)
+        clean = classify_hosts(control_for(SERVER_IP),
+                               build_data(daily_traffic(
+                                   SERVER_IP, 25, 443, False,
+                                   np.random.default_rng(8))),
+                               [], min_days=20)
+        study = classify_hosts(control, data, events, min_days=20)
+        [host] = study.hosts
+        [want] = clean.hosts
+        assert host.port_features == want.port_features
+        assert host.top_ports == ((6, 443),)
+        assert host.active_days == 25
+        assert host.classification is HostClass.SERVER
+
     def test_radviz_matrix_shape(self):
         rng = np.random.default_rng(5)
         data = build_data(daily_traffic(SERVER_IP, 25, 443, False, rng))
@@ -130,6 +176,33 @@ class TestHostClassification:
     def test_port_features_empty(self):
         empty = packets_from_arrays({})
         assert host_port_features(empty, empty) == (0, 0, 0, 0)
+
+
+def oracle_daily_top_ports(incoming):
+    """Per-day ``np.unique`` loop: the reference for the one-sort scan."""
+    tops = set()
+    days = (incoming["time"] // DAY).astype(np.int64)
+    for day in np.unique(days):
+        chunk = incoming[days == day]
+        key = chunk["protocol"].astype(np.int64) << 16
+        key |= chunk["dst_port"].astype(np.int64)
+        values, counts = np.unique(key, return_counts=True)
+        top = int(values[np.argmax(counts)])
+        tops.add((top >> 16, top & 0xFFFF))
+    return tops
+
+
+class TestDailyTopPortsOracle:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([6, 17]),
+                              st.integers(0, 3)), max_size=40))
+    def test_matches_per_day_unique_loop(self, rows):
+        incoming = packets_from_arrays({
+            "time": np.array([t * DAY / 8 for t, _, _ in rows], dtype=np.float64),
+            "protocol": np.array([p for _, p, _ in rows], dtype=np.uint8),
+            "dst_port": np.array([port for _, _, port in rows], dtype=np.uint16),
+        })
+        assert _daily_top_ports(incoming) == oracle_daily_top_ports(incoming)
 
 
 class TestCollateral:

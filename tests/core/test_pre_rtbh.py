@@ -3,7 +3,10 @@ with planted anomalies."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import pre_rtbh
 from repro.core.events import RTBHEvent
 from repro.core.pre_rtbh import (
     N_SLOTS,
@@ -12,6 +15,7 @@ from repro.core.pre_rtbh import (
     SLOT,
     classify_pre_rtbh_events,
     slot_features,
+    window_slot_features,
 )
 from repro.corpus import DataPlaneCorpus
 from repro.dataplane.packet import packets_from_arrays
@@ -89,6 +93,116 @@ class TestSlotFeatures:
     def test_out_of_range_ignored(self):
         packets = packets_from_arrays({"time": np.array([-5.0, 1e9])})
         assert slot_features(packets, 0.0).sum() == 0
+
+
+def oracle_slot_features(packets, window_start, n_slots, slot):
+    """The per-slot ``np.unique`` loop: the reference for the batched
+    features, ``(5, n_slots)``."""
+    features = np.zeros((5, n_slots))
+    slots = ((packets["time"] - window_start) // slot).astype(np.int64)
+    flow_key = (
+        packets["src_ip"].astype(np.uint64) * np.uint64(2654435761)
+        ^ (packets["dst_ip"].astype(np.uint64) << np.uint64(16))
+        ^ (packets["src_port"].astype(np.uint64) << np.uint64(32))
+        ^ (packets["dst_port"].astype(np.uint64) << np.uint64(48))
+        ^ packets["protocol"].astype(np.uint64)
+    )
+    for s in range(n_slots):
+        rows = slots == s
+        chunk, keys = packets[rows], flow_key[rows]
+        non_tcp = chunk["protocol"] != 6
+        features[:, s] = (rows.sum(), len(np.unique(keys)),
+                          len(np.unique(chunk["src_ip"])),
+                          len(np.unique(chunk["dst_port"])),
+                          len(np.unique(keys[non_tcp])))
+    return features
+
+
+@st.composite
+def tagged_windows(draw):
+    """Rows of several windows, tagged with their window, in any order.
+
+    Small value pools make repeated flows, sources and ports common;
+    times reach before and past each window, and whole slots may carry
+    only non-TCP traffic or nothing at all.
+    """
+    n_windows = draw(st.integers(1, 5))
+    n_slots = draw(st.integers(1, 6))
+    starts = draw(st.lists(st.integers(0, 40), min_size=n_windows,
+                           max_size=n_windows))
+    n = draw(st.integers(0, 60))
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))
+    window = np.array(column(st.integers(0, n_windows - 1)), dtype=np.int64)
+    offset = np.array(column(st.integers(-3, 3 * n_slots + 3)), dtype=np.float64)
+    window_starts = np.array(starts, dtype=np.float64) * 5.0
+    packets = packets_from_arrays({
+        "time": window_starts[window] + offset * 10.0 / 3.0 if n else np.zeros(0),
+        "src_ip": np.array(column(st.integers(0, 3)), dtype=np.uint32),
+        "dst_ip": np.array(column(st.sampled_from([VIP, VIP + 1])),
+                           dtype=np.uint32),
+        "src_port": np.array(column(st.sampled_from([53, 123, 40000])),
+                             dtype=np.uint16),
+        "dst_port": np.array(column(st.integers(0, 2)), dtype=np.uint16),
+        "protocol": np.array(column(st.sampled_from([6, 6, 17, 1])),
+                             dtype=np.uint8),
+    })
+    return packets, window, window_starts, n_slots
+
+
+class TestWindowSlotFeaturesOracle:
+    @settings(deadline=None)
+    @given(tagged_windows())
+    def test_matches_per_slot_unique_loop(self, case):
+        packets, window, window_starts, n_slots = case
+        slot = 10.0
+        got = window_slot_features(packets, window, window_starts,
+                                   n_slots=n_slots, slot=slot)
+        assert got.shape == (len(window_starts), 5, n_slots)
+        for w, start in enumerate(window_starts):
+            want = oracle_slot_features(packets[window == w], start,
+                                        n_slots, slot)
+            assert np.array_equal(got[w], want)
+
+    def test_non_tcp_only_and_empty_slots(self):
+        packets = packets_from_arrays({
+            "time": np.array([1.0, 2.0, 21.0, 22.0, 23.0]),
+            "src_ip": np.array([1, 1, 2, 2, 3], dtype=np.uint32),
+            "src_port": np.array([5, 5, 6, 7, 6], dtype=np.uint16),
+            "protocol": np.array([17, 17, 1, 6, 1], dtype=np.uint8),
+        })
+        got = window_slot_features(packets, np.zeros(5, dtype=np.int64),
+                                   [0.0], n_slots=3, slot=10.0)[0]
+        assert np.array_equal(got, oracle_slot_features(packets, 0.0, 3, 10.0))
+        assert np.array_equal(got[:, 1], np.zeros(5))   # the empty slot
+        assert got[4, 0] == 1 and got[4, 2] == 2        # non-TCP flows
+
+
+class TestBatchBoundaries:
+    def test_row_budget_does_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        end = PRE_WINDOW + 3 * 3600.0
+        data = combine(
+            baseline_packets(rng, 0.0, end),
+            attack_packets(rng, PRE_WINDOW + 3000.0, PRE_WINDOW + 3500.0),
+        )
+        # truncated windows, a window without data, full windows that end
+        # at, during and after the attack
+        events = [make_event(i, 20 * 3600.0 + i * 2400.0) for i in range(4)]
+        events += [make_event(4 + i, PRE_WINDOW + 2400.0 + i * 600.0)
+                   for i in range(4)]
+        events.append(RTBHEvent(event_id=8, prefix=IPv4Prefix("198.51.100.0/24"),
+                                windows=((end, end + 60.0),),
+                                announcer_asns=(100,), origin_asn=65000))
+        events.append(make_event(9, PRE_WINDOW + 3600.0))
+        runs = {}
+        for budget in (1, 10**9):
+            monkeypatch.setattr(pre_rtbh, "_BATCH_ROWS", budget)
+            runs[budget] = classify_pre_rtbh_events(data, events).events
+        assert [e.event_id for e in runs[1]] == list(range(10))
+        classes = {e.classification for e in runs[1]}
+        assert classes == set(PreRTBHClass)
+        # repr: NaN amplification factors compare unequal to themselves
+        assert repr(runs[1]) == repr(runs[10**9])
 
 
 class TestClassification:

@@ -67,6 +67,17 @@ class TestIntervalSet:
         with pytest.raises(FabricError):
             IntervalSet().contains(np.array([1.0]))
 
+    def test_edges_in_time_order(self):
+        iset = IntervalSet()
+        iset.open_at(10.0)
+        iset.close_at(20.0)
+        iset.open_at(20.0)
+        iset.finalize(40.0)
+        assert iset.edges.tolist() == [10.0, 20.0, 20.0, 40.0]
+        assert IntervalSet().finalize(0.0).edges.tolist() == []
+        with pytest.raises(FabricError):
+            IntervalSet().edges
+
     def test_total_duration(self):
         iset = IntervalSet()
         iset.open_at(0.0)

@@ -74,6 +74,30 @@ class TestMultiFeature:
             detector().detect_multi(np.zeros(10))
 
 
+class TestBatchedRows:
+    @pytest.mark.parametrize("n", (1, 2, 511, 512, 513, 864, 1500))
+    def test_2d_detect_equals_rows(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.poisson(3.0, size=(5, n)).astype(np.float64)
+        x[:, n // 2:] += rng.poisson(0.05, size=(5, n - n // 2)) * 200.0
+        x[3] = 0.0
+        det = EWMAAnomalyDetector(AnomalyConfig())
+        flags = det.detect(x)
+        assert flags.shape == x.shape
+        for row, values in enumerate(x):
+            assert np.array_equal(flags[row], det.detect(values))
+
+    def test_detect_multi_is_detect_per_column(self):
+        rng = np.random.default_rng(4)
+        features = rng.normal(100.0, 5.0, size=(400, 5))
+        features[300, :2] += 300.0
+        det = detector()
+        multi = det.detect_multi(features)
+        for j in range(5):
+            assert np.array_equal(multi[:, j], det.detect(features[:, j]))
+        assert multi[300].sum() >= 2
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [{"span": 0}, {"threshold": 0.0}, {"min_window": 0}])
     def test_invalid(self, kw):

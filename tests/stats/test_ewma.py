@@ -18,6 +18,59 @@ def reference_ewm_mean(x, span):
     return out
 
 
+def scalar_ewm_mean(x, span, block=512):
+    """The 1-D blockwise recursion, one series per call: the bit-exact
+    reference for the batched kernel."""
+    decay = 1.0 - 2.0 / (span + 1.0)
+
+    def numerators(values):
+        if decay <= 0.0:
+            return values.astype(np.float64)
+        step = int(min(block, max(1.0, 200.0 / -np.log(decay))))
+        out = np.empty(len(values))
+        carry = 0.0
+        for lo in range(0, len(values), step):
+            hi = min(lo + step, len(values))
+            powers = decay ** np.arange(hi - lo)
+            scaled = np.cumsum(values[lo:hi].astype(np.float64) / powers)
+            out[lo:hi] = powers * scaled + powers * decay * carry
+            carry = out[hi - 1]
+        return out
+
+    return numerators(x) / numerators(np.ones_like(x))
+
+
+LENGTHS = (1, 2, 511, 512, 513, 864, 1500)
+
+
+class TestBatchedRows:
+    """A ``(rows, n)`` call equals the 1-D calls row by row, bit for bit."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("span", (1, 2, 50, 288))
+    def test_mean_and_sd_rows_equal_1d(self, n, span):
+        rng = np.random.default_rng(n + span)
+        x = rng.poisson(2.0, size=(6, n)) * rng.random((6, n))
+        x[1] = 0.0
+        x[2] = 7.0
+        mean, sd = ewm_mean_std(x, span)
+        for row, values in enumerate(x):
+            row_mean, row_sd = ewm_mean_std(values, span)
+            assert np.array_equal(mean[row], row_mean)
+            assert np.array_equal(sd[row], row_sd)
+            assert np.array_equal(mean[row], scalar_ewm_mean(values, span))
+
+    def test_three_axes(self):
+        x = np.random.default_rng(1).random((2, 3, 600))
+        got = ewm_mean(x, 288)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], ewm_mean(x[i, j], 288))
+
+    def test_empty_rows(self):
+        assert ewm_mean(np.zeros((3, 0)), 5).shape == (3, 0)
+
+
 class TestEWMMean:
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(0)

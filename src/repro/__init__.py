@@ -33,25 +33,57 @@ The layers underneath stay importable for fine-grained work::
     print(pipeline.run("table2_pre_classes"))
 """
 
-from repro.api import (
-    AnalyzeOptions,
-    GenerateOptions,
-    StreamOptions,
-    Study,
-)
-from repro.core.pipeline import AnalysisPipeline
-from repro.core.registry import ANALYSES, AnalysisSpec, get_analysis
-from repro.core.study import AnalysisStatus, StudyReport
-from repro.corpus import (
-    ControlPlaneCorpus,
-    DataPlaneCorpus,
-    validate_corpus,
-    write_manifest,
-)
-from repro.corpus.ingest import ErrorPolicy
-from repro.scenario import ScenarioConfig, ScenarioResult, run_scenario
+import importlib
+import sys
+from typing import Dict, Iterable
 
 __version__ = "1.2.0"
+
+
+def _lazy_exports(module_name: str, exports: Dict[str, Iterable[str]]):
+    """The PEP 562 ``(__getattr__, __dir__)`` pair of a module whose
+    re-exports load on first use.
+
+    ``exports`` maps a defining module to the public names re-exported
+    from it.  A name is imported on its first attribute access and then
+    cached in the module namespace, so ``import repro.corpus`` costs
+    nothing until a name is used.  A name listed under the module
+    ``f"{module_name}.{name}"`` is that submodule itself.
+    """
+    sources = {name: source for source, names in exports.items()
+               for name in names}
+
+    def __getattr__(name: str):
+        try:
+            source = sources[name]
+        except KeyError:
+            raise AttributeError(f"module {module_name!r} has no "
+                                 f"attribute {name!r}") from None
+        module = importlib.import_module(source)
+        value = (module if source == f"{module_name}.{name}"
+                 else getattr(module, name))
+        setattr(sys.modules[module_name], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[module_name])) | set(sources))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.api": ("AnalyzeOptions", "GenerateOptions", "StreamOptions",
+                  "Study"),
+    "repro.core.pipeline": ("AnalysisPipeline",),
+    "repro.core.registry": ("ANALYSES", "AnalysisSpec", "get_analysis"),
+    "repro.core.study": ("AnalysisStatus", "StudyReport"),
+    "repro.corpus.control": ("ControlPlaneCorpus",),
+    "repro.corpus.data": ("DataPlaneCorpus",),
+    "repro.corpus.ingest": ("ErrorPolicy",),
+    "repro.corpus.manifest": ("validate_corpus", "write_manifest"),
+    "repro.scenario.config": ("ScenarioConfig",),
+    "repro.scenario.runner": ("ScenarioResult", "run_scenario"),
+})
 
 __all__ = [
     "ANALYSES",

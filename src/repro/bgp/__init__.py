@@ -6,30 +6,21 @@ Only the UPDATE-level semantics the measurement study consumes are
 modelled; session management (OPEN/KEEPALIVE, timers) is out of scope.
 """
 
-from repro.bgp.community import (
-    BLACKHOLE,
-    GRACEFUL_SHUTDOWN,
-    NO_ADVERTISE,
-    NO_EXPORT,
-    Community,
-    announce_to,
-    do_not_announce_to,
-    suppress_all,
-)
-from repro.bgp.message import BGPUpdate, UpdateAction
-from repro.bgp.route import Route
-from repro.bgp.rib import AdjRIBIn, LocRIB
-from repro.bgp.policy import (
-    AcceptAllPolicy,
-    BlackholeWhitelistPolicy,
-    FullBlackholePolicy,
-    ImportPolicy,
-    MaxPrefixLengthPolicy,
-    NoBlackholePolicy,
-    PartialBlackholePolicy,
-    PolicyDecision,
-)
-from repro.bgp.route_server import RouteServer, RouteServerPeer
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.bgp.community": ("BLACKHOLE", "GRACEFUL_SHUTDOWN", "NO_ADVERTISE",
+                            "NO_EXPORT", "Community", "announce_to",
+                            "do_not_announce_to", "suppress_all"),
+    "repro.bgp.message": ("BGPUpdate", "UpdateAction"),
+    "repro.bgp.route": ("Route",),
+    "repro.bgp.rib": ("AdjRIBIn", "LocRIB"),
+    "repro.bgp.policy": ("AcceptAllPolicy", "BlackholeWhitelistPolicy",
+                         "FullBlackholePolicy", "ImportPolicy",
+                         "MaxPrefixLengthPolicy", "NoBlackholePolicy",
+                         "PartialBlackholePolicy", "PolicyDecision"),
+    "repro.bgp.route_server": ("RouteServer", "RouteServerPeer"),
+})
 
 __all__ = [
     "Community",

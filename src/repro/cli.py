@@ -118,21 +118,9 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro import AnalysisPipeline, ControlPlaneCorpus, DataPlaneCorpus
-from repro import telemetry
-from repro.core.hosts import HostClass
-from repro.core.report import format_table, pct, seconds_human
-from repro.core.study import StudyReport
-from repro.corpus.ingest import ErrorPolicy
-from repro.corpus.manifest import (
-    CONTROL_FILE,
-    DATA_FILE,
-    MANIFEST_FILE,
-    META_FILE,
-    validate_corpus,
-)
-from repro.corpus.platform import load_platform
+from repro import _lazy_exports
 from repro.errors import (
     CheckpointError,
     DoctorError,
@@ -147,9 +135,19 @@ from repro.errors import (
     TapError,
     TelemetryError,
 )
-from repro.faults import FaultSpec, degrade_corpus_dir
-from repro.scenario import ScenarioConfig, run_scenario
-from repro.telemetry.report import load_trace, render_report
+
+if TYPE_CHECKING:
+    from repro import telemetry
+    from repro.core.pipeline import AnalysisPipeline
+    from repro.core.study import StudyReport
+
+# Start-up cost is paid by every command, so this module imports nothing
+# of the package beyond the error types: each ``_cmd_*`` handler imports
+# what it runs, and the corpus file names resolve on first use.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.corpus.manifest": ("CONTROL_FILE", "DATA_FILE", "MANIFEST_FILE",
+                              "META_FILE"),
+})
 
 #: process exit codes (documented in the module docstring)
 EXIT_OK = 0
@@ -181,6 +179,8 @@ def _make_telemetry(args: argparse.Namespace) -> telemetry.Telemetry:
     (``--trace``, ``--metrics``, or ``--progress``); otherwise the shared
     no-op backend keeps the instrumentation free.
     """
+    from repro import telemetry
+
     wants_progress = getattr(args, "progress", False) and not getattr(
         args, "quiet", False)
     progress = (lambda line: print(line, file=sys.stderr)) \
@@ -204,6 +204,8 @@ def _write_telemetry(telem: telemetry.Telemetry, args: argparse.Namespace,
 def _paper_config(args: argparse.Namespace):
     """The paper scenario ``--scale``/``--days``/``--seed`` describe, or
     None (after printing why) when they are invalid."""
+    from repro.scenario.config import ScenarioConfig
+
     try:
         return ScenarioConfig.paper(scale=args.scale,
                                     duration_days=args.days, seed=args.seed)
@@ -213,6 +215,7 @@ def _paper_config(args: argparse.Namespace):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro import telemetry
     from repro.runtime.generate import checkpointed_generate
 
     config = _paper_config(args)
@@ -239,6 +242,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _check_corpus_files(path: Path) -> int:
+    from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, META_FILE
+
     for required in (CONTROL_FILE, DATA_FILE, META_FILE):
         if not (path / required).exists():
             print(f"error: {path / required} missing", file=sys.stderr)
@@ -286,10 +291,11 @@ def _analyze_cache(args: argparse.Namespace, path: Path):
     != 1) defaults to the corpus-local cache. Plain serial runs stay
     cache-free.
     """
-    from repro.parallel.cache import ResultCache, corpus_digest
-
     if not args.cache_dir and args.jobs == 1:
         return None, None
+    from repro.corpus.manifest import MANIFEST_FILE
+    from repro.parallel.cache import ResultCache, corpus_digest
+
     digest = corpus_digest(path)
     if digest is None:
         print(f"warning: {path}/{MANIFEST_FILE} missing or unusable; "
@@ -303,6 +309,14 @@ def _analyze_cache(args: argparse.Namespace, path: Path):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro import telemetry
+    from repro.core.pipeline import AnalysisPipeline
+    from repro.corpus.control import ControlPlaneCorpus
+    from repro.corpus.data import DataPlaneCorpus
+    from repro.corpus.ingest import ErrorPolicy
+    from repro.corpus.manifest import CONTROL_FILE, DATA_FILE
+    from repro.corpus.platform import load_platform
+
     path = Path(args.corpus)
     rc = _check_corpus_files(path)
     if rc != EXIT_OK:
@@ -366,6 +380,7 @@ def _tap_session(args: argparse.Namespace, path: Path):
     """Build the supervised tap session for ``watch --tap``, or None."""
     if not args.tap:
         return None
+    from repro.corpus.ingest import ErrorPolicy
     from repro.runtime.retry import RetryPolicy
     from repro.taps import BackpressurePolicy, TapConfig, TapSession
 
@@ -399,6 +414,8 @@ def _slo_rules(args: argparse.Namespace):
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
+    from repro import telemetry
+    from repro.corpus.ingest import ErrorPolicy
     from repro.obs import ObsPlane
     from repro.parallel.cache import ResultCache
     from repro.streaming import StreamEngine, reset_stream
@@ -501,6 +518,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_advance(args: argparse.Namespace) -> int:
+    from repro import telemetry
     from repro.streaming import advance_corpus
 
     path = Path(args.corpus)
@@ -563,6 +581,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
+    from repro import telemetry
+    from repro.core.pipeline import AnalysisPipeline
+    from repro.scenario.runner import run_scenario
+
     config = _paper_config(args)
     if config is None:
         return EXIT_USAGE
@@ -586,6 +608,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.corpus.manifest import validate_corpus
+
     path = Path(args.corpus)
     if not path.is_dir():
         print(f"error: {path} is not a directory", file=sys.stderr)
@@ -599,7 +623,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    from repro.doctor import repair_corpus, scrub_corpus
+    from repro import telemetry
+    from repro.doctor.scrub import scrub_corpus
 
     path = Path(args.corpus)
     telem = _make_telemetry(args)
@@ -614,6 +639,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
                                   cache_dir=args.cache_dir or None)
             repair = None
             if args.repair and not report.clean:
+                from repro.doctor.repair import repair_corpus
+
                 repair = repair_corpus(path, report, deep=deep,
                                        cache_dir=args.cache_dir or None)
                 repair.verified = scrub_corpus(
@@ -640,6 +667,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.telemetry.report import load_trace, render_report
+
     path = Path(args.trace)
     if not path.exists():
         print(f"error: {path} does not exist", file=sys.stderr)
@@ -654,6 +683,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    from repro.corpus.manifest import MANIFEST_FILE
+    from repro.faults.inject import degrade_corpus_dir
+    from repro.faults.spec import FaultSpec
+
     src, dst = Path(args.corpus), Path(args.out)
     rc = _check_corpus_files(src)
     if rc != EXIT_OK:
@@ -679,6 +712,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _print_study(pipeline: AnalysisPipeline, report: StudyReport) -> None:
+    from repro.core.hosts import HostClass
+    from repro.core.report import format_table, pct, seconds_human
+
     if not report.ok or any(report.warnings):
         print(report.format())
         print()

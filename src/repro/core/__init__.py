@@ -7,28 +7,28 @@ scenario ground truth, so the pipeline would run unchanged on real IXP
 data of the same shape.
 """
 
-from repro.core.events import RTBHEvent, extract_events, merge_threshold_sweep
-from repro.core.offset import time_offset_analysis
-from repro.core.load import rtbh_load_series
-from repro.core.visibility import targeted_visibility
-from repro.core.droprate import (
-    drop_rate_by_prefix_length,
-    drop_rate_cdf_by_length,
-    top_source_reactions,
-    top_source_org_types,
-)
-from repro.core.pre_rtbh import (
-    PreRTBHClassification,
-    classify_pre_rtbh_events,
-    slot_features,
-)
-from repro.core.protocols import event_protocol_mix, amplification_protocol_table
-from repro.core.filtering import filterable_share_cdf, as_participation
-from repro.core.hosts import HostClass, classify_hosts, host_port_features
-from repro.core.collateral import collateral_damage
-from repro.core.classify import UseCase, classify_events
-from repro.core.crossval import CrossValidation, cross_validate
-from repro.core.pipeline import AnalysisPipeline
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.events": ("RTBHEvent", "extract_events",
+                          "merge_threshold_sweep"),
+    "repro.core.offset": ("time_offset_analysis",),
+    "repro.core.load": ("rtbh_load_series",),
+    "repro.core.visibility": ("targeted_visibility",),
+    "repro.core.droprate": ("drop_rate_by_prefix_length",
+                            "drop_rate_cdf_by_length",
+                            "top_source_reactions", "top_source_org_types"),
+    "repro.core.pre_rtbh": ("PreRTBHClassification",
+                            "classify_pre_rtbh_events", "slot_features"),
+    "repro.core.protocols": ("event_protocol_mix",
+                             "amplification_protocol_table"),
+    "repro.core.filtering": ("filterable_share_cdf", "as_participation"),
+    "repro.core.hosts": ("HostClass", "classify_hosts", "host_port_features"),
+    "repro.core.collateral": ("collateral_damage",),
+    "repro.core.classify": ("UseCase", "classify_events"),
+    "repro.core.crossval": ("CrossValidation", "cross_validate"),
+    "repro.core.pipeline": ("AnalysisPipeline",),
+})
 
 __all__ = [
     "RTBHEvent",

@@ -38,6 +38,7 @@ from repro.core.study import StudyReport
 from repro.corpus.control import ControlPlaneCorpus
 from repro.corpus.data import DataPlaneCorpus
 from repro.ixp.peeringdb import PeeringDB
+from repro.runtime.supervisor import run_analyses
 
 #: every analysis `run_all` executes, in study order; names are registry
 #: names (see :data:`repro.core.registry.ANALYSES`) so reports stay
@@ -237,8 +238,6 @@ class AnalysisPipeline:
         and config hash to key on) skips analyses whose results are
         already cached for this exact corpus + config.
         """
-        from repro.runtime.supervisor import run_analyses
-
         return run_analyses(self, analyses=analyses, jobs=jobs,
                             policy=supervisor, strict=strict,
                             journal=checkpoint, cache=cache,

@@ -3,19 +3,17 @@ numpy-backed data-plane store of sampled packets, with persistence,
 per-record error policies, and manifest-based integrity validation.
 """
 
-from repro.corpus.control import ControlPlaneCorpus, RTBH_RELATED
-from repro.corpus.data import DataPlaneCorpus
-from repro.corpus.ingest import IngestProblem, IngestReport
-from repro.corpus.manifest import (
-    CONTROL_FILE,
-    DATA_FILE,
-    MANIFEST_FILE,
-    META_FILE,
-    ValidationIssue,
-    ValidationReport,
-    validate_corpus,
-    write_manifest,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.corpus.control": ("ControlPlaneCorpus", "RTBH_RELATED"),
+    "repro.corpus.data": ("DataPlaneCorpus",),
+    "repro.corpus.ingest": ("IngestProblem", "IngestReport"),
+    "repro.corpus.manifest": ("CONTROL_FILE", "DATA_FILE", "MANIFEST_FILE",
+                              "META_FILE", "ValidationIssue",
+                              "ValidationReport", "validate_corpus",
+                              "write_manifest"),
+})
 
 __all__ = [
     "ControlPlaneCorpus",

@@ -13,7 +13,16 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bgp.community import Community
 from repro.bgp.message import BGPUpdate, UpdateAction
@@ -218,23 +227,71 @@ def update_to_json(msg: BGPUpdate) -> dict:
     }
 
 
-def update_from_json(raw: dict) -> BGPUpdate:
+def update_from_json(raw: dict,
+                     memo: Optional[Dict[tuple, object]] = None) -> BGPUpdate:
     """Parse one JSONL record; raises ``KeyError``/``ValueError``/
-    :class:`~repro.errors.ReproError` on malformed input."""
+    :class:`~repro.errors.ReproError` on malformed input.
+
+    ``memo`` is a cache shared by the records of one read: it maps a
+    field's raw JSON value to the immutable value parsed from it, so an
+    action, prefix, next hop, AS path or community set that repeats
+    across lines is parsed once and shared.  A value whose parse raises is
+    never cached, so every malformed line fails exactly as it would
+    without the cache.
+    """
     if not isinstance(raw, dict):
         raise ValueError(f"record is not an object: {type(raw).__name__}")
+    if memo is None:
+        memo = {}
     return BGPUpdate(
         time=float(raw["time"]),
         peer_asn=int(raw["peer_asn"]),
-        action=UpdateAction(raw["action"]),
-        prefix=IPv4Prefix(raw["prefix"]),
+        action=_parsed(memo, "action", raw["action"], UpdateAction),
+        prefix=_parsed(memo, "prefix", raw["prefix"], IPv4Prefix),
         next_hop=(None if raw["next_hop"] is None
-                  else IPv4Address(raw["next_hop"])),
-        as_path=tuple(int(asn) for asn in raw["as_path"]),
-        communities=frozenset(
-            Community.parse(c) for c in raw["communities"]
-        ),
+                  else _parsed(memo, "next_hop", raw["next_hop"],
+                               IPv4Address)),
+        as_path=_parsed(memo, "as_path", raw["as_path"], _parse_as_path),
+        communities=_parsed(memo, "communities", raw["communities"],
+                            _parse_communities),
     )
+
+
+def _parse_as_path(raw) -> Tuple[int, ...]:
+    return tuple(int(asn) for asn in raw)
+
+
+def _parse_communities(raw) -> FrozenSet[Community]:
+    return frozenset(Community.parse(c) for c in raw)
+
+
+_MISS = object()
+
+
+def _parsed(memo: Dict[tuple, object], field: str, raw, parse):
+    """``parse(raw)``, shared through ``memo`` when ``raw`` is a string
+    or a list.
+
+    Keys compare by value, so two raw values may share a key only if
+    they parse alike: strings equal only identical strings, the action,
+    address and prefix parsers reject lists, the community parser
+    rejects non-strings, and ``int()`` agrees on numbers that compare
+    equal.  Every other type is parsed uncached.
+    """
+    kind = type(raw)
+    if kind is str:
+        key = (field, raw)
+    elif kind is list:
+        key = (field, tuple(raw))
+    else:
+        return parse(raw)
+    try:
+        value = memo.get(key, _MISS)
+    except TypeError:  # an unhashable element: parse uncached
+        return parse(raw)
+    if value is _MISS:
+        value = memo[key] = parse(raw)
+    return value
 
 
 def write_updates_jsonl(messages: Sequence[BGPUpdate],
@@ -260,13 +317,14 @@ def read_updates_jsonl(
         fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         raise IngestError(f"{path}: cannot open: {exc}") from exc
+    memo: Dict[tuple, object] = {}
     with fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield line_no, update_from_json(json.loads(line))
+                yield line_no, update_from_json(json.loads(line), memo)
             except (KeyError, ValueError, TypeError, ReproError) as exc:
                 if on_error == "strict":
                     raise IngestError(

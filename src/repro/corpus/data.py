@@ -27,11 +27,18 @@ class DataPlaneCorpus:
     timestamps raise under ``on_error="strict"`` (default) and are
     dropped — with accounting in :attr:`ingest_report` — under
     ``"skip"``/``"collect"``.
+
+    The corpus never aliases the caller's array: rows are gathered into
+    time order (a stable sort, so equal timestamps keep their input
+    order), or copied when they are already in order.  ``copy=False``
+    hands the array over instead of copying it; the caller must not
+    touch it afterwards.
     """
 
     def __init__(self, packets: np.ndarray, sampling_rate: int = 10_000, *,
                  on_error: str = "strict",
-                 ingest_report: Optional[IngestReport] = None):
+                 ingest_report: Optional[IngestReport] = None,
+                 copy: bool = True):
         check_policy(on_error)
         if not isinstance(packets, np.ndarray) or packets.dtype != PACKET_DTYPE:
             raise CorpusError(
@@ -63,8 +70,12 @@ class DataPlaneCorpus:
                     f"bad timestamp {packets['time'][index]!r}")
             report.skipped += n_bad - min(n_bad, 8)
             packets = packets[~bad]
-        order = np.argsort(packets["time"], kind="stable")
-        self._packets = packets[order]
+            copy = False  # the filtered array is already a fresh one
+        times = packets["time"]
+        if np.all(times[1:] >= times[:-1]):
+            self._packets = packets.copy() if copy else packets
+        else:
+            self._packets = packets[np.argsort(times, kind="stable")]
         # contiguous copies of the two fields every window gather reads:
         # searchsorted over the strided ``time`` field of the packed
         # records copies it on every call
@@ -218,7 +229,7 @@ class DataPlaneCorpus:
             report = IngestReport(source=str(path), policy=on_error)
             report.total = len(packets)
             corpus = cls(packets, sampling_rate=rate, on_error=on_error,
-                         ingest_report=report)
+                         ingest_report=report, copy=False)
             sp.attrs["records"] = report.total
         telem.counter("ingest.records", plane="data",
                       outcome="ok").inc(report.loaded)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.corpus.ingest import IngestReport
 from repro.errors import ReproError
 
@@ -103,8 +101,10 @@ def build_manifest(corpus_dir: str | Path,
 
 def write_manifest(corpus_dir: str | Path,
                    counts: Optional[Dict[str, int]] = None,
-                   run: Optional[dict] = None) -> Path:
-    """Write ``manifest.json`` atomically (temp file + fsync + rename).
+                   run: Optional[dict] = None) -> dict:
+    """Write ``manifest.json`` atomically (temp file + fsync + rename)
+    and return the manifest written, so a caller needing a file's
+    checksum need not hash the file again.
 
     A crash mid-write therefore leaves either the previous manifest or
     none at all — never a truncated file that ``validate`` would report
@@ -113,10 +113,10 @@ def write_manifest(corpus_dir: str | Path,
     from repro.runtime.atomic import atomic_write_text
 
     corpus_dir = Path(corpus_dir)
-    path = corpus_dir / MANIFEST_FILE
-    atomic_write_text(path, json.dumps(
-        build_manifest(corpus_dir, counts, run=run), indent=2))
-    return path
+    manifest = build_manifest(corpus_dir, counts, run=run)
+    atomic_write_text(corpus_dir / MANIFEST_FILE,
+                      json.dumps(manifest, indent=2))
+    return manifest
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,11 @@ class ValidationReport:
         }
 
 
-def _find_gaps(times: np.ndarray,
-               min_gap: float = MIN_SUSPICIOUS_GAP,
+def _find_gaps(times, min_gap: float = MIN_SUSPICIOUS_GAP,
                factor: float = GAP_FACTOR) -> List[Tuple[float, float]]:
     """Sorted-timestamp gaps that dwarf the feed's own cadence."""
+    import numpy as np
+
     if len(times) < 3:
         return []
     diffs = np.diff(times)
@@ -243,6 +244,8 @@ def validate_corpus(corpus_dir: str | Path, *,
     current manifest no longer matches — serving those would silently
     report another corpus's numbers.
     """
+    import numpy as np
+
     from repro.corpus.control import ControlPlaneCorpus
     from repro.corpus.data import DataPlaneCorpus
 

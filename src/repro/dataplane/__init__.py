@@ -3,11 +3,16 @@ the IXP switching fabric with its blackhole MAC, and the per-member
 blackhole-acceptance timeline used to mark sampled packets as dropped.
 """
 
-from repro.dataplane.flow import FlowLabel, FlowSpec
-from repro.dataplane.packet import PACKET_DTYPE, SampledPacket, packets_from_arrays
-from repro.dataplane.sampler import IPFIXSampler, SAMPLING_RATE_DEFAULT
-from repro.dataplane.timeline import AcceptanceTimeline, IntervalSet
-from repro.dataplane.fabric import BLACKHOLE_MAC, SwitchingFabric
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.dataplane.flow": ("FlowLabel", "FlowSpec"),
+    "repro.dataplane.packet": ("PACKET_DTYPE", "SampledPacket",
+                               "packets_from_arrays"),
+    "repro.dataplane.sampler": ("IPFIXSampler", "SAMPLING_RATE_DEFAULT"),
+    "repro.dataplane.timeline": ("AcceptanceTimeline", "IntervalSet"),
+    "repro.dataplane.fabric": ("BLACKHOLE_MAC", "SwitchingFabric"),
+})
 
 __all__ = [
     "FlowSpec",

@@ -23,20 +23,15 @@ variant of the scrub periodically in the background and surfaces damage
 through the obs plane (``doctor.damage`` events, degraded readiness).
 """
 
-from repro.doctor.report import (
-    SEVERITIES,
-    Damage,
-    DamageReport,
-    RepairAction,
-    RepairReport,
-)
-from repro.doctor.scrub import (
-    ANALYSIS_JOURNAL_FILE,
-    DOCTOR_JOURNAL_FILE,
-    DOCTOR_QUARANTINE_DIR,
-    scrub_corpus,
-)
-from repro.doctor.repair import repair_corpus
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.doctor.report": ("SEVERITIES", "Damage", "DamageReport",
+                            "RepairAction", "RepairReport"),
+    "repro.doctor.scrub": ("ANALYSIS_JOURNAL_FILE", "DOCTOR_JOURNAL_FILE",
+                           "DOCTOR_QUARANTINE_DIR", "scrub_corpus"),
+    "repro.doctor.repair": ("repair_corpus",),
+})
 
 __all__ = [
     "ANALYSIS_JOURNAL_FILE",

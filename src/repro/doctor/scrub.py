@@ -21,9 +21,10 @@ artifact — only for a target that is not a corpus directory at all
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.corpus.manifest import (
     CONTROL_FILE,
@@ -113,10 +114,9 @@ def scrub_corpus(corpus_dir: str | Path, *, deep: bool = True,
         scan = scan_journal_file(journal_path)
         tap_corpus = _is_tap_corpus(corpus, scan)
         _scrub_journals(corpus, scan, tap_corpus, report)
-        params = (None if tap_corpus
-                  else generation_params(corpus, scan.header))
-        _scrub_segments(corpus, scan, report, tap_corpus, params, deep)
-        _scrub_corpus_files(corpus, scan, report, tap_corpus, params, deep)
+        content_plan = _content_planner(corpus, scan, tap_corpus)
+        _scrub_segments(corpus, scan, report, content_plan, deep)
+        _scrub_corpus_files(corpus, scan, report, content_plan, deep)
         _scrub_stream_checkpoint(corpus, scan, report)
         _scrub_caches(corpus, report, cache_dir)
         _scrub_obs(corpus, report)
@@ -173,28 +173,35 @@ def _scrub_journals(corpus: Path, scan: JournalScan, tap_corpus: bool,
 
 # -- segments ----------------------------------------------------------------
 
-def _content_plan(tap_plan: str, tap_corpus: bool,
-                  params: Optional[dict]) -> tuple:
-    """The repair plan for damaged corpus content: ``tap_plan`` on a tap
-    corpus, else regenerate from trusted parameters or quarantine."""
-    if tap_corpus:
-        return tap_plan, {}
-    if params is None:
-        return "quarantine", {}
-    return "regenerate", {"resume": True}
+def _content_planner(corpus: Path, scan: JournalScan,
+                     tap_corpus: bool) -> Callable[[str], tuple]:
+    """``plan(tap_plan)`` -> the ``(plan, context)`` repairing damaged
+    corpus content: ``tap_plan`` on a tap corpus, else regenerate from
+    trusted parameters or quarantine.  The parameters are resolved on
+    the first call, so a clean scrub never builds a scenario config."""
+    params = functools.cache(lambda: generation_params(corpus, scan.header))
+
+    def plan(tap_plan: str) -> tuple:
+        if tap_corpus:
+            return tap_plan, {}
+        if params() is None:
+            return "quarantine", {}
+        return "regenerate", {"resume": True}
+
+    return plan
 
 
 def _scrub_segments(corpus: Path, scan: JournalScan, report: DamageReport,
-                    tap_corpus: bool, params: Optional[dict],
+                    content_plan: Callable[[str], tuple],
                     deep: bool) -> None:
     seg_dir = corpus / SEGMENT_DIR
     segment_steps = {key: entry for key, entry in scan.steps.items()
                      if key.startswith("segment:")}
-    plan, context = _content_plan("repair-tap-segments", tap_corpus, params)
     if not seg_dir.is_dir():
         # segments not kept is a legitimate layout — unless a stream
         # checkpoint proves a watcher depends on them
         if segment_steps and (corpus / ".stream.checkpoint.json").exists():
+            plan, context = content_plan("repair-tap-segments")
             report.add(Damage(
                 artifact=SEGMENT_DIR, kind="segment", damage="missing",
                 severity="error",
@@ -212,6 +219,7 @@ def _scrub_segments(corpus: Path, scan: JournalScan, report: DamageReport,
         failed = verify_file(path, entry, deep=deep)
         if failed is not None:
             damage, detail = _file_damage(failed, path, entry, "the journal")
+            plan, context = content_plan("repair-tap-segments")
             report.add(Damage(
                 artifact=artifact, kind="segment", damage=damage,
                 severity="error", detail=detail, plan=plan,
@@ -232,10 +240,10 @@ def _file_damage(failed: str, path: Path, entry: dict,
 # -- corpus files + manifest -------------------------------------------------
 
 def _scrub_corpus_files(corpus: Path, scan: JournalScan,
-                        report: DamageReport, tap_corpus: bool,
-                        params: Optional[dict], deep: bool) -> None:
+                        report: DamageReport,
+                        content_plan: Callable[[str], tuple],
+                        deep: bool) -> None:
     finalized = scan.steps.get(FINALIZE_KEY)
-    file_plan, file_context = _content_plan("refinalize", tap_corpus, params)
     report.count("manifest")
     manifest = None
     try:
@@ -248,12 +256,12 @@ def _scrub_corpus_files(corpus: Path, scan: JournalScan,
                 detail="finalize is journaled but the manifest is absent",
                 plan="rebuild-manifest"))
     except (OSError, ValueError) as exc:
+        plan, context = (("rebuild-manifest", {}) if finalized is not None
+                         else content_plan("refinalize"))
         report.add(Damage(
             artifact=MANIFEST_FILE, kind="manifest", damage="garbled",
             severity="error", detail=f"unreadable: {exc}",
-            plan="rebuild-manifest" if finalized is not None
-            else file_plan,
-            context=dict(file_context)))
+            plan=plan, context=context))
     if manifest is not None:
         witness, entries = "the manifest", manifest["files"]
     elif finalized is not None and deep:
@@ -272,10 +280,11 @@ def _scrub_corpus_files(corpus: Path, scan: JournalScan,
         if failed is not None:
             damage, detail = _file_damage(failed, corpus / name, entry,
                                           witness)
+            plan, context = content_plan("refinalize")
             report.add(Damage(
                 artifact=name, kind="corpus-file", damage=damage,
-                severity="error", detail=detail, plan=file_plan,
-                context=dict(file_context)))
+                severity="error", detail=detail, plan=plan,
+                context=context))
 
 
 # -- stream checkpoint -------------------------------------------------------
@@ -358,7 +367,7 @@ def audit_caches(corpus: Path, cache_dir: str | Path | None
     if not roots:
         return None, []
     from repro.parallel.cache import ENTRY_VERSION, corpus_digest
-    from repro.streaming.engine import stream_corpus_digests
+    from repro.streaming.state import stream_corpus_digests
 
     current = corpus_digest(corpus)
     stream_digests = stream_corpus_digests(corpus)

@@ -16,21 +16,16 @@ Quickstart::
     )
 """
 
-from repro.faults.spec import (
-    CONTROL_KINDS,
-    DATA_KINDS,
-    FaultApplication,
-    FaultKind,
-    FaultReport,
-    FaultSpec,
-)
-from repro.faults.inject import (
-    degrade_corpus_dir,
-    inject_control_messages,
-    inject_packets,
-)
-from repro.faults import files
-from repro.faults import io
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.faults.spec": ("CONTROL_KINDS", "DATA_KINDS", "FaultApplication",
+                          "FaultKind", "FaultReport", "FaultSpec"),
+    "repro.faults.inject": ("degrade_corpus_dir", "inject_control_messages",
+                            "inject_packets"),
+    "repro.faults.files": ("files",),
+    "repro.faults.io": ("io",),
+})
 
 __all__ = [
     "CONTROL_KINDS",

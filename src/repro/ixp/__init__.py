@@ -3,11 +3,15 @@ blackholing service, and the :class:`~repro.ixp.platform.IXP` facade that
 wires route server, switching fabric and acceptance timeline together.
 """
 
-from repro.ixp.peeringdb import OrgType, PeeringDB, PeeringDBRecord
-from repro.ixp.member import IXPMember
-from repro.ixp.blackholing import BlackholingService
-from repro.ixp.flowspec import FlowSpecRule, FlowSpecService
-from repro.ixp.platform import IXP
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.ixp.peeringdb": ("OrgType", "PeeringDB", "PeeringDBRecord"),
+    "repro.ixp.member": ("IXPMember",),
+    "repro.ixp.blackholing": ("BlackholingService",),
+    "repro.ixp.flowspec": ("FlowSpecRule", "FlowSpecService"),
+    "repro.ixp.platform": ("IXP",),
+})
 
 __all__ = [
     "OrgType",

@@ -22,30 +22,23 @@ The server, snapshot schema, and SLO evaluator are shared components:
 the future ``repro serve`` query API mounts the same machinery.
 """
 
-from repro.obs.events import EventLogWriter, iter_event_files, read_events
-from repro.obs.expfmt import render_prometheus
-from repro.obs.plane import ObsPlane
-from repro.obs.server import METRICS_CONTENT_TYPE, ObsServer, StatePublisher
-from repro.obs.slo import (
-    EXIT_CODES,
-    STATE_DEGRADED,
-    STATE_OK,
-    STATE_UNHEALTHY,
-    Check,
-    Health,
-    SLORules,
-    evaluate,
-)
-from repro.obs.snapshot import (
-    SNAPSHOT_VERSION,
-    events_path,
-    load_snapshot,
-    obs_dir,
-    snapshot_age_seconds,
-    snapshot_path,
-    write_snapshot,
-)
-from repro.obs.status import fetch_status, render_status, status_exit_code
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.events": ("EventLogWriter", "iter_event_files", "read_events"),
+    "repro.obs.expfmt": ("render_prometheus",),
+    "repro.obs.plane": ("ObsPlane",),
+    "repro.obs.server": ("METRICS_CONTENT_TYPE", "ObsServer",
+                         "StatePublisher"),
+    "repro.obs.slo": ("EXIT_CODES", "STATE_DEGRADED", "STATE_OK",
+                      "STATE_UNHEALTHY", "Check", "Health", "SLORules",
+                      "evaluate"),
+    "repro.obs.snapshot": ("SNAPSHOT_VERSION", "events_path",
+                           "load_snapshot", "obs_dir",
+                           "snapshot_age_seconds", "snapshot_path",
+                           "write_snapshot"),
+    "repro.obs.status": ("fetch_status", "render_status", "status_exit_code"),
+})
 
 __all__ = [
     "Check",

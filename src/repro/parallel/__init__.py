@@ -10,8 +10,12 @@ package holds the two pieces around it:
   ``--jobs N`` run byte-equivalent to the inline reference path.
 """
 
-from repro.parallel.cache import ResultCache, corpus_digest
-from repro.parallel.golden import FINGERPRINT_VERSION, value_fingerprint
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.parallel.cache": ("ResultCache", "corpus_digest"),
+    "repro.parallel.golden": ("FINGERPRINT_VERSION", "value_fingerprint"),
+})
 
 __all__ = [
     "FINGERPRINT_VERSION",

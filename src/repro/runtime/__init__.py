@@ -17,32 +17,23 @@ Four pieces make long ``generate``/``analyze`` jobs survivable:
 :mod:`repro.runtime.chaos` provides the environment-driven kill/hang
 hooks the chaos tests (and the CI chaos job) drive.
 
-The corpus-facing submodules (:mod:`~repro.runtime.generate`,
-:mod:`~repro.runtime.supervisor`) are loaded lazily via PEP 562 so that
-low-level modules (``repro.corpus.*``) can import
-:mod:`repro.runtime.atomic` without creating an import cycle.
+Every public name is re-exported lazily (PEP 562), so low-level modules
+(``repro.corpus.*``) can import :mod:`repro.runtime.atomic` without
+loading the generator or the supervisor.
 """
 
-from repro.runtime.atomic import (
-    atomic_write_bytes,
-    atomic_write_text,
-    atomic_writer,
-    fsync_dir,
-    remove_stale_tmp,
-)
-from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.retry import RetryPolicy, is_retryable_exception
+from repro import _lazy_exports
 
-#: names resolved lazily: attribute -> (module, attribute)
-_LAZY = {
-    "GenerateReport": ("repro.runtime.generate", "GenerateReport"),
-    "JOURNAL_FILE": ("repro.runtime.generate", "JOURNAL_FILE"),
-    "SEGMENT_DIR": ("repro.runtime.generate", "SEGMENT_DIR"),
-    "checkpointed_generate": ("repro.runtime.generate",
-                              "checkpointed_generate"),
-    "SupervisorPolicy": ("repro.runtime.supervisor", "SupervisorPolicy"),
-    "run_analyses": ("repro.runtime.supervisor", "run_analyses"),
-}
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.runtime.atomic": ("atomic_write_bytes", "atomic_write_text",
+                             "atomic_writer", "fsync_dir",
+                             "remove_stale_tmp"),
+    "repro.runtime.checkpoint": ("CheckpointJournal",),
+    "repro.runtime.retry": ("RetryPolicy", "is_retryable_exception"),
+    "repro.runtime.generate": ("GenerateReport", "JOURNAL_FILE",
+                               "SEGMENT_DIR", "checkpointed_generate"),
+    "repro.runtime.supervisor": ("SupervisorPolicy", "run_analyses"),
+})
 
 __all__ = [
     "CheckpointJournal",
@@ -61,12 +52,3 @@ __all__ = [
     "run_analyses",
 ]
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

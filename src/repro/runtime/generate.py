@@ -44,15 +44,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_connections
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple, Union
 
 from repro import telemetry
-from repro.corpus.control import update_to_json
 from repro.corpus.manifest import (
     CONTROL_FILE,
     DATA_FILE,
@@ -61,14 +57,17 @@ from repro.corpus.manifest import (
     verify_file,
     write_manifest,
 )
-from repro.corpus.platform import write_platform_meta
-from repro.dataplane.packet import PACKET_DTYPE
 from repro.errors import CheckpointError
 from repro.runtime.atomic import atomic_writer, remove_stale_tmp
 from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.supervisor import _fork_context
-from repro.scenario.config import ScenarioConfig
-from repro.scenario.runner import ScenarioResult, run_scenario
+
+if TYPE_CHECKING:
+    from repro.scenario.config import ScenarioConfig
+    from repro.scenario.runner import ScenarioResult
+
+# ``repro doctor`` and ``repro validate`` read the commit-log layout
+# below, so numpy, the scenario and the record codecs are imported by
+# the functions that write segments, never at module level.
 
 #: journal + scratch locations inside the output corpus directory; both
 #: are dot-prefixed so manifests exclude them (see ``build_manifest``)
@@ -183,6 +182,8 @@ def checkpointed_generate(
         report.resumed = False
     seg_dir.mkdir(exist_ok=True)
 
+    from repro.scenario.runner import run_scenario
+
     result = run_scenario(config)
 
     with telem.span("generate.write", out=str(out)):
@@ -232,6 +233,8 @@ def _write_segments(result: ScenarioResult, seg_dir: Path,
     if jobs is None or jobs == 0:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(pending) > 1:
+        from repro.runtime.supervisor import _fork_context
+
         ctx = _fork_context()
         if ctx is not None:
             _write_pending_parallel(pending, seg_dir, journal, report,
@@ -256,10 +259,14 @@ def write_segment(seg_dir: Path, plane: str, day: int, chunk) -> dict:
     """
     path = seg_dir / _segment_name(plane, day)
     if plane == "control":
+        from repro.corpus.control import update_to_json
+
         with atomic_writer(path) as fh:
             for msg in chunk:
                 fh.write(json.dumps(update_to_json(msg)) + "\n")
     else:
+        import numpy as np
+
         with atomic_writer(path, mode="wb") as fh:
             np.savez_compressed(fh, packets=chunk)
     return segment_entry(seg_dir, plane, day, records=len(chunk))
@@ -273,6 +280,8 @@ def segment_entry(seg_dir: Path, plane: str, day: int,
     if records is None and plane == "control":
         records = path.read_bytes().count(b"\n")
     elif records is None:
+        import numpy as np
+
         with np.load(path) as archive:
             records = int(len(archive["packets"]))
     return {"sha256": file_sha256(path), "bytes": path.stat().st_size,
@@ -324,6 +333,8 @@ def _write_pending_parallel(pending, seg_dir: Path,
                             report: GenerateReport, jobs: int, ctx,
                             telem) -> None:
     """Fan pending segments round-robin across ``jobs`` forked workers."""
+    from multiprocessing.connection import wait as _wait_connections
+
     conns = {}
     procs = []
     for i in range(jobs):
@@ -378,6 +389,11 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
     committed, so ``platform.json`` never runs ahead of the corpus files.
     Returns the record counts, taken from the bytes read.
     """
+    import numpy as np
+
+    from repro.corpus.platform import write_platform_meta
+    from repro.dataplane.packet import PACKET_DTYPE
+
     seg_dir = out / SEGMENT_DIR
     control_messages = 0
     with atomic_writer(out / CONTROL_FILE, mode="wb") as fh:
@@ -397,11 +413,11 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
         write_platform_meta(out, meta)
     counts = {"control_messages": control_messages,
               "data_packets": int(len(packets))}
-    write_manifest(out, counts=counts, run=run)
+    files = write_manifest(out, counts=counts, run=run)["files"]
     journal.commit(
         FINALIZE_KEY,
-        control_sha256=file_sha256(out / CONTROL_FILE),
-        data_sha256=file_sha256(out / DATA_FILE),
+        control_sha256=files[CONTROL_FILE]["sha256"],
+        data_sha256=files[DATA_FILE]["sha256"],
         **counts,
     )
     return counts

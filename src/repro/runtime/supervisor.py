@@ -69,6 +69,9 @@ from repro.core.study import (
     run_analysis,
 )
 from repro.errors import AnalysisError, SupervisorError
+# every analysis fingerprints its value (``run_analysis``): loading the
+# fingerprint module with the runner means no forked child imports it
+import repro.parallel.golden  # noqa: F401
 from repro.runtime import chaos
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy, is_retryable_exception

@@ -7,21 +7,17 @@ over the same corpus prefix.  ``repro advance`` extends a corpus by more
 days through the same commit log.  See DESIGN.md §10.
 """
 
-from repro.streaming.advance import AdvanceReport, advance_corpus
-from repro.streaming.engine import StreamEngine
-from repro.streaming.reducers import (
-    ControlReducer,
-    PreRTBHReducer,
-    TrafficReducer,
-)
-from repro.streaming.report import StreamReport
-from repro.streaming.state import (
-    STREAM_CHECKPOINT_FILE,
-    StreamState,
-    load_state,
-    reset_stream,
-    save_state,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.streaming.advance": ("AdvanceReport", "advance_corpus"),
+    "repro.streaming.engine": ("StreamEngine",),
+    "repro.streaming.reducers": ("ControlReducer", "PreRTBHReducer",
+                                 "TrafficReducer"),
+    "repro.streaming.report": ("StreamReport",),
+    "repro.streaming.state": ("STREAM_CHECKPOINT_FILE", "StreamState",
+                              "load_state", "reset_stream", "save_state"),
+})
 
 __all__ = [
     "AdvanceReport",

@@ -55,7 +55,7 @@ from repro.runtime.generate import (
     _segment_name,
     committed_days,
 )
-from repro.runtime.checkpoint import CheckpointJournal, scan_journal_file
+from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.supervisor import ingest_warnings
 from repro.streaming.reducers import (
     ControlReducer,
@@ -75,33 +75,6 @@ from repro.streaming.state import (
     load_state,
     save_state,
 )
-
-def stream_corpus_digests(corpus_dir: str | Path) -> set:
-    """Every ``stream:`` cache corpus key a watcher of this corpus may
-    have written: one per (committed day prefix, input-plane subset).
-
-    The cache audit uses this to tell a legitimately prefix-keyed
-    stream cache entry apart from one left behind by a different
-    (e.g. since-regenerated) corpus.  A journal whose header is
-    unreadable has no usable commit log, so it yields no digests.
-    """
-    scan = scan_journal_file(Path(corpus_dir) / JOURNAL_FILE)
-    if not scan.exists or scan.header_bad:
-        return set()
-    days = committed_days(scan.steps)
-    digests = set()
-    for subset in ((CONTROL,), (DATA,), (CONTROL, DATA)):
-        h = hashlib.sha256()
-        digests.add("stream:" + h.hexdigest())
-        for day, (control, data) in enumerate(days):
-            if CONTROL in subset:
-                h.update(f"control:{day}:{control.get('sha256')}\n"
-                         .encode("utf-8"))
-            if DATA in subset:
-                h.update(f"data:{day}:{data.get('sha256')}\n"
-                         .encode("utf-8"))
-            digests.add("stream:" + h.hexdigest())
-    return digests
 
 
 class StreamEngine:

@@ -17,15 +17,19 @@ state from one corpus onto the segments of another.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
 from repro import telemetry
+from repro.core.registry import CONTROL, DATA
 from repro.errors import StreamCheckpointError, StreamError
 from repro.runtime import chaos
 from repro.runtime.atomic import atomic_write_text
+from repro.runtime.checkpoint import scan_journal_file
+from repro.runtime.generate import JOURNAL_FILE, committed_days
 
 #: checkpoint file name inside the watched corpus directory (dot-prefixed
 #: so manifests and corpus digests never include it)
@@ -171,3 +175,31 @@ def reset_stream(corpus_dir: str | Path) -> bool:
     except OSError as exc:
         raise StreamError(f"{path}: cannot remove stream checkpoint: {exc}"
                           ) from exc
+
+
+def stream_corpus_digests(corpus_dir: str | Path) -> set:
+    """Every ``stream:`` cache corpus key a watcher of this corpus may
+    have written: one per (committed day prefix, input-plane subset).
+
+    The cache audit uses this to tell a legitimately prefix-keyed
+    stream cache entry apart from one left behind by a different
+    (e.g. since-regenerated) corpus.  A journal whose header is
+    unreadable has no usable commit log, so it yields no digests.
+    """
+    scan = scan_journal_file(Path(corpus_dir) / JOURNAL_FILE)
+    if not scan.exists or scan.header_bad:
+        return set()
+    days = committed_days(scan.steps)
+    digests = set()
+    for subset in ((CONTROL,), (DATA,), (CONTROL, DATA)):
+        h = hashlib.sha256()
+        digests.add("stream:" + h.hexdigest())
+        for day, (control, data) in enumerate(days):
+            if CONTROL in subset:
+                h.update(f"control:{day}:{control.get('sha256')}\n"
+                         .encode("utf-8"))
+            if DATA in subset:
+                h.update(f"data:{day}:{data.get('sha256')}\n"
+                         .encode("utf-8"))
+            digests.add("stream:" + h.hexdigest())
+    return digests

@@ -244,7 +244,7 @@ def _stale_cache_entry(corpus):
 
 
 def _stream_cache_entry(corpus):
-    from repro.streaming.engine import stream_corpus_digests
+    from repro.streaming.state import stream_corpus_digests
 
     _cache_entry(corpus, max(stream_corpus_digests(corpus)))
 

@@ -6,10 +6,18 @@ import json
 
 import pytest
 
-from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, MANIFEST_FILE, META_FILE
+from repro.corpus.manifest import (
+    CONTROL_FILE,
+    DATA_FILE,
+    MANIFEST_FILE,
+    META_FILE,
+    file_sha256,
+)
 from repro.errors import CheckpointError
 from repro.runtime import checkpoint as checkpoint_mod
+from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.generate import (
+    FINALIZE_KEY,
     JOURNAL_FILE,
     SEGMENT_DIR,
     checkpointed_generate,
@@ -101,6 +109,18 @@ class TestResumeByteIdentity:
         assert (baseline / JOURNAL_FILE).exists()
         assert JOURNAL_FILE not in manifest_files(baseline)
         assert set(manifest_files(baseline)) == set(CORPUS_FILES)
+
+    def test_finalize_entry_checksums_the_corpus_files(self, baseline):
+        """The ``finalize`` commit takes its checksums from the manifest
+        finalize just wrote; they must be the files' own SHA-256."""
+        finalized = CheckpointJournal.load(
+            baseline / JOURNAL_FILE).committed(FINALIZE_KEY)
+        assert finalized["control_sha256"] == file_sha256(
+            baseline / CONTROL_FILE)
+        assert finalized["data_sha256"] == file_sha256(baseline / DATA_FILE)
+        files = manifest_files(baseline)
+        assert finalized["control_sha256"] == files[CONTROL_FILE]["sha256"]
+        assert finalized["data_sha256"] == files[DATA_FILE]["sha256"]
 
 
 class TestResumeGuards:

@@ -10,6 +10,7 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro.core.events import merge_threshold_sweep, unique_prefix_count
+from repro.corpus.control import opens_blackhole
 
 
 def test_bench_fig10_merge_threshold(benchmark, pipeline):
@@ -17,7 +18,8 @@ def test_bench_fig10_merge_threshold(benchmark, pipeline):
     sweep = benchmark(lambda: merge_threshold_sweep(pipeline.control, deltas))
     got_deltas, fraction = sweep
     at_10min = float(fraction[np.searchsorted(got_deltas, 600.0)])
-    announcements = sum(1 for m in pipeline.control.rtbh_updates() if m.is_announce)
+    announcements = sum(1 for m in pipeline.control.rtbh_updates()
+                        if opens_blackhole(m))
     lower_bound = unique_prefix_count(pipeline.control) / announcements
     from repro.core.plots import sparkline
 

@@ -14,11 +14,15 @@ its 400k announcements into 34k events (8.5%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.corpus.control import ControlPlaneCorpus
+from repro.corpus.control import (
+    AnnotatedWindows,
+    ControlPlaneCorpus,
+    opens_blackhole,
+)
 from repro.dataplane.timeline import IntervalSet
 from repro.errors import AnalysisError
 from repro.net.ip import IPv4Prefix
@@ -72,65 +76,24 @@ class RTBHEvent:
         return any(s <= time < e for s, e in self.windows)
 
 
-def merge_annotated_windows(
-    raw: Dict[IPv4Prefix, List[Tuple[float, float, int]]],
-    origin_of: Dict[Tuple[IPv4Prefix, int], int],
-) -> Dict[IPv4Prefix, List[Tuple[float, float, frozenset, int]]]:
-    """Per prefix: announcement windows merged *across announcers* (overlaps
-    coalesced), annotated with (start, end, announcer set, origin).
-
-    ``raw`` maps each prefix to its ``(start, end, announcer)`` windows
-    (the shape of :meth:`ControlPlaneCorpus.rtbh_windows_by_prefix`);
-    ``origin_of`` maps ``(prefix, announcer)`` to the first origin ASN
-    seen.  Split out so the streaming reducers can feed the same merge
-    from incrementally-maintained state.
-    """
-    out: Dict[IPv4Prefix, List[Tuple[float, float, frozenset, int]]] = {}
-    for prefix, windows in raw.items():
-        annotated = [
-            (s, e, frozenset({peer}), origin_of.get((prefix, peer), peer))
-            for s, e, peer in windows
-        ]
-        annotated.sort()
-        merged: List[Tuple[float, float, frozenset, int]] = []
-        for s, e, peers, origin in annotated:
-            if merged and s <= merged[-1][1]:
-                ps, pe, ppeers, porigin = merged[-1]
-                merged[-1] = (ps, max(pe, e), ppeers | peers, porigin)
-            else:
-                merged.append((s, e, peers, origin))
-        out[prefix] = merged
-    return out
-
-
-def _merged_prefix_windows(
-    control: ControlPlaneCorpus,
-) -> Dict[IPv4Prefix, List[Tuple[float, float, frozenset, int]]]:
-    """The annotated merge, fed from a full corpus scan."""
-    raw = control.rtbh_windows_by_prefix()
-    origin_of: Dict[Tuple[IPv4Prefix, int], int] = {}
-    for msg in control.rtbh_updates():
-        if msg.is_announce:
-            origin_of.setdefault((msg.prefix, msg.peer_asn), msg.origin_asn)
-    return merge_annotated_windows(raw, origin_of)
-
-
 def extract_events(control: ControlPlaneCorpus,
                    delta: float = DEFAULT_DELTA) -> List[RTBHEvent]:
     """Group the corpus' blackhole windows into RTBH events at threshold Δ."""
-    return events_from_merged_windows(_merged_prefix_windows(control), delta)
+    return events_from_merged_windows(control.rtbh_fold().merged_windows(),
+                                      delta)
 
 
 def events_from_merged_windows(
-    merged: Dict[IPv4Prefix, List[Tuple[float, float, frozenset, int]]],
+    merged: AnnotatedWindows,
     delta: float = DEFAULT_DELTA,
 ) -> List[RTBHEvent]:
-    """Δ-group pre-merged annotated windows into numbered RTBH events.
+    """Δ-group the any-announcer union of
+    :meth:`~repro.corpus.control.ControlReducer.merged_windows` into
+    numbered RTBH events.
 
-    The grouping half of :func:`extract_events`, callable on reducer
-    state.  Event numbering is by global ``(start, prefix)`` order —
-    stable under append-only corpus growth, which is what lets the
-    streaming engine keep per-event accumulators across watermarks.
+    Event numbering is by global ``(start, prefix)`` order — stable
+    under append-only corpus growth, which is what lets the streaming
+    engine keep per-event accumulators across watermarks.
     """
     if delta < 0:
         raise AnalysisError(f"delta must be non-negative: {delta}")
@@ -178,12 +141,13 @@ def merge_threshold_sweep(
     if deltas is None:
         deltas = np.r_[0.0, np.geomspace(1.0, 48 * 3600.0, 120)]
     deltas = np.asarray(deltas, dtype=np.float64)
-    announcements = sum(1 for m in control.rtbh_updates() if m.is_announce)
+    announcements = sum(1 for m in control.rtbh_updates()
+                        if opens_blackhole(m))
     if announcements == 0:
         raise AnalysisError("corpus contains no RTBH announcements")
     gaps: List[float] = []
     total_windows = 0
-    for windows in _merged_prefix_windows(control).values():
+    for windows in control.rtbh_fold().merged_windows().values():
         total_windows += len(windows)
         for (s0, e0, *_), (s1, *_rest) in zip(windows, windows[1:]):
             gaps.append(s1 - e0)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.events import RTBHEvent
-from repro.corpus.control import ControlPlaneCorpus
+from repro.corpus.control import ControlPlaneCorpus, opens_blackhole
 from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError
 from repro.ixp.peeringdb import OrgType, PeeringDB
@@ -93,7 +93,7 @@ def _origin_map(control: ControlPlaneCorpus) -> RadixTree:
     """Host → origin AS via the RTBH announcements covering it."""
     tree: RadixTree = RadixTree()
     for msg in control.rtbh_updates():
-        if msg.is_announce:
+        if opens_blackhole(msg):
             tree.insert(msg.prefix, msg.origin_asn)
     return tree
 

@@ -50,19 +50,19 @@ def rtbh_load_series(control: ControlPlaneCorpus,
         raise AnalysisError("empty control corpus")
     t0 = control.start_time if t0 is None else t0
     t1 = control.end_time if t1 is None else t1
-    times = np.array([m.time for m in control.rtbh_updates()])
-    return load_series_from_state(control.rtbh_windows_by_prefix(), times,
+    fold = control.rtbh_fold()
+    return load_series_from_state(fold.merged_windows(), fold.rtbh_times,
                                   t0, t1)
 
 
-def load_series_from_state(windows, message_times, t0: float,
+def load_series_from_state(merged, message_times, t0: float,
                            t1: float) -> RTBHLoadSeries:
-    """Fig. 3 from pre-extracted state — no corpus scan.
+    """Fig. 3 from the RTBH automaton's state — no corpus scan.
 
-    ``windows`` is the ``prefix -> [(start, end, announcer)]`` map of
-    :meth:`ControlPlaneCorpus.rtbh_windows_by_prefix`; ``message_times``
-    the timestamps of the RTBH-related updates.  The streaming engine
-    maintains both incrementally and calls this per watermark.
+    ``merged`` is the per-prefix any-announcer union of
+    :meth:`~repro.corpus.control.ControlReducer.merged_windows` (only the
+    leading ``(start, end)`` of each entry is read); ``message_times``
+    the timestamps of the RTBH-related updates.
     """
     if t1 <= t0:
         raise AnalysisError("t1 must be after t0")
@@ -70,16 +70,11 @@ def load_series_from_state(windows, message_times, t0: float,
     n_bins = len(edges) - 1
 
     messages = np.zeros(n_bins, dtype=np.int64)
-    # active count via +1/-1 deltas at window edges, prefix-deduplicated
+    # active count via +1/-1 deltas at window edges; the union already
+    # counts each prefix once however many peers announce it
     deltas = np.zeros(n_bins + 1, dtype=np.int64)
-    for prefix, prefix_windows in windows.items():
-        merged: list[tuple[float, float]] = []
-        for start, end, _peer in sorted(prefix_windows):
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        for start, end in merged:
+    for windows in merged.values():
+        for start, end, *_ in windows:
             lo = int(np.clip((start - t0) // MINUTE, 0, n_bins))
             hi = int(np.clip((end - t0) // MINUTE, 0, n_bins))
             deltas[lo] += 1

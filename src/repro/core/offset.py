@@ -24,18 +24,12 @@ def announced_interval_sets(control: ControlPlaneCorpus) -> Dict[IPv4Prefix, Int
     """Per-prefix announced intervals (any-announcer union) on the
     control-plane clock."""
     out: Dict[IPv4Prefix, IntervalSet] = {}
-    for prefix, windows in control.rtbh_windows_by_prefix().items():
-        merged: list[tuple[float, float]] = []
-        for start, end, _peer in sorted(windows):
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
+    for prefix, windows in control.rtbh_fold().merged_windows().items():
         iset = IntervalSet()
-        for start, end in merged:
+        for start, end, *_ in windows:
             iset.open_at(start)
             iset.close_at(end)
-        out[prefix] = iset.finalize(merged[-1][1] if merged else 0.0)
+        out[prefix] = iset.finalize(windows[-1][1])
     return out
 
 

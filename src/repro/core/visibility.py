@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.bgp.community import redistribution_targets
-from repro.corpus.control import ControlPlaneCorpus
+from repro.corpus.control import ControlPlaneCorpus, opens_blackhole
 from repro.errors import AnalysisError
 from repro.net.ip import IPv4Prefix
 
@@ -107,7 +107,7 @@ def targeted_visibility(
             snapshot(k)
             k += 1
         key = (msg.peer_asn, msg.prefix)
-        if msg.is_announce:
+        if opens_blackhole(msg):
             targets = redistribution_targets(msg.communities, route_server_asn, peers)
             vec = np.zeros(len(peers), dtype=bool)
             for asn in targets:

@@ -6,7 +6,7 @@ per-record error policies, and manifest-based integrity validation.
 from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.corpus.control": ("ControlPlaneCorpus", "RTBH_RELATED"),
+    "repro.corpus.control": ("ControlPlaneCorpus",),
     "repro.corpus.data": ("DataPlaneCorpus",),
     "repro.corpus.ingest": ("IngestProblem", "IngestReport"),
     "repro.corpus.manifest": ("CONTROL_FILE", "DATA_FILE", "MANIFEST_FILE",
@@ -20,7 +20,6 @@ __all__ = [
     "DataPlaneCorpus",
     "IngestProblem",
     "IngestReport",
-    "RTBH_RELATED",
     "CONTROL_FILE",
     "DATA_FILE",
     "MANIFEST_FILE",

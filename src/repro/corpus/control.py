@@ -1,11 +1,14 @@
 """The control-plane corpus: every BGP UPDATE seen at the route server
-during the measurement period, in time order.
+during the measurement period, in time order, and the one RTBH automaton
+that reads it.
 
 Withdrawals carry no communities on the wire, so "RTBH-related" withdrawals
 are identified the way the paper must: a withdrawal is blackhole-related
 when the same peer currently has a blackhole announcement standing for the
-prefix. :meth:`ControlPlaneCorpus.rtbh_updates` performs that stateful
-classification once and caches it.
+prefix.  :class:`ControlReducer` makes that decision one UPDATE at a time
+and turns it into (peer, prefix) blackhole windows.  The streaming engine
+feeds it day by day; :meth:`ControlPlaneCorpus.rtbh_fold` runs it once
+over the whole corpus and every batch RTBH accessor reads that fold.
 """
 
 from __future__ import annotations
@@ -21,18 +24,207 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    TYPE_CHECKING,
     Tuple,
 )
 
 from repro.bgp.community import Community
 from repro.bgp.message import BGPUpdate, UpdateAction
 from repro.corpus.ingest import IngestReport, check_policy
-from repro.errors import CorpusError, IngestError, ReproError
+from repro.errors import (
+    AnalysisError,
+    CorpusError,
+    IngestError,
+    ReproError,
+    StreamError,
+)
 from repro.net.ip import IPv4Address, IPv4Prefix
 from repro import telemetry
 
-#: marker returned alongside updates by :meth:`rtbh_updates`
-RTBH_RELATED = "rtbh"
+if TYPE_CHECKING:
+    from repro.core.events import RTBHEvent
+    from repro.core.load import RTBHLoadSeries
+
+AnnotatedWindows = Dict[IPv4Prefix, List[Tuple[float, float, frozenset, int]]]
+
+
+def opens_blackhole(msg: BGPUpdate) -> bool:
+    """The automaton's one transition rule.
+
+    An announcement carrying BLACKHOLE opens (or keeps open) its
+    (peer, prefix) window.  Any other message that finds the window open
+    closes it: a withdrawal, or a plain announcement that replaces the
+    blackhole with a normal route.  Readers of :meth:`ControlPlaneCorpus
+    .rtbh_updates` use this same test to tell openers from closers.
+    """
+    return msg.is_announce and msg.is_blackhole
+
+
+def merge_annotated_windows(
+    raw: Dict[IPv4Prefix, List[Tuple[float, float, int]]],
+    origin_of: Dict[Tuple[IPv4Prefix, int], int],
+) -> AnnotatedWindows:
+    """Per prefix: announcement windows merged *across announcers* (overlaps
+    coalesced), annotated with (start, end, announcer set, origin).
+
+    ``raw`` maps each prefix to its ``(start, end, announcer)`` windows
+    (the shape of :meth:`ControlReducer.windows_snapshot`); ``origin_of``
+    maps ``(prefix, announcer)`` to the first origin ASN seen.  This is
+    the one any-announcer union: the §5.1 Δ-merge, Fig. 10, Fig. 3 and
+    Fig. 2 all read it through :meth:`ControlReducer.merged_windows`.
+    """
+    out: AnnotatedWindows = {}
+    for prefix, windows in raw.items():
+        annotated = [
+            (s, e, frozenset({peer}), origin_of.get((prefix, peer), peer))
+            for s, e, peer in windows
+        ]
+        annotated.sort()
+        merged: List[Tuple[float, float, frozenset, int]] = []
+        for s, e, peers, origin in annotated:
+            if merged and s <= merged[-1][1]:
+                ps, pe, ppeers, porigin = merged[-1]
+                merged[-1] = (ps, max(pe, e), ppeers | peers, porigin)
+            else:
+                merged.append((s, e, peers, origin))
+        out[prefix] = merged
+    return out
+
+
+class ControlReducer:
+    """The RTBH automaton as a serializable fold over time-ordered UPDATEs.
+
+    Batch and streaming share it: :meth:`ControlPlaneCorpus.rtbh_fold` is
+    this reducer fed every message of a corpus once, and the streaming
+    engine feeds it each newly committed day and persists
+    :meth:`to_state` in the stream checkpoint.
+    """
+
+    def __init__(self) -> None:
+        #: (peer, prefix) pairs with a standing blackhole announcement
+        self.active: set = set()
+        #: (peer, prefix) -> announce time of the currently-open window
+        self.open_at: Dict[Tuple[int, IPv4Prefix], float] = {}
+        #: prefix -> closed (start, end, announcer) windows
+        self.windows: Dict[IPv4Prefix, List[Tuple[float, float, int]]] = {}
+        #: (prefix, announcer) -> first origin ASN announced
+        self.origin_of: Dict[Tuple[IPv4Prefix, int], int] = {}
+        #: timestamps of every RTBH-related update (Fig. 3 message series)
+        self.rtbh_times: List[float] = []
+        self.message_count = 0
+        self.start_time: Optional[float] = None
+        self.end_time: Optional[float] = None
+        self._merged: Optional[AnnotatedWindows] = None
+
+    def feed(self, msg: BGPUpdate) -> bool:
+        """Apply one UPDATE (messages must arrive in time order); returns
+        whether it is RTBH-related."""
+        self.message_count += 1
+        if self.start_time is None:
+            self.start_time = msg.time
+        self.end_time = msg.time
+        self._merged = None
+        key = (msg.peer_asn, msg.prefix)
+        if opens_blackhole(msg):
+            self.active.add(key)
+            self.origin_of.setdefault((msg.prefix, msg.peer_asn),
+                                      msg.origin_asn)
+            self.open_at.setdefault(key, msg.time)
+        elif key in self.active:
+            self.active.discard(key)
+            start = self.open_at.pop(key, None)
+            if start is not None:
+                self.windows.setdefault(msg.prefix, []).append(
+                    (start, msg.time, msg.peer_asn))
+        else:
+            return False
+        self.rtbh_times.append(msg.time)
+        return True
+
+    # -- snapshots -----------------------------------------------------------
+
+    def windows_snapshot(self) -> Dict[IPv4Prefix,
+                                       List[Tuple[float, float, int]]]:
+        """Per prefix: the sorted (start, end, announcer) windows of the
+        messages fed so far.
+
+        Still-open windows close artificially at the current end time, so
+        a snapshot at any frontier equals the fold of that corpus prefix.
+        """
+        out = {prefix: list(ws) for prefix, ws in self.windows.items()}
+        end = self.end_time if self.message_count else 0.0
+        for (peer, prefix), start in self.open_at.items():
+            out.setdefault(prefix, []).append((start, end, peer))
+        for ws in out.values():
+            ws.sort()
+        return out
+
+    def merged_windows(self) -> AnnotatedWindows:
+        """:func:`merge_annotated_windows` of the snapshot, cached until
+        the next :meth:`feed`.  It does not depend on Δ; treat it as
+        read-only."""
+        if self._merged is None:
+            self._merged = merge_annotated_windows(self.windows_snapshot(),
+                                                   self.origin_of)
+        return self._merged
+
+    def events(self, delta: Optional[float] = None) -> List[RTBHEvent]:
+        """The Δ-merged events of the messages fed so far (§5.1)."""
+        from repro.core.events import DEFAULT_DELTA, events_from_merged_windows
+
+        return events_from_merged_windows(
+            self.merged_windows(), DEFAULT_DELTA if delta is None else delta)
+
+    def load_series(self) -> RTBHLoadSeries:
+        """The Fig. 3 series of the messages fed so far."""
+        from repro.core.load import load_series_from_state
+
+        if self.message_count == 0:
+            raise AnalysisError("empty control corpus")
+        return load_series_from_state(self.merged_windows(), self.rtbh_times,
+                                      self.start_time, self.end_time)
+
+    # -- persistence ---------------------------------------------------------
+
+    def to_state(self) -> dict:
+        return {
+            "active": [[peer, str(prefix)] for peer, prefix in self.active],
+            "open_at": [[peer, str(prefix), start]
+                        for (peer, prefix), start in self.open_at.items()],
+            "windows": {str(prefix): [list(w) for w in ws]
+                        for prefix, ws in self.windows.items()},
+            "origin_of": [[str(prefix), peer, origin]
+                          for (prefix, peer), origin
+                          in self.origin_of.items()],
+            "rtbh_times": self.rtbh_times,
+            "message_count": self.message_count,
+            "start_time": self.start_time,
+            "end_time": self.end_time,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "ControlReducer":
+        reducer = cls()
+        try:
+            reducer.active = {(int(peer), IPv4Prefix(prefix))
+                              for peer, prefix in state["active"]}
+            reducer.open_at = {
+                (int(peer), IPv4Prefix(prefix)): float(start)
+                for peer, prefix, start in state["open_at"]}
+            reducer.windows = {
+                IPv4Prefix(prefix): [(float(s), float(e), int(peer))
+                                     for s, e, peer in ws]
+                for prefix, ws in state["windows"].items()}
+            reducer.origin_of = {
+                (IPv4Prefix(prefix), int(peer)): int(origin)
+                for prefix, peer, origin in state["origin_of"]}
+            reducer.rtbh_times = [float(t) for t in state["rtbh_times"]]
+            reducer.message_count = int(state["message_count"])
+            reducer.start_time = state["start_time"]
+            reducer.end_time = state["end_time"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StreamError(f"corrupt control reducer state: {exc}") from exc
+        return reducer
 
 
 class ControlPlaneCorpus:
@@ -69,7 +261,8 @@ class ControlPlaneCorpus:
         report.loaded = len(self._messages)
         #: accounting of what construction/loading kept and dropped
         self.ingest_report: IngestReport = report
-        self._rtbh_flags: Optional[List[bool]] = None
+        self._fold: Optional[ControlReducer] = None
+        self._rtbh: List[BGPUpdate] = []
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -94,35 +287,25 @@ class ControlPlaneCorpus:
 
     # -- RTBH classification ---------------------------------------------------
 
-    def _classify(self) -> List[bool]:
-        if self._rtbh_flags is not None:
-            return self._rtbh_flags
-        flags: List[bool] = []
-        active: Set[Tuple[int, IPv4Prefix]] = set()
-        for msg in self._messages:
-            key = (msg.peer_asn, msg.prefix)
-            if msg.action is UpdateAction.ANNOUNCE:
-                if msg.is_blackhole:
-                    active.add(key)
-                    flags.append(True)
-                else:
-                    # replaces any standing blackhole from this peer
-                    was_blackhole = key in active
-                    active.discard(key)
-                    flags.append(was_blackhole)
-            else:
-                flags.append(key in active)
-                active.discard(key)
-        self._rtbh_flags = flags
-        return flags
+    def rtbh_fold(self) -> ControlReducer:
+        """The RTBH automaton run once over the corpus, cached.
+
+        Every accessor below reads this one fold; treat it as read-only.
+        """
+        if self._fold is None:
+            fold = ControlReducer()
+            self._rtbh = [msg for msg in self._messages if fold.feed(msg)]
+            self._fold = fold
+        return self._fold
 
     def rtbh_updates(self) -> List[BGPUpdate]:
-        """Only the blackhole-related updates (announce + paired withdraw)."""
-        flags = self._classify()
-        return [m for m, f in zip(self._messages, flags) if f]
+        """Only the blackhole-related updates: blackhole announcements and
+        the messages that close their windows."""
+        self.rtbh_fold()
+        return list(self._rtbh)
 
     def rtbh_message_count(self) -> int:
-        return sum(self._classify())
+        return len(self.rtbh_fold().rtbh_times)
 
     def rtbh_prefixes(self) -> Set[IPv4Prefix]:
         """Every prefix that was ever blackholed via the route server."""
@@ -135,22 +318,7 @@ class ControlPlaneCorpus:
         :attr:`end_time` — the paper treats still-active blackholes (e.g.
         zombies) the same way.
         """
-        open_at: Dict[Tuple[int, IPv4Prefix], float] = {}
-        out: Dict[IPv4Prefix, List[Tuple[float, float, int]]] = {}
-        for msg in self.rtbh_updates():
-            key = (msg.peer_asn, msg.prefix)
-            if msg.action is UpdateAction.ANNOUNCE:
-                open_at.setdefault(key, msg.time)
-            else:
-                start = open_at.pop(key, None)
-                if start is not None:
-                    out.setdefault(msg.prefix, []).append((start, msg.time, msg.peer_asn))
-        end = self.end_time if self._messages else 0.0
-        for (peer, prefix), start in open_at.items():
-            out.setdefault(prefix, []).append((start, end, peer))
-        for windows in out.values():
-            windows.sort()
-        return out
+        return self.rtbh_fold().windows_snapshot()
 
     # -- persistence -----------------------------------------------------------------
 

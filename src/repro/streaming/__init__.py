@@ -10,10 +10,10 @@ days through the same commit log.  See DESIGN.md §10.
 from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.corpus.control": ("ControlReducer",),
     "repro.streaming.advance": ("AdvanceReport", "advance_corpus"),
     "repro.streaming.engine": ("StreamEngine",),
-    "repro.streaming.reducers": ("ControlReducer", "PreRTBHReducer",
-                                 "TrafficReducer"),
+    "repro.streaming.reducers": ("PreRTBHReducer", "TrafficReducer"),
     "repro.streaming.report": ("StreamReport",),
     "repro.streaming.state": ("STREAM_CHECKPOINT_FILE", "StreamState",
                               "load_state", "reset_stream", "save_state"),

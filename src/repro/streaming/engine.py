@@ -5,8 +5,9 @@
 ``.segments/`` plus the checkpoint journal (``.checkpoint.jsonl``) act as
 an append-only commit log.  Each :meth:`tick` re-reads the journal,
 ingests every newly committed day (a day counts only once *both* planes'
-segments are committed), feeds the control messages through the
-serializable reducers of :mod:`repro.streaming.reducers`, and persists a
+segments are committed), feeds the control messages through the RTBH
+automaton (:class:`~repro.corpus.control.ControlReducer`), advances the
+data-plane reducers of :mod:`repro.streaming.reducers`, and persists a
 stream checkpoint atomically — so a SIGKILLed watcher resumes mid-stream
 from the last consumed day instead of re-ingesting the prefix.
 
@@ -35,7 +36,11 @@ from repro.core.events import DEFAULT_DELTA
 from repro.core.pipeline import ANALYSIS_NAMES, AnalysisPipeline
 from repro.core.registry import CONTROL, DATA, get_analysis
 from repro.core.study import StudyReport, run_analysis
-from repro.corpus.control import ControlPlaneCorpus, read_updates_jsonl
+from repro.corpus.control import (
+    ControlPlaneCorpus,
+    ControlReducer,
+    read_updates_jsonl,
+)
 from repro.corpus.data import DataPlaneCorpus
 from repro.corpus.ingest import ErrorPolicy, IngestReport, check_policy
 from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, file_sha256
@@ -57,11 +62,7 @@ from repro.runtime.generate import (
 )
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.supervisor import ingest_warnings
-from repro.streaming.reducers import (
-    ControlReducer,
-    PreRTBHReducer,
-    TrafficReducer,
-)
+from repro.streaming.reducers import PreRTBHReducer, TrafficReducer
 from repro.streaming.report import (
     MODE_BATCH,
     MODE_CACHED,

@@ -1,13 +1,11 @@
 """Serializable reducer states behind the incremental analyses.
 
-Each reducer mirrors one batch computation exactly:
+The control-plane reducer is not here: batch and streaming share one RTBH
+automaton, :class:`~repro.corpus.control.ControlReducer` (exported as
+``repro.streaming.ControlReducer``), whose fold *is* the batch
+classification.  The data-plane reducers each mirror one batch
+computation exactly:
 
-* :class:`ControlReducer` — the stateful RTBH classification of
-  :meth:`ControlPlaneCorpus._classify` plus the window automaton of
-  :meth:`~repro.corpus.control.ControlPlaneCorpus.rtbh_windows_by_prefix`,
-  fed one UPDATE at a time.  Its snapshot feeds the §5.1 Δ-merge
-  (:func:`~repro.core.events.events_from_merged_windows`) and the Fig. 3
-  load series (:func:`~repro.core.load.load_series_from_state`).
 * :class:`TrafficReducer` — the §4.2 per-event integer traffic totals
   (Figs 5–6), accumulated over half-open window *fragments* between
   control-plane frontiers, so each packet is counted exactly once.
@@ -24,19 +22,10 @@ resumed fingerprints byte-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.bgp.message import BGPUpdate
 from repro.core.droprate import EventTraffic, window_traffic_totals
-from repro.core.events import (
-    DEFAULT_DELTA,
-    RTBHEvent,
-    events_from_merged_windows,
-    merge_annotated_windows,
-)
-from repro.core.load import RTBHLoadSeries, load_series_from_state
+from repro.core.events import RTBHEvent
 from repro.core.pre_rtbh import (
     PreRTBHClass,
     PreRTBHClassification,
@@ -44,140 +33,7 @@ from repro.core.pre_rtbh import (
     classify_pre_rtbh_events,
 )
 from repro.corpus.data import DataPlaneCorpus
-from repro.errors import AnalysisError, StreamError
-from repro.net.ip import IPv4Prefix
-
-
-class ControlReducer:
-    """Incremental mirror of the corpus-level RTBH automata.
-
-    Feeding every message of a corpus in time order leaves this reducer
-    in a state whose :meth:`windows_snapshot` equals
-    ``corpus.rtbh_windows_by_prefix()`` and whose :attr:`rtbh_times`
-    equal the timestamps of ``corpus.rtbh_updates()`` — the invariants
-    the golden-equivalence suite asserts per watermark.
-    """
-
-    def __init__(self) -> None:
-        #: (peer, prefix) pairs with a standing blackhole announcement
-        self.active: set = set()
-        #: (peer, prefix) -> announce time of the currently-open window
-        self.open_at: Dict[Tuple[int, IPv4Prefix], float] = {}
-        #: prefix -> closed (start, end, announcer) windows
-        self.windows: Dict[IPv4Prefix, List[Tuple[float, float, int]]] = {}
-        #: (prefix, announcer) -> first origin ASN announced
-        self.origin_of: Dict[Tuple[IPv4Prefix, int], int] = {}
-        #: timestamps of every RTBH-related update (Fig. 3 message series)
-        self.rtbh_times: List[float] = []
-        self.message_count = 0
-        self.start_time: Optional[float] = None
-        self.end_time: Optional[float] = None
-
-    def feed(self, msg: BGPUpdate) -> None:
-        """Apply one UPDATE (messages must arrive in time order)."""
-        self.message_count += 1
-        if self.start_time is None:
-            self.start_time = msg.time
-        self.end_time = msg.time
-        key = (msg.peer_asn, msg.prefix)
-        if msg.is_announce:
-            if msg.is_blackhole:
-                self.active.add(key)
-                flagged = True
-            else:
-                # replaces any standing blackhole from this peer
-                flagged = key in self.active
-                self.active.discard(key)
-        else:
-            flagged = key in self.active
-            self.active.discard(key)
-        if not flagged:
-            return
-        self.rtbh_times.append(msg.time)
-        if msg.is_announce:
-            self.origin_of.setdefault((msg.prefix, msg.peer_asn),
-                                      msg.origin_asn)
-            self.open_at.setdefault(key, msg.time)
-        else:
-            start = self.open_at.pop(key, None)
-            if start is not None:
-                self.windows.setdefault(msg.prefix, []).append(
-                    (start, msg.time, msg.peer_asn))
-
-    # -- snapshots -----------------------------------------------------------
-
-    def windows_snapshot(self) -> Dict[IPv4Prefix,
-                                       List[Tuple[float, float, int]]]:
-        """``rtbh_windows_by_prefix()`` of the messages fed so far.
-
-        Still-open windows close artificially at the current end time —
-        exactly the batch semantics, so the snapshot matches the batch
-        map at every frontier.
-        """
-        out = {prefix: list(ws) for prefix, ws in self.windows.items()}
-        end = self.end_time if self.message_count else 0.0
-        for (peer, prefix), start in self.open_at.items():
-            out.setdefault(prefix, []).append((start, end, peer))
-        for ws in out.values():
-            ws.sort()
-        return out
-
-    def events(self, delta: float = DEFAULT_DELTA) -> List[RTBHEvent]:
-        """The Δ-merged events of the stream so far (§5.1)."""
-        merged = merge_annotated_windows(self.windows_snapshot(),
-                                         self.origin_of)
-        return events_from_merged_windows(merged, delta)
-
-    def load_series(self) -> RTBHLoadSeries:
-        """The Fig. 3 series of the stream so far."""
-        if self.message_count == 0:
-            raise AnalysisError("empty control corpus")
-        return load_series_from_state(
-            self.windows_snapshot(),
-            np.array(self.rtbh_times, dtype=np.float64),
-            self.start_time, self.end_time)
-
-    # -- persistence ---------------------------------------------------------
-
-    def to_state(self) -> dict:
-        return {
-            "active": [[peer, str(prefix)] for peer, prefix in self.active],
-            "open_at": [[peer, str(prefix), start]
-                        for (peer, prefix), start in self.open_at.items()],
-            "windows": {str(prefix): [list(w) for w in ws]
-                        for prefix, ws in self.windows.items()},
-            "origin_of": [[str(prefix), peer, origin]
-                          for (prefix, peer), origin
-                          in self.origin_of.items()],
-            "rtbh_times": self.rtbh_times,
-            "message_count": self.message_count,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ControlReducer":
-        reducer = cls()
-        try:
-            reducer.active = {(int(peer), IPv4Prefix(prefix))
-                              for peer, prefix in state["active"]}
-            reducer.open_at = {
-                (int(peer), IPv4Prefix(prefix)): float(start)
-                for peer, prefix, start in state["open_at"]}
-            reducer.windows = {
-                IPv4Prefix(prefix): [(float(s), float(e), int(peer))
-                                     for s, e, peer in ws]
-                for prefix, ws in state["windows"].items()}
-            reducer.origin_of = {
-                (IPv4Prefix(prefix), int(peer)): int(origin)
-                for prefix, peer, origin in state["origin_of"]}
-            reducer.rtbh_times = [float(t) for t in state["rtbh_times"]]
-            reducer.message_count = int(state["message_count"])
-            reducer.start_time = state["start_time"]
-            reducer.end_time = state["end_time"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StreamError(f"corrupt control reducer state: {exc}") from exc
-        return reducer
+from repro.errors import StreamError
 
 
 class TrafficReducer:

@@ -4,7 +4,12 @@ import pytest
 
 from repro.bgp import BLACKHOLE
 from repro.bgp.message import announce, withdraw
+from repro.core.events import extract_events, merge_threshold_sweep
+from repro.core.hosts import _origin_map
+from repro.core.load import rtbh_load_series
+from repro.core.visibility import targeted_visibility
 from repro.corpus import ControlPlaneCorpus
+from repro.corpus.control import ControlReducer
 from repro.errors import CorpusError
 from repro.net import IPv4Address, IPv4Prefix
 
@@ -78,6 +83,55 @@ class TestWindows:
         assert sorted(corpus.rtbh_windows_by_prefix()[HOST]) == [
             (1.0, 3.0, 100), (2.0, 4.0, 200)
         ]
+
+
+class TestDowngrade:
+    """A blackhole replaced by a plain route closes its window at the
+    replacement; the later withdrawal of the plain route is unrelated."""
+
+    DAY = 86_400.0
+
+    def corpus(self):
+        return ControlPlaneCorpus([
+            bh(60.0, 100),
+            announce(600.0, 100, HOST, NH, as_path=(100, 65099)),
+            withdraw(1200.0, 100, HOST),
+            announce(30 * self.DAY, 200, NET, NH),
+        ])
+
+    def test_windows(self):
+        assert self.corpus().rtbh_windows_by_prefix() == {
+            HOST: [(60.0, 600.0, 100)]}
+
+    def test_reducer(self):
+        reducer = ControlReducer()
+        flags = [reducer.feed(msg) for msg in self.corpus()]
+        assert flags == [True, True, False, False]
+        assert reducer.active == set() and reducer.open_at == {}
+        assert reducer.windows_snapshot() == {HOST: [(60.0, 600.0, 100)]}
+
+    def test_events_and_fig10(self):
+        corpus = self.corpus()
+        [event] = extract_events(corpus)
+        assert event.windows == ((60.0, 600.0),) and event.origin_asn == 100
+        _, fraction = merge_threshold_sweep(corpus, deltas=[600.0])
+        assert fraction.tolist() == [1.0]  # one announcement, one event
+
+    def test_fig3_load(self):
+        series = rtbh_load_series(self.corpus())
+        # minutes counted from the first message at t=60
+        assert series.active_prefixes[:9].tolist() == [1] * 9
+        assert series.active_prefixes[9:].max() == 0
+        assert series.messages_per_minute.sum() == 2
+
+    def test_fig4_visibility(self):
+        series = targeted_visibility(self.corpus(), [100, 200, 300])
+        assert series.announced[0] == 1
+        assert series.announced[1:].max() == 0
+
+    def test_host_origin_is_the_blackhole_announcers(self):
+        prefix, origin = _origin_map(self.corpus()).lookup(HOST.network)
+        assert (prefix, origin) == (HOST, 100)
 
 
 class TestPersistence:

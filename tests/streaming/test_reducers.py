@@ -7,6 +7,7 @@ from repro.core.events import DEFAULT_DELTA
 from repro.errors import AnalysisError, StreamError
 from repro.parallel.golden import value_fingerprint
 from repro.streaming import ControlReducer, PreRTBHReducer, TrafficReducer
+from tests.corpus.rtbh_oracle import oracle_windows
 
 
 def _fed(messages):
@@ -23,7 +24,7 @@ def fed_control(tiny_result):
 
 def test_windows_snapshot_equals_batch(tiny_result, fed_control):
     assert fed_control.windows_snapshot() == \
-        tiny_result.control.rtbh_windows_by_prefix()
+        oracle_windows(list(tiny_result.control))
 
 
 def test_events_equal_batch(tiny_pipeline, fed_control):

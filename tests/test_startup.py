@@ -91,7 +91,7 @@ def test_analyze_path_loads_no_generator_taps_faults_or_obs(corpus):
     assert result["rc"] in (EXIT_OK, 4)
     assert "repro.core.pipeline" in result["modules"]
     assert loaded(result, "repro.scenario", "repro.faults", "repro.taps",
-                  "repro.obs") == []
+                  "repro.obs", "repro.streaming") == []
 
 
 def test_forked_analysis_workers_import_nothing(corpus, tmp_path):

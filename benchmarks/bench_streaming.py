@@ -100,7 +100,7 @@ def test_bench_streaming_advance(tmp_path_factory):
         f"incremental advance of one day:    {incremental_s:.2f}s "
         f"(tick {tick_s:.2f}s + incremental report {inc_report_s:.2f}s, "
         f"{ratio:.2f}x of batch)",
-        f"full stream report (batch fallbacks included): "
+        f"full stream report (all 16 analyses): "
         f"{full_report_s:.2f}s",
         "fingerprints: stream == batch over the extended corpus",
     )

@@ -16,6 +16,7 @@ and proves the stream report's value fingerprints equal the batch run's.
 
 import argparse
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro import AnalyzeOptions, GenerateOptions, StreamOptions, Study
@@ -92,12 +93,12 @@ def main() -> None:
         host_min_days=host_min_days))
     batch_fp = {o.name: o.value_digest for o in report.outcomes}
     matches = stream.fingerprints() == batch_fp
-    incremental = sum(1 for mode in stream.modes.values()
-                      if mode == "incremental")
+    modes = Counter(stream.modes.values())
     print(f"  watermark: day {stream.watermark_days} "
           f"({stream.segments_consumed} segments consumed)")
-    print(f"  {incremental} analyses answered from reducer state, "
-          f"{len(stream.modes) - incremental} recomputed")
+    print(f"  {modes['incremental']} analyses read only reducer state, "
+          f"{modes['batch']} rescanned the corpus, "
+          f"{modes['cached']} came from the cache")
     print(f"  stream fingerprints == batch fingerprints: {matches}")
     assert matches, "streaming diverged from batch"
 

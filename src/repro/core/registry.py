@@ -3,11 +3,8 @@
 The pipeline's figures and tables are addressed by *name* — the same
 names ``run_all`` reports, the CLI prints, and the checkpoint journal
 keys on.  Each :class:`AnalysisSpec` records where the analysis lives in
-the paper, whether the streaming engine can maintain it incrementally
-from reducer state (see :mod:`repro.streaming`), and which corpus planes
-its result depends on (the invalidation key for per-analysis result
-caching — a control-only analysis need not recompute when only data
-segments changed).
+the paper and whether it reads only shared intermediates the streaming
+engine maintains in reducers (see :mod:`repro.streaming`).
 
 Run one by name via :meth:`AnalysisPipeline.run`::
 
@@ -21,10 +18,6 @@ from typing import Dict, Tuple
 
 from repro.errors import AnalysisError
 
-#: corpus planes an analysis result can depend on
-CONTROL = "control"
-DATA = "data"
-
 
 @dataclass(frozen=True)
 class AnalysisSpec:
@@ -35,49 +28,44 @@ class AnalysisSpec:
     section: str
     #: one-line description of what it measures
     title: str
-    #: True when ``repro.streaming`` maintains it from reducer state
-    #: instead of recomputing from the full corpus
+    #: True when it reads only intermediates ``repro.streaming``
+    #: maintains in reducers, so a watcher never rescans the corpus for it
     incremental: bool
-    #: corpus planes the result depends on — the cache-invalidation key
-    inputs: Tuple[str, ...]
 
 
 ANALYSES: Tuple[AnalysisSpec, ...] = (
     AnalysisSpec("fig2_time_offset", "§3.1 / Fig. 2",
-                 "control/data clock offset MLE", False, (CONTROL, DATA)),
+                 "control/data clock offset MLE", False),
     AnalysisSpec("fig3_load", "§3.2 / Fig. 3",
-                 "RTBH signaling load per minute", True, (CONTROL,)),
+                 "RTBH signaling load per minute", True),
     AnalysisSpec("fig4_targeted_visibility", "§4.1 / Fig. 4",
-                 "visibility of targeted prefixes", False, (CONTROL,)),
+                 "visibility of targeted prefixes", False),
     AnalysisSpec("fig5_drop_by_length", "§4.2 / Fig. 5",
-                 "drop rates by prefix length", True, (CONTROL, DATA)),
+                 "drop rates by prefix length", True),
     AnalysisSpec("fig6_drop_cdfs", "§4.2 / Fig. 6",
-                 "per-event drop-share ECDFs", True, (CONTROL, DATA)),
+                 "per-event drop-share ECDFs", True),
     AnalysisSpec("fig7_top_sources", "§4.2 / Fig. 7",
-                 "top handover ASes' reactions", False, (CONTROL, DATA)),
+                 "top handover ASes' reactions", False),
     AnalysisSpec("fig8_org_types", "§4.2 / Fig. 8",
-                 "PeeringDB org types of top sources", False,
-                 (CONTROL, DATA)),
+                 "PeeringDB org types of top sources", False),
     AnalysisSpec("fig10_merge_sweep", "§5.1 / Fig. 10",
-                 "event merge-threshold sweep", False, (CONTROL,)),
+                 "event merge-threshold sweep", False),
     AnalysisSpec("table2_pre_classes", "§5.2 / Table 2",
-                 "pre-RTBH anomaly classification", True, (CONTROL, DATA)),
+                 "pre-RTBH anomaly classification", True),
     AnalysisSpec("sec54_protocol_mix", "§5.4",
-                 "protocol mix of anomalous events", False, (CONTROL, DATA)),
+                 "protocol mix of anomalous events", False),
     AnalysisSpec("table3_amplification", "§5.4 / Table 3",
-                 "amplification protocol shares", False, (CONTROL, DATA)),
+                 "amplification protocol shares", False),
     AnalysisSpec("fig14_filterable", "§6.1 / Fig. 14",
-                 "share of filterable attack traffic", False,
-                 (CONTROL, DATA)),
+                 "share of filterable attack traffic", False),
     AnalysisSpec("fig15_participation", "§6.2 / Fig. 15",
-                 "AS participation in filtering", False, (CONTROL, DATA)),
+                 "AS participation in filtering", False),
     AnalysisSpec("table4_host_types", "§7.2 / Table 4",
-                 "org types of blackholed hosts", False, (CONTROL, DATA)),
+                 "org types of blackholed hosts", False),
     AnalysisSpec("fig18_collateral", "§7.3 / Fig. 18",
-                 "collateral damage of /24 blackholes", False,
-                 (CONTROL, DATA)),
+                 "collateral damage of /24 blackholes", False),
     AnalysisSpec("fig19_use_cases", "§8 / Fig. 19",
-                 "use-case classification of events", True, (CONTROL, DATA)),
+                 "use-case classification of events", True),
 )
 
 ANALYSES_BY_NAME: Dict[str, AnalysisSpec] = {s.name: s for s in ANALYSES}
@@ -94,5 +82,5 @@ def get_analysis(name: str) -> AnalysisSpec:
 
 
 def incremental_names() -> Tuple[str, ...]:
-    """Names the streaming engine maintains from reducer state."""
+    """Names whose intermediates the streaming engine keeps in reducers."""
     return tuple(s.name for s in ANALYSES if s.incremental)

@@ -358,8 +358,8 @@ def audit_caches(corpus: Path, cache_dir: str | Path | None
     The roots are ``cache_dir`` plus the corpus-local default.  An entry
     is *current* when it is keyed to this corpus's digest, *stream* when
     keyed to a ``stream:`` prefix of this corpus's commit log (a
-    watcher's batch-fallback entry), and *stale* otherwise — with no
-    usable manifest, every entry that is not a stream prefix is stale.
+    watcher's entry), and *stale* otherwise — with no usable manifest,
+    every entry that is not a stream prefix is stale.
     Returns the corpus digest (None without a usable manifest) and the
     entries.  ``validate`` and the scrub apply their own policies.
     """

@@ -12,30 +12,30 @@ stream checkpoint atomically — so a SIGKILLed watcher resumes mid-stream
 from the last consumed day instead of re-ingesting the prefix.
 
 :meth:`report` then produces a :class:`~repro.streaming.report
-.StreamReport`: incremental analyses are answered straight from reducer
-state, everything else falls back to a cache-aware batch recompute over
-the accumulated corpora.  Either way the per-analysis value fingerprints
-must equal a from-scratch batch run over the same corpus prefix — the
-invariant the golden suite and the CI watch-smoke job assert.
+.StreamReport` with one :meth:`~repro.core.pipeline.AnalysisPipeline
+.run_all` over the accumulated corpora.  The reducers enter that run
+only as injected shared intermediates (the RTBH fold, per-event traffic,
+pre-RTBH classification), so every analysis runs its one batch
+implementation; the result cache is keyed by one digest per watermark.
+The per-analysis value fingerprints must equal a from-scratch batch run
+over the same corpus prefix — the invariant the golden suite and the CI
+watch-smoke job assert.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.bgp.message import BGPUpdate
-from repro.core.droprate import aggregate_drop_rates, drop_cdfs_from_traffic
 from repro.core.events import DEFAULT_DELTA
 from repro.core.pipeline import ANALYSIS_NAMES, AnalysisPipeline
-from repro.core.registry import CONTROL, DATA, get_analysis
-from repro.core.study import StudyReport, run_analysis
+from repro.core.registry import get_analysis
 from repro.corpus.control import (
     ControlPlaneCorpus,
     ControlReducer,
@@ -61,7 +61,6 @@ from repro.runtime.generate import (
     committed_days,
 )
 from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.supervisor import ingest_warnings
 from repro.streaming.reducers import PreRTBHReducer, TrafficReducer
 from repro.streaming.report import (
     MODE_BATCH,
@@ -75,6 +74,7 @@ from repro.streaming.state import (
     StreamState,
     load_state,
     save_state,
+    stream_digest,
 )
 
 
@@ -197,16 +197,21 @@ class StreamEngine:
             pre_state=self._pre.to_state(),
         )
 
+    def _config(self) -> dict:
+        """:meth:`StreamState.config` without serializing any reducer."""
+        return StreamState(policy=self.policy.value, delta=self.delta,
+                           host_min_days=self.host_min_days).config()
+
     def _restore(self, state: StreamState) -> None:
         """Rebuild in-memory context from a persisted checkpoint.
 
         Reducer states come from the checkpoint; the raw messages and
-        packet chunks (needed for batch-fallback analyses) are re-read
-        from the consumed segment files, each re-verified against the
-        corpus journal so a regenerated corpus cannot be silently spliced
-        onto foreign reducer state.
+        packet chunks (which the analyses that rescan the corpora read)
+        are re-read from the consumed segment files, each re-verified
+        against the corpus journal so a regenerated corpus cannot be
+        silently spliced onto foreign reducer state.
         """
-        mine = self.state().config()
+        mine = self._config()
         if state.config() != mine:
             raise StreamError(
                 f"{self.corpus_dir}: stream checkpoint was written with "
@@ -468,28 +473,10 @@ class StreamEngine:
 
     # -- reporting -----------------------------------------------------------
 
-    def _config_hash(self) -> Optional[str]:
-        return telemetry.config_hash(self.state().config())
-
-    def _stream_digest(self, inputs: Sequence[str]) -> str:
-        """Cache corpus key over the consumed segments an analysis reads.
-
-        Keyed per plane, so (for instance) a control-only analysis keeps
-        hitting its cache entry even if only data segments were corrupt
-        and re-committed.  The ``stream:`` prefix keeps these entries
-        disjoint from batch ``analyze`` entries in a shared cache dir.
-        """
-        h = hashlib.sha256()
-        for entry in self._consumed:
-            if CONTROL in inputs:
-                h.update(f"control:{entry.day}:{entry.control_sha256}\n"
-                         .encode("utf-8"))
-            if DATA in inputs:
-                h.update(f"data:{entry.day}:{entry.data_sha256}\n"
-                         .encode("utf-8"))
-        return "stream:" + h.hexdigest()
-
     def _pipeline(self) -> AnalysisPipeline:
+        """The batch pipeline over the consumed prefix, with the reducers
+        injected into its shared-intermediate slots so no analysis
+        recomputes them from the accumulated corpora."""
         try:
             peers, rs_asn, peeringdb = load_platform(self.corpus_dir)
         except (OSError, KeyError, ValueError) as exc:
@@ -500,75 +487,38 @@ class StreamEngine:
             self._control_corpus(), self._data_corpus(), peers,
             peeringdb=peeringdb, route_server_asn=rs_asn,
             delta=self.delta, host_min_days=self.host_min_days)
-        # Inject the incrementally-maintained shared intermediates into
-        # the cached_property slots so neither the incremental analyses
-        # nor the batch fallbacks recompute them from scratch.
-        events = self._control.events(self.delta)
-        pipeline.__dict__["events"] = events
+        pipeline.__dict__["rtbh_fold"] = self._control
+        events = pipeline.events
         pipeline.__dict__["event_traffic"] = self._traffic.traffic(events)
         pipeline.__dict__["pre_classification"] = \
             self._pre.classification(events)
         return pipeline
-
-    def _incremental_fn(self, name: str,
-                        pipeline: AnalysisPipeline) -> Callable:
-        if name == "fig3_load":
-            return self._control.load_series
-        events = pipeline.__dict__["events"]
-        if name == "fig5_drop_by_length":
-            return lambda: aggregate_drop_rates(self._traffic.traffic(events))
-        if name == "fig6_drop_cdfs":
-            return lambda: drop_cdfs_from_traffic(self._traffic.traffic(events))
-        # table2_pre_classes / fig19_use_cases read only the injected
-        # intermediates through the pipeline — already incremental
-        return pipeline.analysis_fn(name)
 
     def report(self, analyses: Optional[Sequence[str]] = None,
                ) -> StreamReport:
         """Analyze the consumed prefix; see the module docstring.
 
         ``analyses`` restricts to a subset of registry names (default:
-        the full study).  Incremental analyses are answered from reducer
-        state; the rest recompute batch-style over the accumulated
-        corpora, consulting the result cache when one was given.
+        the full study).  With a result cache, every analysis is served
+        from it when the same watermark was already reported.
         """
         telem = telemetry.current()
         names = list(analyses if analyses is not None else ANALYSIS_NAMES)
-        specs = [get_analysis(name) for name in names]
+        modes = {}
         with telem.span("stream.report", watermark=self.watermark_days,
                         analyses=len(names)):
-            pipeline = self._pipeline()
-            degraded = pipeline.degraded_inputs
-            study = StudyReport()
-            study.warnings.extend(ingest_warnings(pipeline))
-            modes: Dict[str, str] = {}
-            for spec in specs:
-                name = spec.name
-                if spec.incremental:
-                    outcome = run_analysis(
-                        name, self._incremental_fn(name, pipeline),
-                        strict=False, degraded_inputs=degraded)
-                    modes[name] = MODE_INCREMENTAL
-                else:
-                    outcome = None
-                    digest = None
-                    if self.cache is not None:
-                        digest = self._stream_digest(spec.inputs)
-                        outcome = self.cache.get(digest, self._config_hash(),
-                                                 name)
-                    if outcome is not None:
-                        modes[name] = MODE_CACHED
-                    else:
-                        outcome = run_analysis(
-                            name, pipeline.analysis_fn(name), strict=False,
-                            degraded_inputs=degraded)
-                        modes[name] = MODE_BATCH
-                        if self.cache is not None:
-                            self.cache.put(digest, self._config_hash(),
-                                           outcome)
-                telem.counter("stream.analyses", mode=modes[name],
+            study = self._pipeline().run_all(
+                strict=False, analyses=names, cache=self.cache,
+                corpus_digest=stream_digest(self._consumed),
+                config_hash=telemetry.config_hash(self._config()))
+            for outcome in study.outcomes:
+                modes[outcome.name] = (
+                    MODE_CACHED if outcome.cached
+                    else MODE_INCREMENTAL
+                    if get_analysis(outcome.name).incremental
+                    else MODE_BATCH)
+                telem.counter("stream.analyses", mode=modes[outcome.name],
                               status=outcome.status.value).inc()
-                study.outcomes.append(outcome)
             if telem.enabled:
                 study.telemetry = telem.metrics_snapshot()
         return StreamReport(

@@ -1,4 +1,9 @@
-"""Serializable reducer states behind the incremental analyses.
+"""Serializable data-plane reducers behind the watcher's intermediates.
+
+The streaming engine injects their per-event traffic and pre-RTBH
+classification into the batch pipeline's shared-intermediate slots, so
+Figs 5–6, Table 2 and Fig 19 run their one batch implementation without
+rescanning the accumulated data plane.
 
 The control-plane reducer is not here: batch and streaming share one RTBH
 automaton, :class:`~repro.corpus.control.ControlReducer` (exported as

@@ -13,6 +13,9 @@ SHA-256 must still match the corpus checkpoint journal.  A corpus that
 was regenerated underneath the watcher fails with
 :class:`~repro.errors.StreamError` instead of silently splicing reducer
 state from one corpus onto the segments of another.
+
+:func:`stream_digest` is the watcher's result-cache key: one digest of
+the consumed ledger per watermark.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import telemetry
-from repro.core.registry import CONTROL, DATA
 from repro.errors import StreamCheckpointError, StreamError
 from repro.runtime import chaos
 from repro.runtime.atomic import atomic_write_text
@@ -177,29 +179,48 @@ def reset_stream(corpus_dir: str | Path) -> bool:
                           ) from exc
 
 
+def _ledger_line(plane: str, day: int, sha256) -> bytes:
+    return f"{plane}:{day}:{sha256}\n".encode("utf-8")
+
+
+def stream_digest(consumed: Sequence[ConsumedDay]) -> str:
+    """The stream result cache's corpus key at one watermark.
+
+    Hashes both planes' (day, SHA-256) pairs of the consumed ledger.
+    Both planes commit every day and the checkpoint pins each consumed
+    SHA, so one key per watermark is all a watcher can ever hit.  The
+    ``stream:`` prefix keeps these entries disjoint from batch
+    ``analyze`` entries in a shared cache dir.
+    """
+    h = hashlib.sha256()
+    for entry in consumed:
+        h.update(_ledger_line("control", entry.day, entry.control_sha256))
+        h.update(_ledger_line("data", entry.day, entry.data_sha256))
+    return "stream:" + h.hexdigest()
+
+
 def stream_corpus_digests(corpus_dir: str | Path) -> set:
     """Every ``stream:`` cache corpus key a watcher of this corpus may
-    have written: one per (committed day prefix, input-plane subset).
+    have written: :func:`stream_digest` of each committed day prefix.
 
     The cache audit uses this to tell a legitimately prefix-keyed
     stream cache entry apart from one left behind by a different
-    (e.g. since-regenerated) corpus.  A journal whose header is
-    unreadable has no usable commit log, so it yields no digests.
+    (e.g. since-regenerated) corpus.  Watchers before the one-key
+    scheme keyed Figs 4 and 10 by the control plane alone; those
+    prefixes are included too, so their entries audit as ``stream``
+    rather than ``stale``.  A journal whose header is unreadable has no
+    usable commit log, so it yields no digests.
     """
     scan = scan_journal_file(Path(corpus_dir) / JOURNAL_FILE)
     if not scan.exists or scan.header_bad:
         return set()
-    days = committed_days(scan.steps)
-    digests = set()
-    for subset in ((CONTROL,), (DATA,), (CONTROL, DATA)):
-        h = hashlib.sha256()
-        digests.add("stream:" + h.hexdigest())
-        for day, (control, data) in enumerate(days):
-            if CONTROL in subset:
-                h.update(f"control:{day}:{control.get('sha256')}\n"
-                         .encode("utf-8"))
-            if DATA in subset:
-                h.update(f"data:{day}:{data.get('sha256')}\n"
-                         .encode("utf-8"))
-            digests.add("stream:" + h.hexdigest())
+    joint, control_only = hashlib.sha256(), hashlib.sha256()
+    digests = {"stream:" + joint.hexdigest()}
+    for day, (control, data) in enumerate(committed_days(scan.steps)):
+        control_line = _ledger_line("control", day, control.get("sha256"))
+        joint.update(control_line)
+        joint.update(_ledger_line("data", day, data.get("sha256")))
+        control_only.update(control_line)
+        digests.add("stream:" + joint.hexdigest())
+        digests.add("stream:" + control_only.hexdigest())
     return digests

@@ -1,20 +1,29 @@
 """StreamEngine: golden equivalence with batch, checkpointed resume,
 cache modes, and guardrails against a corpus changing underfoot."""
 
+import hashlib
 import json
 import shutil
 
 import pytest
 
-from repro import AnalyzeOptions, Study
+from repro import AnalyzeOptions, Study, telemetry
+from repro.cli import EXIT_OK, main
+from repro.core.study import AnalysisOutcome, AnalysisStatus
+from repro.corpus.control import ControlReducer
+from repro.corpus.manifest import validate_corpus
+from repro.doctor import scrub_corpus
 from repro.errors import StreamError
 from repro.parallel.cache import ResultCache
-from repro.runtime.generate import JOURNAL_FILE, SEGMENT_DIR
+from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.generate import JOURNAL_FILE, SEGMENT_DIR, committed_days
 from repro.streaming import (
     STREAM_CHECKPOINT_FILE,
     StreamEngine,
     load_state,
 )
+from repro.streaming.reducers import PreRTBHReducer, TrafficReducer
+from repro.streaming.state import ConsumedDay, stream_digest
 from repro.streaming.report import (
     MODE_BATCH,
     MODE_CACHED,
@@ -50,15 +59,15 @@ def test_report_modes_and_equivalence(corpus, batch_fingerprints):
 
 
 def test_cache_serves_second_report(corpus, batch_fingerprints):
+    # incremental analyses go through the cache too: a warm report at
+    # the same watermark serves every analysis from it
     cache = ResultCache.for_corpus(corpus)
     engine = StreamEngine.open(corpus, host_min_days=1, cache=cache)
     engine.tick()
     first = engine.report()
     second = engine.report()
     assert second.fingerprints() == batch_fingerprints
-    for name, mode in second.modes.items():
-        expected = MODE_INCREMENTAL if name in INCREMENTAL else MODE_CACHED
-        assert mode == expected, name
+    assert set(second.modes.values()) == {MODE_CACHED}
     assert first.fingerprints() == second.fingerprints()
 
 
@@ -118,3 +127,63 @@ def test_watch_until_days(corpus):
                              sleep=naps.append)
     assert watermark == 3
     assert naps == []  # everything was already committed
+
+
+def test_stream_digest_is_the_two_plane_ledger_key():
+    # the (control, data) key earlier watchers wrote for two-plane
+    # analyses, so their cache entries keep hitting
+    ledger = [ConsumedDay(0, "a" * 64, "b" * 64),
+              ConsumedDay(1, "c" * 64, "d" * 64)]
+    assert stream_digest(ledger) == (
+        "stream:92021b159d4ec0192e5e71bdfc1d5ce59ef1a2e1d94613de0dd0387e5cc"
+        "0338f")
+    assert stream_digest([]) == "stream:" + hashlib.sha256().hexdigest()
+
+
+def test_control_only_entries_of_older_watchers_audit_as_stream(corpus):
+    # earlier watchers keyed Figs 4 and 10 by the control plane alone
+    h = hashlib.sha256()
+    days = committed_days(CheckpointJournal.load(corpus / JOURNAL_FILE))
+    for day, (control, _) in enumerate(days):
+        h.update(f"control:{day}:{control['sha256']}\n".encode("utf-8"))
+    ResultCache.for_corpus(corpus).put(
+        "stream:" + h.hexdigest(), "7dea753ec805",
+        AnalysisOutcome(name="fig10_merge_sweep", status=AnalysisStatus.OK,
+                        value=None, value_digest="0" * 16))
+    assert validate_corpus(corpus).ok
+    assert scrub_corpus(corpus).clean
+
+
+def test_cached_report_serializes_no_reducer(corpus, batch_fingerprints,
+                                             monkeypatch):
+    engine = StreamEngine.open(corpus, host_min_days=1,
+                               cache=ResultCache.for_corpus(corpus))
+    engine.tick()
+    engine.report()
+
+    def refuse(self):
+        raise AssertionError("report serialized a reducer")
+
+    for reducer in (ControlReducer, TrafficReducer, PreRTBHReducer):
+        monkeypatch.setattr(reducer, "to_state", refuse)
+    cached = engine.report()
+    assert set(cached.modes.values()) == {MODE_CACHED}
+    assert cached.fingerprints() == batch_fingerprints
+    # the config hash earlier watchers keyed their entries on
+    assert telemetry.config_hash(engine._config()) == "7dea753ec805"
+
+
+def test_watch_trace_splits_report_by_analysis(corpus, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    names = ["fig3_load", "fig4_targeted_visibility", "fig19_use_cases"]
+    rc = main(["watch", str(corpus), "--once", "--host-min-days", "1",
+               "--analyses", ",".join(names), "--trace", str(trace), "-q"])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    spans = [r for r in spans if r["type"] == "span"]
+    (report,) = [r for r in spans if r["name"] == "stream.report"]
+    analyses = [r for r in spans if r["name"].startswith("analyze.")]
+    assert sorted(r["name"] for r in analyses) == sorted(
+        f"analyze.{name}" for name in names)
+    assert all(r["parent_id"] == report["span_id"] for r in analyses)

@@ -79,7 +79,7 @@ class RTBHEvent:
 def extract_events(control: ControlPlaneCorpus,
                    delta: float = DEFAULT_DELTA) -> List[RTBHEvent]:
     """Group the corpus' blackhole windows into RTBH events at threshold Δ."""
-    return events_from_merged_windows(control.rtbh_fold().merged_windows(),
+    return events_from_merged_windows(control.rtbh_fold.merged_windows(),
                                       delta)
 
 
@@ -147,7 +147,7 @@ def merge_threshold_sweep(
         raise AnalysisError("corpus contains no RTBH announcements")
     gaps: List[float] = []
     total_windows = 0
-    for windows in control.rtbh_fold().merged_windows().values():
+    for windows in control.rtbh_fold.merged_windows().values():
         total_windows += len(windows)
         for (s0, e0, *_), (s1, *_rest) in zip(windows, windows[1:]):
             gaps.append(s1 - e0)

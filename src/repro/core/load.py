@@ -50,7 +50,7 @@ def rtbh_load_series(control: ControlPlaneCorpus,
         raise AnalysisError("empty control corpus")
     t0 = control.start_time if t0 is None else t0
     t1 = control.end_time if t1 is None else t1
-    fold = control.rtbh_fold()
+    fold = control.rtbh_fold
     return load_series_from_state(fold.merged_windows(), fold.rtbh_times,
                                   t0, t1)
 

@@ -24,7 +24,7 @@ def announced_interval_sets(control: ControlPlaneCorpus) -> Dict[IPv4Prefix, Int
     """Per-prefix announced intervals (any-announcer union) on the
     control-plane clock."""
     out: Dict[IPv4Prefix, IntervalSet] = {}
-    for prefix, windows in control.rtbh_fold().merged_windows().items():
+    for prefix, windows in control.rtbh_fold.merged_windows().items():
         iset = IntervalSet()
         for start, end, *_ in windows:
             iset.open_at(start)

@@ -8,8 +8,9 @@ registry for the joins) — never scenario ground truth.
 
 The shared intermediates are ``cached_property`` slots, so a caller that
 maintains one elsewhere injects it instead: ``repro watch`` puts its
-reducers' RTBH fold, per-event traffic and pre-RTBH classification there
-and then runs the same :meth:`AnalysisPipeline.run_all`.
+reducers' per-event traffic and pre-RTBH classification there (its RTBH
+fold is already the control corpus's ``rtbh_fold``) and then runs the
+same :meth:`AnalysisPipeline.run_all`.
 
 Analyses are addressed by name through the registry
 (:data:`repro.core.registry.ANALYSES`)::
@@ -35,7 +36,7 @@ from repro.core import visibility as visibility_mod
 from repro.core.events import DEFAULT_DELTA, RTBHEvent, merge_threshold_sweep
 from repro.core.registry import ANALYSES, get_analysis
 from repro.core.study import StudyReport
-from repro.corpus.control import ControlPlaneCorpus, ControlReducer
+from repro.corpus.control import ControlPlaneCorpus
 from repro.corpus.data import DataPlaneCorpus
 from repro.ixp.peeringdb import PeeringDB
 from repro.runtime.supervisor import run_analyses
@@ -70,14 +71,10 @@ class AnalysisPipeline:
     # -- shared intermediates ---------------------------------------------------
 
     @cached_property
-    def rtbh_fold(self) -> ControlReducer:
-        """The RTBH automaton folded over the control corpus (§18)."""
-        return self.control.rtbh_fold()
-
-    @cached_property
     def events(self) -> List[RTBHEvent]:
-        """Δ-merged RTBH events (§5.1)."""
-        return self.rtbh_fold.events(self.delta)
+        """Δ-merged RTBH events (§5.1), from the control corpus's RTBH
+        fold (§18)."""
+        return self.control.rtbh_fold.events(self.delta)
 
     @cached_property
     def pre_classification(self) -> pre_mod.PreRTBHClassification:
@@ -119,7 +116,7 @@ class AnalysisPipeline:
         return offset_mod.time_offset_analysis(self.control, self.data)
 
     def _impl_fig3_load(self) -> load_mod.RTBHLoadSeries:
-        return self.rtbh_fold.load_series()
+        return self.control.rtbh_fold.load_series()
 
     def _impl_fig4_targeted_visibility(
             self, sample_interval: float = 3_600.0,

@@ -6,15 +6,19 @@ Withdrawals carry no communities on the wire, so "RTBH-related" withdrawals
 are identified the way the paper must: a withdrawal is blackhole-related
 when the same peer currently has a blackhole announcement standing for the
 prefix.  :class:`ControlReducer` makes that decision one UPDATE at a time
-and turns it into (peer, prefix) blackhole windows.  The streaming engine
-feeds it day by day; :meth:`ControlPlaneCorpus.rtbh_fold` runs it once
-over the whole corpus and every batch RTBH accessor reads that fold.
+and turns it into (peer, prefix) blackhole windows.
+:attr:`ControlPlaneCorpus.rtbh_fold` runs it once over the whole corpus
+and every RTBH accessor reads that fold.  The streaming engine feeds its
+own reducer day by day and puts it in the same slot of the corpus it
+reports on, so nothing is folded twice; the reducer is never persisted,
+a resumed watcher re-feeds the segments it re-reads anyway.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Dict,
@@ -36,7 +40,6 @@ from repro.errors import (
     CorpusError,
     IngestError,
     ReproError,
-    StreamError,
 )
 from repro.net.ip import IPv4Address, IPv4Prefix
 from repro import telemetry
@@ -92,12 +95,11 @@ def merge_annotated_windows(
 
 
 class ControlReducer:
-    """The RTBH automaton as a serializable fold over time-ordered UPDATEs.
+    """The RTBH automaton as a fold over time-ordered UPDATEs.
 
-    Batch and streaming share it: :meth:`ControlPlaneCorpus.rtbh_fold` is
+    Batch and streaming share it: :attr:`ControlPlaneCorpus.rtbh_fold` is
     this reducer fed every message of a corpus once, and the streaming
-    engine feeds it each newly committed day and persists
-    :meth:`to_state` in the stream checkpoint.
+    engine feeds it each newly committed day.
     """
 
     def __init__(self) -> None:
@@ -109,8 +111,8 @@ class ControlReducer:
         self.windows: Dict[IPv4Prefix, List[Tuple[float, float, int]]] = {}
         #: (prefix, announcer) -> first origin ASN announced
         self.origin_of: Dict[Tuple[IPv4Prefix, int], int] = {}
-        #: timestamps of every RTBH-related update (Fig. 3 message series)
-        self.rtbh_times: List[float] = []
+        #: the RTBH-related updates, in feed order
+        self.rtbh_messages: List[BGPUpdate] = []
         self.message_count = 0
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
@@ -138,8 +140,13 @@ class ControlReducer:
                     (start, msg.time, msg.peer_asn))
         else:
             return False
-        self.rtbh_times.append(msg.time)
+        self.rtbh_messages.append(msg)
         return True
+
+    @property
+    def rtbh_times(self) -> List[float]:
+        """Timestamps of the RTBH-related updates (Fig. 3 message series)."""
+        return [msg.time for msg in self.rtbh_messages]
 
     # -- snapshots -----------------------------------------------------------
 
@@ -184,48 +191,6 @@ class ControlReducer:
         return load_series_from_state(self.merged_windows(), self.rtbh_times,
                                       self.start_time, self.end_time)
 
-    # -- persistence ---------------------------------------------------------
-
-    def to_state(self) -> dict:
-        return {
-            "active": [[peer, str(prefix)] for peer, prefix in self.active],
-            "open_at": [[peer, str(prefix), start]
-                        for (peer, prefix), start in self.open_at.items()],
-            "windows": {str(prefix): [list(w) for w in ws]
-                        for prefix, ws in self.windows.items()},
-            "origin_of": [[str(prefix), peer, origin]
-                          for (prefix, peer), origin
-                          in self.origin_of.items()],
-            "rtbh_times": self.rtbh_times,
-            "message_count": self.message_count,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ControlReducer":
-        reducer = cls()
-        try:
-            reducer.active = {(int(peer), IPv4Prefix(prefix))
-                              for peer, prefix in state["active"]}
-            reducer.open_at = {
-                (int(peer), IPv4Prefix(prefix)): float(start)
-                for peer, prefix, start in state["open_at"]}
-            reducer.windows = {
-                IPv4Prefix(prefix): [(float(s), float(e), int(peer))
-                                     for s, e, peer in ws]
-                for prefix, ws in state["windows"].items()}
-            reducer.origin_of = {
-                (IPv4Prefix(prefix), int(peer)): int(origin)
-                for prefix, peer, origin in state["origin_of"]}
-            reducer.rtbh_times = [float(t) for t in state["rtbh_times"]]
-            reducer.message_count = int(state["message_count"])
-            reducer.start_time = state["start_time"]
-            reducer.end_time = state["end_time"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StreamError(f"corrupt control reducer state: {exc}") from exc
-        return reducer
-
 
 class ControlPlaneCorpus:
     """An ordered store of BGP updates with RTBH-aware helpers.
@@ -261,8 +226,6 @@ class ControlPlaneCorpus:
         report.loaded = len(self._messages)
         #: accounting of what construction/loading kept and dropped
         self.ingest_report: IngestReport = report
-        self._fold: Optional[ControlReducer] = None
-        self._rtbh: List[BGPUpdate] = []
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -287,25 +250,26 @@ class ControlPlaneCorpus:
 
     # -- RTBH classification ---------------------------------------------------
 
+    @cached_property
     def rtbh_fold(self) -> ControlReducer:
         """The RTBH automaton run once over the corpus, cached.
 
         Every accessor below reads this one fold; treat it as read-only.
+        A holder of the same fold (the streaming engine) sets the slot
+        instead of letting the corpus fold its messages again.
         """
-        if self._fold is None:
-            fold = ControlReducer()
-            self._rtbh = [msg for msg in self._messages if fold.feed(msg)]
-            self._fold = fold
-        return self._fold
+        fold = ControlReducer()
+        for msg in self._messages:
+            fold.feed(msg)
+        return fold
 
     def rtbh_updates(self) -> List[BGPUpdate]:
         """Only the blackhole-related updates: blackhole announcements and
         the messages that close their windows."""
-        self.rtbh_fold()
-        return list(self._rtbh)
+        return list(self.rtbh_fold.rtbh_messages)
 
     def rtbh_message_count(self) -> int:
-        return len(self.rtbh_fold().rtbh_times)
+        return len(self.rtbh_fold.rtbh_messages)
 
     def rtbh_prefixes(self) -> Set[IPv4Prefix]:
         """Every prefix that was ever blackholed via the route server."""
@@ -318,7 +282,7 @@ class ControlPlaneCorpus:
         :attr:`end_time` — the paper treats still-active blackholes (e.g.
         zombies) the same way.
         """
-        return self.rtbh_fold().windows_snapshot()
+        return self.rtbh_fold.windows_snapshot()
 
     # -- persistence -----------------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """repro.streaming — incremental analysis over an append-only corpus.
 
 The streaming engine (``repro watch``) tails the committed day segments
-of a generated corpus, advances serializable per-analysis reducers, and
-reports results whose value fingerprints equal a from-scratch batch run
-over the same corpus prefix.  ``repro advance`` extends a corpus by more
-days through the same commit log.  See DESIGN.md §10.
+of a generated corpus, advances the RTBH automaton and the data-plane
+reducers, and reports results whose value fingerprints equal a
+from-scratch batch run over the same corpus prefix.  ``repro advance``
+extends a corpus by more days through the same commit log.  See
+DESIGN.md §10.
 """
 
 from repro import _lazy_exports

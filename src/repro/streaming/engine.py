@@ -9,14 +9,18 @@ segments are committed), feeds the control messages through the RTBH
 automaton (:class:`~repro.corpus.control.ControlReducer`), advances the
 data-plane reducers of :mod:`repro.streaming.reducers`, and persists a
 stream checkpoint atomically — so a SIGKILLed watcher resumes mid-stream
-from the last consumed day instead of re-ingesting the prefix.
+from the last consumed day instead of recomputing the data-plane
+reducers.  The RTBH automaton is not persisted: resume re-reads every
+consumed segment anyway and re-feeds its control messages.
 
 :meth:`report` then produces a :class:`~repro.streaming.report
 .StreamReport` with one :meth:`~repro.core.pipeline.AnalysisPipeline
 .run_all` over the accumulated corpora.  The reducers enter that run
-only as injected shared intermediates (the RTBH fold, per-event traffic,
-pre-RTBH classification), so every analysis runs its one batch
-implementation; the result cache is keyed by one digest per watermark.
+only as injected state: the RTBH automaton is the control corpus's
+``rtbh_fold``, per-event traffic and pre-RTBH classification fill the
+pipeline's shared-intermediate slots, so every analysis runs its one
+batch implementation and none folds the control plane again; the result
+cache is keyed by one digest per watermark.
 The per-analysis value fingerprints must equal a from-scratch batch run
 over the same corpus prefix — the invariant the golden suite and the CI
 watch-smoke job assert.
@@ -192,7 +196,6 @@ class StreamEngine:
             policy=self.policy.value, delta=self.delta,
             host_min_days=self.host_min_days,
             consumed=list(self._consumed),
-            control_state=self._control.to_state(),
             traffic_state=self._traffic.to_state(),
             pre_state=self._pre.to_state(),
         )
@@ -205,11 +208,13 @@ class StreamEngine:
     def _restore(self, state: StreamState) -> None:
         """Rebuild in-memory context from a persisted checkpoint.
 
-        Reducer states come from the checkpoint; the raw messages and
-        packet chunks (which the analyses that rescan the corpora read)
-        are re-read from the consumed segment files, each re-verified
-        against the corpus journal so a regenerated corpus cannot be
-        silently spliced onto foreign reducer state.
+        The data-plane reducer states come from the checkpoint; the raw
+        messages and packet chunks (which the analyses that rescan the
+        corpora read) are re-read from the consumed segment files, each
+        re-verified against the corpus journal so a regenerated corpus
+        cannot be silently spliced onto foreign reducer state.  The
+        re-read control messages are fed through a fresh RTBH automaton,
+        so it is the same fold a first consumption builds.
         """
         mine = self._config()
         if state.config() != mine:
@@ -233,10 +238,9 @@ class StreamEngine:
                         "regenerated — remove the stream checkpoint to "
                         "start over")
             self._ingest_day(entry.day, entry.control_sha256,
-                             entry.data_sha256, feed=False)
+                             entry.data_sha256)
             self._consumed.append(entry)
         if state.consumed:
-            self._control = ControlReducer.from_state(state.control_state)
             self._traffic = TrafficReducer.from_state(state.traffic_state)
             self._pre = PreRTBHReducer.from_state(state.pre_state)
 
@@ -274,7 +278,7 @@ class StreamEngine:
                 day = self.watermark_days
                 control_sha = days[day][0]["sha256"]
                 data_sha = days[day][1]["sha256"]
-                self._ingest_day(day, control_sha, data_sha, feed=True)
+                self._ingest_day(day, control_sha, data_sha)
                 self._consumed.append(ConsumedDay(
                     day=day, control_sha256=control_sha,
                     data_sha256=data_sha))
@@ -372,14 +376,9 @@ class StreamEngine:
                 "on disk for streaming")
         return path
 
-    def _ingest_day(self, day: int, control_sha: str, data_sha: str, *,
-                    feed: bool) -> None:
-        """Read one day's two segments into the accumulated context.
-
-        ``feed=True`` additionally runs the control messages through the
-        control reducer (first consumption); restore passes ``feed=False``
-        because the reducer state comes from the checkpoint.
-        """
+    def _ingest_day(self, day: int, control_sha: str, data_sha: str) -> None:
+        """Read one day's two segments into the accumulated context and
+        feed its control messages through the RTBH automaton."""
         control_path = self._segment_path("control", day)
         data_path = self._segment_path("data", day)
         for path, expected in ((control_path, control_sha),
@@ -407,8 +406,7 @@ class StreamEngine:
                 self._control_skipped += 1
                 continue
             self._messages.append(item)
-            if feed:
-                self._control.feed(item)
+            self._control.feed(item)
         try:
             with np.load(data_path) as archive:
                 chunk = archive["packets"]
@@ -458,18 +456,27 @@ class StreamEngine:
             report.total = self._data_total
             self._data_cache = DataPlaneCorpus(
                 packets, sampling_rate=self._sampling(),
-                on_error=self.policy.value, ingest_report=report)
+                on_error=self.policy.value, ingest_report=report,
+                copy=False)
         return self._data_cache
 
     def _control_corpus(self) -> ControlPlaneCorpus:
-        """The accumulated control-plane corpus up to the watermark."""
+        """The accumulated control-plane corpus up to the watermark.
+
+        Its RTBH fold is the engine's own automaton, which has been fed
+        exactly these messages (segments are in time order, so the
+        corpus keeps the feed order), so no reader of the corpus folds
+        them again.
+        """
         report = IngestReport(source=str(self.corpus_dir / CONTROL_FILE),
                               policy=self.policy.value)
         report.total = self._control_total
         report.skipped = self._control_skipped
-        return ControlPlaneCorpus(list(self._messages),
-                                  on_error=self.policy.value,
-                                  ingest_report=report)
+        corpus = ControlPlaneCorpus(list(self._messages),
+                                    on_error=self.policy.value,
+                                    ingest_report=report)
+        corpus.__dict__["rtbh_fold"] = self._control
+        return corpus
 
     # -- reporting -----------------------------------------------------------
 
@@ -487,7 +494,6 @@ class StreamEngine:
             self._control_corpus(), self._data_corpus(), peers,
             peeringdb=peeringdb, route_server_asn=rs_asn,
             delta=self.delta, host_min_days=self.host_min_days)
-        pipeline.__dict__["rtbh_fold"] = self._control
         events = pipeline.events
         pipeline.__dict__["event_traffic"] = self._traffic.traffic(events)
         pipeline.__dict__["pre_classification"] = \

@@ -18,11 +18,13 @@ computation exactly:
   event's pre-window depends only on data before its start, so each
   event is classified once, at the watermark where it first appears.
 
-Every reducer round-trips through plain-JSON state (``to_state`` /
-``from_state``) — the pieces the stream checkpoint persists atomically so
-a SIGKILLed ``repro watch`` resumes without recomputation.  Floats
-survive the round trip exactly (shortest-repr JSON), which is what keeps
-resumed fingerprints byte-identical.
+Both data-plane reducers round-trip through plain-JSON state
+(``to_state`` / ``from_state``) — the pieces the stream checkpoint
+persists atomically so a SIGKILLed ``repro watch`` resumes without
+rescanning the data plane.  Floats survive the round trip exactly
+(shortest-repr JSON), which is what keeps resumed fingerprints
+byte-identical.  The RTBH automaton has no persisted form: a resumed
+watcher re-feeds the control messages it re-reads.
 """
 
 from __future__ import annotations

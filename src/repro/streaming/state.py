@@ -1,4 +1,5 @@
-"""The stream checkpoint: reducer states + consumed-segment ledger.
+"""The stream checkpoint: data-plane reducer states + consumed-segment
+ledger.
 
 ``repro watch`` persists one JSON file, ``.stream.checkpoint.json``, in
 the corpus directory it tails.  The file is written atomically after
@@ -7,6 +8,11 @@ the crash-safe layer), so a SIGKILLed watcher finds either the previous
 complete checkpoint or the new one — never a hybrid.  The chaos hook
 ``stream:day:NNN`` fires right after the save, letting the chaos suite
 kill the watcher at exactly that boundary.
+
+The checkpoint holds only what a resumed watcher cannot re-derive from
+the segments it re-reads: the RTBH automaton is rebuilt by re-feeding
+the consumed control messages, so it is not stored.  Checkpoints of
+older watchers also carry a ``control_state`` key; it is ignored.
 
 Resume validation is deliberately strict: every consumed segment's
 SHA-256 must still match the corpus checkpoint journal.  A corpus that
@@ -57,7 +63,6 @@ class StreamState:
     delta: float
     host_min_days: int
     consumed: List[ConsumedDay] = field(default_factory=list)
-    control_state: Optional[dict] = None
     traffic_state: Optional[dict] = None
     pre_state: Optional[dict] = None
 
@@ -82,7 +87,6 @@ class StreamState:
                  "data_sha256": c.data_sha256}
                 for c in self.consumed
             ],
-            "control_state": self.control_state,
             "traffic_state": self.traffic_state,
             "pre_state": self.pre_state,
         }
@@ -98,7 +102,6 @@ class StreamState:
                 policy=str(raw["policy"]),
                 delta=float(raw["delta"]),
                 host_min_days=int(raw["host_min_days"]),
-                control_state=raw.get("control_state"),
                 traffic_state=raw.get("traffic_state"),
                 pre_state=raw.get("pre_state"),
             )

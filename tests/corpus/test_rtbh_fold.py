@@ -5,12 +5,9 @@ this checks that fold against the loop oracle of :mod:`tests.corpus
 The streams mix several peers per prefix, blackhole re-announcements
 while a window is open, downgrades to a plain route, stray withdrawals
 and plain announcements, duplicate timestamps, and windows left open at
-the end.  A second reducer is cut at a random message, round-tripped
-through JSON state and fed the rest, the way ``repro watch`` resumes
-from its checkpoint.
+the end.  A second reducer is read at a random message and then fed the
+rest, the way ``repro watch`` reports at a day boundary and consumes on.
 """
-
-import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -78,7 +75,7 @@ def test_fold_equals_oracle(messages, delta, cut):
     assert corpus.rtbh_updates() == [m for m, f in zip(msgs, flags) if f]
     assert corpus.rtbh_message_count() == sum(flags)
     assert corpus.rtbh_windows_by_prefix() == windows
-    fold = corpus.rtbh_fold()
+    fold = corpus.rtbh_fold
     assert fold.origin_of == origin_of
     assert _union(fold.merged_windows()) == {
         prefix: oracle_union(ws) for prefix, ws in windows.items()}
@@ -93,73 +90,17 @@ def test_fold_equals_oracle(messages, delta, cut):
         assert np.array_equal(series.active_prefixes, active)
         assert np.array_equal(series.messages_per_minute, counts)
 
-    # cut the feed, resume from JSON state, feed the rest
+    # read the fold at a cut (which caches its union), then feed on
     cut = min(cut, len(msgs))
-    head = ControlReducer()
-    assert [head.feed(m) for m in msgs[:cut]] == flags[:cut]
-    assert head.windows_snapshot() == oracle_windows(msgs[:cut])
-    resumed = ControlReducer.from_state(
-        json.loads(json.dumps(head.to_state())))
-    assert [resumed.feed(m) for m in msgs[cut:]] == flags[cut:]
-    assert resumed.windows_snapshot() == windows
-    assert resumed.origin_of == origin_of
-    assert resumed.rtbh_times == fold.rtbh_times
-    assert resumed.events(delta) == want_events
+    stepped = ControlReducer()
+    assert [stepped.feed(m) for m in msgs[:cut]] == flags[:cut]
+    assert stepped.windows_snapshot() == oracle_windows(msgs[:cut])
+    stepped.events(delta)
+    assert [stepped.feed(m) for m in msgs[cut:]] == flags[cut:]
+    assert stepped.windows_snapshot() == windows
+    assert stepped.origin_of == origin_of
+    assert stepped.rtbh_messages == corpus.rtbh_updates()
+    assert stepped.events(delta) == want_events
     if msgs and corpus.end_time > corpus.start_time:
-        assert np.array_equal(resumed.load_series().active_prefixes,
+        assert np.array_equal(stepped.load_series().active_prefixes,
                               series.active_prefixes)
-
-
-#: ``to_state()`` of the reducer as the stream checkpoint stored it
-#: before the automaton moved into ``repro.corpus.control``: two peers
-#: on one /32 (one window closed, one open) and a plain route upgraded
-#: to a blackhole on a /24
-LEGACY_STATE = {
-    "active": [[200, "203.0.113.7/32"], [300, "198.51.100.0/24"]],
-    "open_at": [[200, "203.0.113.7/32", 20.0],
-                [300, "198.51.100.0/24", 90.0]],
-    "windows": {"203.0.113.7/32": [[10.0, 70.5, 100]]},
-    "origin_of": [["203.0.113.7/32", 100, 65001],
-                  ["203.0.113.7/32", 200, 65002],
-                  ["198.51.100.0/24", 300, 300]],
-    "rtbh_times": [10.0, 20.0, 70.5, 90.0],
-    "message_count": 5,
-    "start_time": 10.0,
-    "end_time": 90.0,
-}
-
-
-def _legacy_messages():
-    host, net = PREFIXES
-    bh = frozenset({BLACKHOLE})
-    return [
-        announce(10.0, 100, host, NH, as_path=(100, 65001), communities=bh),
-        announce(20.0, 200, host, NH, as_path=(200, 65002), communities=bh),
-        withdraw(70.5, 100, host),
-        announce(80.0, 300, net, NH, as_path=(300,)),
-        announce(90.0, 300, net, NH, as_path=(300,), communities=bh),
-    ]
-
-
-def _canonical(state):
-    return dict(state, active=sorted(state["active"]),
-                open_at=sorted(state["open_at"]))
-
-
-def test_checkpoint_state_layout_is_unchanged():
-    fed = ControlReducer()
-    for msg in _legacy_messages():
-        fed.feed(msg)
-    state = json.loads(json.dumps(fed.to_state()))
-    assert list(state) == list(LEGACY_STATE)
-    assert _canonical(state) == _canonical(LEGACY_STATE)
-    assert all(len(pair) == 2 for pair in state["active"])
-    assert all(len(entry) == 3 for entry in state["open_at"])
-    assert all(len(entry) == 3 for entry in state["origin_of"])
-    assert all(len(w) == 3 for ws in state["windows"].values() for w in ws)
-
-    restored = ControlReducer.from_state(LEGACY_STATE)
-    assert restored.windows_snapshot() == fed.windows_snapshot()
-    assert restored.origin_of == fed.origin_of
-    assert restored.events() == fed.events()
-    assert _canonical(restored.to_state()) == _canonical(LEGACY_STATE)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from repro import AnalyzeOptions, Study, telemetry
@@ -74,12 +75,85 @@ def test_cache_serves_second_report(corpus, batch_fingerprints):
 def test_checkpoint_resume_restores_watermark(corpus, batch_fingerprints):
     engine = StreamEngine.open(corpus, host_min_days=1)
     engine.tick()
-    assert (corpus / STREAM_CHECKPOINT_FILE).exists()
+    raw = json.loads((corpus / STREAM_CHECKPOINT_FILE).read_text())
+    # the RTBH automaton is not persisted: resume re-folds the messages
+    assert "control_state" not in raw
+
+    resumed = StreamEngine.open(corpus, host_min_days=1)
+    assert resumed.watermark_days == 3
+    for attr in ("windows", "open_at", "origin_of", "rtbh_messages",
+                 "message_count", "start_time", "end_time"):
+        assert getattr(resumed._control, attr) == \
+            getattr(engine._control, attr), attr
+    assert resumed.tick() == 0
+    assert resumed.report().fingerprints() == batch_fingerprints
+
+
+def test_report_runs_the_rtbh_automaton_zero_times(corpus,
+                                                   batch_fingerprints,
+                                                   monkeypatch):
+    engine = StreamEngine.open(corpus, host_min_days=1)
+    engine.tick()
+    feeds = []
+    feed = ControlReducer.feed
+
+    def counted(self, msg):
+        feeds.append(msg)
+        return feed(self, msg)
+
+    monkeypatch.setattr(ControlReducer, "feed", counted)
+    assert engine.report().fingerprints() == batch_fingerprints
+    assert feeds == []
+
+
+#: a ``control_state`` in the layout earlier watchers persisted (the RTBH
+#: automaton's eight keys).  It describes none of the test corpus's
+#: blackholes, so a watcher that read it would diverge from batch.
+OLDER_CONTROL_STATE = {
+    "active": [[200, "203.0.113.7/32"], [300, "198.51.100.0/24"]],
+    "open_at": [[200, "203.0.113.7/32", 20.0],
+                [300, "198.51.100.0/24", 90.0]],
+    "windows": {"203.0.113.7/32": [[10.0, 70.5, 100]]},
+    "origin_of": [["203.0.113.7/32", 100, 65001],
+                  ["203.0.113.7/32", 200, 65002],
+                  ["198.51.100.0/24", 300, 300]],
+    "rtbh_times": [10.0, 20.0, 70.5, 90.0],
+    "message_count": 5,
+    "start_time": 10.0,
+    "end_time": 90.0,
+}
+
+
+def test_older_checkpoint_with_control_state_resumes(corpus,
+                                                    batch_fingerprints):
+    engine = StreamEngine.open(corpus, host_min_days=1)
+    engine.tick()
+    raw = json.loads((corpus / STREAM_CHECKPOINT_FILE).read_text())
+    # earlier watchers wrote control_state between the ledger and the
+    # two data-plane states
+    older = {key: raw[key] for key in ("version", "policy", "delta",
+                                       "host_min_days", "consumed")}
+    older["control_state"] = OLDER_CONTROL_STATE
+    older["traffic_state"] = raw["traffic_state"]
+    older["pre_state"] = raw["pre_state"]
+    (corpus / STREAM_CHECKPOINT_FILE).write_text(json.dumps(older))
 
     resumed = StreamEngine.open(corpus, host_min_days=1)
     assert resumed.watermark_days == 3
     assert resumed.tick() == 0
     assert resumed.report().fingerprints() == batch_fingerprints
+    assert validate_corpus(corpus).ok
+    assert scrub_corpus(corpus).clean
+
+
+def test_data_corpus_owns_its_packets(corpus, batch_fingerprints):
+    engine = StreamEngine.open(corpus, host_min_days=1)
+    engine.tick()
+    data = engine._data_corpus()
+    before = data.packets.copy()
+    engine._chunks[0][:] = engine._chunks[-1][-1]
+    assert np.array_equal(data.packets, before)
+    assert engine.report().fingerprints() == batch_fingerprints
 
 
 def test_fresh_ignores_checkpoint(corpus):
@@ -164,7 +238,7 @@ def test_cached_report_serializes_no_reducer(corpus, batch_fingerprints,
     def refuse(self):
         raise AssertionError("report serialized a reducer")
 
-    for reducer in (ControlReducer, TrafficReducer, PreRTBHReducer):
+    for reducer in (TrafficReducer, PreRTBHReducer):
         monkeypatch.setattr(reducer, "to_state", refuse)
     cached = engine.report()
     assert set(cached.modes.values()) == {MODE_CACHED}

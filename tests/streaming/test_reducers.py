@@ -4,7 +4,7 @@ under any chunking of the input and across a state round trip."""
 import pytest
 
 from repro.core.events import DEFAULT_DELTA
-from repro.errors import AnalysisError, StreamError
+from repro.errors import AnalysisError
 from repro.parallel.golden import value_fingerprint
 from repro.streaming import ControlReducer, PreRTBHReducer, TrafficReducer
 from tests.corpus.rtbh_oracle import oracle_windows
@@ -42,23 +42,6 @@ def test_empty_reducer_raises_like_batch():
         ControlReducer().load_series()
     assert ControlReducer().windows_snapshot() == {}
     assert ControlReducer().events() == []
-
-
-def test_chunked_feed_and_state_roundtrip(tiny_result, fed_control):
-    messages = list(tiny_result.control)
-    half = len(messages) // 2
-    first = _fed(messages[:half])
-    resumed = ControlReducer.from_state(first.to_state())
-    for msg in messages[half:]:
-        resumed.feed(msg)
-    assert value_fingerprint(resumed.events()) == \
-        value_fingerprint(fed_control.events())
-    assert resumed.rtbh_times == fed_control.rtbh_times
-
-
-def test_corrupt_control_state_raises():
-    with pytest.raises(StreamError, match="corrupt control reducer"):
-        ControlReducer.from_state({"active": [["x"]]})
 
 
 def test_traffic_fragments_tile_windows(tiny_result, tiny_pipeline,

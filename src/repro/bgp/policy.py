@@ -14,6 +14,11 @@ by what member routers do with blackhole routes longer than /24:
 Each behaviour is a policy class here; scenarios assign a mix across the
 membership. Policies are deterministic functions of (member, route) so a
 re-run of a scenario reproduces identical drop shares.
+
+Many members run the same configuration, so each policy declares a
+:attr:`ImportPolicy.decision_key`: two policies with equal keys make the
+same decision for every route, and the route server evaluates a route
+once per key rather than once per member (DESIGN §15.1).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from enum import Enum
+from typing import Hashable, Optional
 
 from repro.bgp.route import Route
 from repro.errors import PolicyError
@@ -40,9 +46,21 @@ class ImportPolicy(ABC):
     #: short identifier used in reports and scenario configs
     name: str = "abstract"
 
+    @property
+    def decision_key(self) -> Optional[Hashable]:
+        """Equal keys promise equal decisions for every route; ``None``
+        (the default) means the policy is never shared with another
+        member's. A subclass that adds parameters must extend its parent's
+        key with them."""
+        return None
+
     @abstractmethod
     def evaluate(self, route: Route) -> PolicyDecision:
-        """ACCEPT to install the route as a best-path candidate."""
+        """ACCEPT to install the route as a best-path candidate.
+
+        The decision may depend on the route's prefix and path attributes
+        but not on ``learned_at``: the route server keeps it across
+        re-announcements that change nothing else."""
 
     def accepts(self, route: Route) -> bool:
         return bool(self.evaluate(route))
@@ -55,6 +73,10 @@ class AcceptAllPolicy(ImportPolicy):
     """Accepts every route regardless of length or communities."""
 
     name = "accept-all"
+
+    @property
+    def decision_key(self) -> Hashable:
+        return (type(self),)
 
     def evaluate(self, route: Route) -> PolicyDecision:
         return PolicyDecision.ACCEPT
@@ -71,6 +93,10 @@ class MaxPrefixLengthPolicy(ImportPolicy):
         if not 0 <= max_length <= 32:
             raise PolicyError(f"max_length out of range: {max_length}")
         self.max_length = max_length
+
+    @property
+    def decision_key(self) -> Hashable:
+        return (type(self), self.max_length)
 
     def evaluate(self, route: Route) -> PolicyDecision:
         if route.prefix.length > self.max_length:
@@ -94,6 +120,10 @@ class BlackholeWhitelistPolicy(ImportPolicy):
         if bad:
             raise PolicyError(f"whitelisted lengths out of range: {bad}")
 
+    @property
+    def decision_key(self) -> Hashable:
+        return (type(self), self.whitelisted_lengths, self.max_length)
+
     def evaluate(self, route: Route) -> PolicyDecision:
         if route.prefix.length <= self.max_length:
             return PolicyDecision.ACCEPT
@@ -109,6 +139,10 @@ class FullBlackholePolicy(ImportPolicy):
 
     def __init__(self, max_length: int = 24):
         self.max_length = max_length
+
+    @property
+    def decision_key(self) -> Hashable:
+        return (type(self), self.max_length)
 
     def evaluate(self, route: Route) -> PolicyDecision:
         if route.is_blackhole:
@@ -127,6 +161,10 @@ class NoBlackholePolicy(ImportPolicy):
 
     def __init__(self, max_length: int = 24):
         self.max_length = max_length
+
+    @property
+    def decision_key(self) -> Hashable:
+        return (type(self), self.max_length)
 
     def evaluate(self, route: Route) -> PolicyDecision:
         if route.is_blackhole or route.prefix.length > self.max_length:
@@ -153,6 +191,10 @@ class PartialBlackholePolicy(ImportPolicy):
         self.accept_fraction = accept_fraction
         self.salt = salt
         self.max_length = max_length
+
+    @property
+    def decision_key(self) -> Hashable:
+        return (type(self), self.accept_fraction, self.salt, self.max_length)
 
     def evaluate(self, route: Route) -> PolicyDecision:
         if route.prefix.length <= self.max_length:

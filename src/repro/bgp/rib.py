@@ -25,35 +25,80 @@ def best_path(candidates: list[Route]) -> Route:
     return min(candidates, key=lambda r: (len(r.as_path), r.learned_at, r.peer_asn))
 
 
+#: An Adj-RIB-In entry: a route and the import decision made for it.
+#: Entries are immutable, so peers that decided alike can share one.
+RIBEntry = Tuple[Route, bool]
+
+
 class AdjRIBIn:
-    """Routes learned from peers, keyed by (peer ASN, prefix)."""
+    """Routes learned from peers, keyed by (peer ASN, prefix).
+
+    Each entry also holds the import decision the owning peer's policy
+    made for the route, so re-selecting among the candidates never runs
+    the policy again.
+    """
 
     def __init__(self) -> None:
-        self._by_prefix: Dict[IPv4Prefix, Dict[int, Route]] = {}
+        self._by_prefix: Dict[IPv4Prefix, Dict[int, RIBEntry]] = {}
 
-    def add(self, route: Route) -> None:
-        """Insert or replace the route from ``route.peer_asn``."""
-        self._by_prefix.setdefault(route.prefix, {})[route.peer_asn] = route
+    def add(self, route: Route, accepted: bool = True) -> Optional[RIBEntry]:
+        """Insert or replace the route from ``route.peer_asn`` together
+        with its import decision; returns the entry it replaced."""
+        return self.put((route, accepted))
+
+    def put(self, entry: RIBEntry) -> Optional[RIBEntry]:
+        """Insert or replace an entry; returns the entry it replaced."""
+        route = entry[0]
+        peers = self._by_prefix.get(route.prefix)
+        if peers is None:
+            self._by_prefix[route.prefix] = {route.peer_asn: entry}
+            return None
+        replaced = peers.get(route.peer_asn)
+        peers[route.peer_asn] = entry
+        return replaced
+
+    def refresh(self, by_decision: Tuple[RIBEntry, RIBEntry]) -> Optional[list[Route]]:
+        """Swap in a re-announcement of a stored route, keeping the stored
+        decision: ``by_decision`` holds the route's rejected and accepted
+        entry, in that order. Returns the accepted routes for the prefix,
+        or None when the decision rejected the route."""
+        route = by_decision[0][0]
+        peers = self._by_prefix[route.prefix]
+        accepted = peers[route.peer_asn][1]
+        peers[route.peer_asn] = by_decision[accepted]
+        if not accepted:
+            return None
+        if len(peers) == 1:
+            return [route]
+        return [r for r, ok in peers.values() if ok]
+
+    def pop(self, peer_asn: int, prefix: IPv4Prefix) -> Optional[RIBEntry]:
+        """Drop and return the entry from ``peer_asn`` for ``prefix``."""
+        peers = self._by_prefix.get(prefix)
+        if peers is None:
+            return None
+        entry = peers.pop(peer_asn, None)
+        if not peers:
+            del self._by_prefix[prefix]
+        return entry
 
     def remove(self, peer_asn: int, prefix: IPv4Prefix) -> bool:
         """Drop the route from ``peer_asn`` for ``prefix``; True if present."""
-        peers = self._by_prefix.get(prefix)
-        if peers is None or peer_asn not in peers:
-            return False
-        del peers[peer_asn]
-        if not peers:
-            del self._by_prefix[prefix]
-        return True
+        return self.pop(peer_asn, prefix) is not None
 
     def candidates(self, prefix: IPv4Prefix) -> list[Route]:
         """All routes currently learned for ``prefix``."""
-        return list(self._by_prefix.get(prefix, {}).values())
+        return [route for route, _ in self._by_prefix.get(prefix, {}).values()]
+
+    def accepted(self, prefix: IPv4Prefix) -> list[Route]:
+        """The routes for ``prefix`` that the import policy accepted."""
+        return [route for route, ok in self._by_prefix.get(prefix, {}).values() if ok]
 
     def routes_from(self, peer_asn: int) -> Iterator[Route]:
         for peers in self._by_prefix.values():
-            route = peers.get(peer_asn)
-            if route is not None:
-                yield route
+            entry = peers.get(peer_asn)
+            if entry is not None:
+                yield entry[0]
 
     def prefixes(self) -> Iterator[IPv4Prefix]:
         return iter(self._by_prefix)

@@ -1,16 +1,20 @@
 """Bridges the route server's control plane into the acceptance timeline.
 
 The recorder subscribes to a :class:`~repro.bgp.route_server.RouteServer`
-and, after each processed update, diffs the per-peer accepted state for the
-touched prefix against what it saw last. Only *blackhole* routes are
-tracked — ordinary routes never send traffic to the blackhole MAC.
+and, after each processed update, diffs the accepted state of the peers
+whose Loc-RIB entry for the touched prefix changed
+(:attr:`~repro.bgp.route_server.RouteServer.loc_rib_changes`) against what
+it saw last. Only *blackhole* routes are tracked — ordinary routes never
+send traffic to the blackhole MAC. Subscribe before the first update: a
+peer's state is read only when it changes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.bgp.message import BGPUpdate
+from repro.bgp.route import Route
 from repro.bgp.route_server import RouteServer
 from repro.dataplane.timeline import AcceptanceTimeline
 from repro.net.ip import IPv4Prefix
@@ -31,7 +35,9 @@ class TimelineRecorder:
     def _on_update(self, update: BGPUpdate) -> None:
         prefix = update.prefix
         self._track_server_state(update, prefix)
-        self._track_acceptance(update.time, prefix)
+        changes = self._server.loc_rib_changes
+        if changes:
+            self._track_acceptance(update.time, prefix, changes)
 
     def _track_server_state(self, update: BGPUpdate, prefix: IPv4Prefix) -> None:
         announcers = self._announcers.setdefault(prefix, set())
@@ -44,15 +50,10 @@ class TimelineRecorder:
             announcers.discard(update.peer_asn)
             self.timeline.record_server_withdraw(prefix, update.time)
 
-    def _track_acceptance(self, time: float, prefix: IPv4Prefix) -> None:
-        # Only peers that currently hold the route — or held it accepted
-        # before this update — can change state; checking just those keeps
-        # long scenario replays linear instead of O(updates × members).
+    def _track_acceptance(self, time: float, prefix: IPv4Prefix,
+                          changes: Dict[int, Optional[Route]]) -> None:
         holders = self._accepted_now.setdefault(prefix, set())
-        candidates = self._server.peers_with_route(prefix) | holders
-        for asn in candidates:
-            peer = self._server.peer(asn)
-            route = peer.loc_rib.get(prefix)
+        for asn, route in changes.items():
             accepted = route is not None and route.is_blackhole
             if accepted and asn not in holders:
                 holders.add(asn)

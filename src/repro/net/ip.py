@@ -130,11 +130,12 @@ class IPv4Prefix:
     True
     """
 
-    __slots__ = ("_network", "_length")
+    __slots__ = ("_network", "_length", "_hash")
 
     def __init__(self, network: Union[IPv4Like], length: int | None = None):
         if isinstance(network, IPv4Prefix):
             self._network, self._length = network._network, network._length
+            self._hash = network._hash
             return
         if isinstance(network, str) and "/" in network:
             if length is not None:
@@ -150,6 +151,7 @@ class IPv4Prefix:
             if base & ~PREFIX_MASKS[length] & _MAX_IPV4:
                 raise AddressError(f"host bits set in {network!r}")
             self._network, self._length = base, length
+            self._hash = hash((base, length))
             return
         if length is None:
             raise AddressError("prefix length required")
@@ -158,6 +160,7 @@ class IPv4Prefix:
         base = int(IPv4Address(network))
         self._network = base & PREFIX_MASKS[length]
         self._length = length
+        self._hash = hash((self._network, length))
 
     @property
     def network(self) -> IPv4Address:
@@ -243,4 +246,4 @@ class IPv4Prefix:
         return (self._network, self._length) < (other._network, other._length)
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        return self._hash

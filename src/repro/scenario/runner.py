@@ -16,7 +16,7 @@ true (unskewed) times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 import numpy as np
@@ -157,6 +157,8 @@ def run_scenario(config: ScenarioConfig, plan: ScenarioPlan | None = None) -> Sc
         _replay_control_plane(config, plan, ixp)
         timeline = ixp.finalize_timeline(config.duration)
         sp.attrs["updates"] = len(ixp.route_server.log)
+        sp.attrs["refreshes"] = ixp.route_server.refreshes
+        sp.attrs["policy_decisions"] = ixp.route_server.policy_decisions
 
     with telem.span("generate.traffic") as sp:
         flows = _generate_flows(config, plan, rng)
@@ -285,14 +287,16 @@ def _replay_control_plane(config: ScenarioConfig, plan: ScenarioPlan, ixp: IXP) 
             continue  # never crosses the route server
         member = ixp.member(event.announcer_asn)
         announcer_resets = resets.get(event.announcer_asn, [])
+        # every announcement of an event carries the same attributes
+        template = ixp.blackholing.build_announcement(
+            0.0, member, event.prefix,
+            targets=event.targets, origin_asn=event.origin_asn,
+        )
         for window in event.windows:
             for start, end in _split_at_resets(window, announcer_resets, rng,
                                                config.duration):
-                for t in _announce_times(start, end, config, rng):
-                    updates.append(ixp.blackholing.build_announcement(
-                        t, member, event.prefix,
-                        targets=event.targets, origin_asn=event.origin_asn,
-                    ))
+                updates.extend(replace(template, time=t) for t in
+                               _announce_times(start, end, config, rng))
                 if end is not None and end < config.duration:
                     updates.append(withdraw(end, member.asn, event.prefix))
     updates.sort(key=lambda u: u.time)
@@ -301,8 +305,6 @@ def _replay_control_plane(config: ScenarioConfig, plan: ScenarioPlan, ixp: IXP) 
 
 
 def _skewed_control_corpus(ixp: IXP, skew: float) -> ControlPlaneCorpus:
-    from dataclasses import replace
-
     messages = [replace(msg, time=msg.time + skew) for msg in ixp.route_server.log
                 if msg.time > 0.0]  # drop the t=0 regular-route setup
     return ControlPlaneCorpus(messages)

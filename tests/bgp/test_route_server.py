@@ -12,7 +12,6 @@ from repro.bgp import (
 from repro.bgp.community import announce_to, do_not_announce_to, suppress_all
 from repro.bgp.message import announce, withdraw
 from repro.bgp.policy import ImportPolicy
-from repro.bgp.route_server import RouteServerPeer
 from repro.errors import BGPError
 from repro.net import IPv4Address, IPv4Prefix
 from repro.scenario import runner
@@ -49,6 +48,15 @@ class TestMembership:
         server.process(bh_announce(0.0, 100, HOST))
         server.remove_peer(100)
         assert server.announced_blackholes() == set()
+        assert HOST not in server.peer(200).visible_blackholes()
+
+    def test_removed_peer_leaves_standing_target_sets(self, server):
+        server.process(bh_announce(0.0, 100, HOST))
+        server.remove_peer(300)
+        assert server.peers_with_route(HOST) == {200}
+        server.process(bh_announce(1.0, 100, HOST,
+                                   extra=(do_not_announce_to(200),)))
+        assert server.peers_with_route(HOST) == set()
         assert HOST not in server.peer(200).visible_blackholes()
 
     def test_remove_unknown_peer(self, server):
@@ -147,7 +155,8 @@ class TestPolicyInteraction:
 
 
 class CountingPolicy(ImportPolicy):
-    """Wraps a policy and remembers every route it evaluated."""
+    """Wraps a policy and remembers every route it evaluated. It declares
+    no decision key, so no other peer ever shares its decisions."""
 
     def __init__(self, inner: ImportPolicy):
         self.inner = inner
@@ -159,54 +168,94 @@ class CountingPolicy(ImportPolicy):
         return self.inner.evaluate(route)
 
 
-@pytest.fixture
-def offered_counts(monkeypatch):
-    """Per ``receive`` call: how often the peer's policy evaluated the
-    offered route during that call."""
-    counts = []
-    original = RouteServerPeer.receive
+#: every (decision key, route) a keyed counting policy evaluated
+EVALUATIONS = []
 
-    def receive(self, route):
-        self.policy.evaluated = []
-        accepted = original(self, route)
-        counts.append(sum(r is route for r in self.policy.evaluated))
-        return accepted
 
-    monkeypatch.setattr(RouteServerPeer, "receive", receive)
-    return counts
+class CountingLe24(MaxPrefixLengthPolicy):
+    def evaluate(self, route):
+        EVALUATIONS.append((self.decision_key, route))
+        return super().evaluate(route)
+
+
+class CountingWhitelist(BlackholeWhitelistPolicy):
+    def evaluate(self, route):
+        EVALUATIONS.append((self.decision_key, route))
+        return super().evaluate(route)
 
 
 class TestOnePolicyEvaluation:
-    def test_each_offered_route_is_evaluated_once(self, offered_counts):
+    """At most one ``evaluate`` per (update, policy class); refreshes run
+    none."""
+
+    def test_each_offered_route_is_evaluated_once(self):
         srv = RouteServer(asn=RS_ASN)
-        srv.add_peer(100, policy=CountingPolicy(MaxPrefixLengthPolicy()))
-        srv.add_peer(200, policy=CountingPolicy(BlackholeWhitelistPolicy()))
-        srv.add_peer(300, policy=CountingPolicy(MaxPrefixLengthPolicy()))
-        srv.process(bh_announce(0.0, 100, HOST))
-        srv.process(bh_announce(1.0, 300, HOST))  # a second candidate
-        srv.process(bh_announce(2.0, 100, NET))
-        srv.process(bh_announce(3.0, 100, HOST))  # re-announce replaces
-        assert len(offered_counts) == 8  # two receiving peers per update
-        assert set(offered_counts) == {1}
+        for asn in (100, 300, 400):
+            srv.add_peer(asn, policy=CountingLe24())
+        srv.add_peer(200, policy=CountingWhitelist())
+        updates = [
+            bh_announce(0.0, 100, HOST),
+            bh_announce(1.0, 300, HOST),   # a second candidate
+            bh_announce(2.0, 100, NET),
+            bh_announce(3.0, 100, HOST),   # a refresh: no evaluation
+            bh_announce(4.0, 100, HOST, extra=(do_not_announce_to(400),)),
+        ]
+        per_update = []
+        for update in updates:
+            EVALUATIONS.clear()
+            srv.process(update)
+            per_update.append(sorted(key[0].__name__ for key, route in EVALUATIONS
+                                     if route.learned_at == update.time))
+            assert len(EVALUATIONS) == len(per_update[-1])
+        both = ["CountingLe24", "CountingWhitelist"]
+        assert per_update == [both, both, both, [], both]
+        assert srv.refreshes == 1 and srv.policy_decisions == 8
         assert HOST in srv.peer(200).accepted_blackholes()
         assert HOST not in srv.peer(300).accepted_blackholes()
 
+    def test_keyless_policies_are_never_shared(self):
+        srv = RouteServer(asn=RS_ASN)
+        srv.add_peer(100)
+        first = CountingPolicy(MaxPrefixLengthPolicy())
+        second = CountingPolicy(MaxPrefixLengthPolicy())
+        srv.add_peer(200, policy=first)
+        srv.add_peer(300, policy=second)
+        assert first.decision_key is None
+        srv.process(bh_announce(0.0, 100, HOST))
+        srv.process(bh_announce(1.0, 100, NET))
+        assert [r.prefix for r in first.evaluated] == [HOST, NET]
+        assert [r.prefix for r in second.evaluated] == [HOST, NET]
+
     def test_counted_replay_matches_the_plain_replay(self, monkeypatch,
-                                                     offered_counts,
                                                      tiny_config, tiny_result):
         policy_for = runner._policy_for
         monkeypatch.setattr(runner, "_policy_for", lambda kind, salt:
                             CountingPolicy(policy_for(kind, salt)))
         plan = runner.build_paper_plan(tiny_config)
         ixp = runner._build_ixp(tiny_config, plan)
+        server = ixp.route_server
+        counts = []
+
+        def count_evaluations(update):
+            # keyless wrappers: one evaluation per receiving peer, none
+            # for a refresh and none for a withdraw
+            for asn in server.peer_asns:
+                policy = server.peer(asn).policy
+                counts.append(len(policy.evaluated))
+                policy.evaluated.clear()
+
+        for asn in server.peer_asns:  # the t=0 regular routes
+            server.peer(asn).policy.evaluated.clear()
+        server.subscribe(count_evaluations)
         runner._replay_control_plane(tiny_config, plan, ixp)
         timeline = ixp.finalize_timeline(tiny_config.duration)
 
-        assert offered_counts and set(offered_counts) == {1}
+        assert counts and set(counts) == {0, 1}
+        assert server.refreshes > 0
         plain, plain_timeline = tiny_result.ixp, tiny_result.timeline
-        assert ixp.route_server.peer_asns == plain.route_server.peer_asns
+        assert server.peer_asns == plain.route_server.peer_asns
         for asn in plain.route_server.peer_asns:
-            assert (ixp.route_server.peer(asn).accepted_blackholes()
+            assert (server.peer(asn).accepted_blackholes()
                     == plain.route_server.peer(asn).accepted_blackholes())
         prefixes = plain_timeline.blackhole_prefixes()
         assert prefixes and timeline.blackhole_prefixes() == prefixes

@@ -180,3 +180,54 @@ class TestTimelineRecorder:
         server.process(announce(20.0, 100, HOST, NH))  # same prefix, no BH community
         tl = recorder.timeline.finalize(100.0)
         assert tl.announced_intervals(HOST).intervals == [(10.0, 20.0)]
+
+
+class TestRecorderFedByServer:
+    """The recorder reads only the peers whose Loc-RIB entry the server
+    reports changed. A change no update carries (a session set up or torn
+    down) is read at the prefix's next update, as the full candidate walk
+    it replaced did."""
+
+    @pytest.fixture
+    def server(self):
+        server = RouteServer()
+        for asn in (100, 200, 300):
+            server.add_peer(asn)  # accept-all
+        return server
+
+    def test_refresh_that_loses_a_tie_ends_acceptance(self, server):
+        recorder = TimelineRecorder(server)
+        server.process(bh(10.0, 100))
+        # same age and path length: AS100's blackhole wins on the ASN
+        server.process(announce(10.0, 200, HOST, NH))
+        server.process(bh(20.0, 100))  # the refresh is newer and loses
+        tl = recorder.timeline.finalize(100.0)
+        assert server.refreshes == 1
+        assert server.peer(300).loc_rib.get(HOST).peer_asn == 200
+        assert tl.accepted_intervals(300, HOST).intervals == [(10.0, 20.0)]
+
+    def test_late_peer_is_read_at_the_next_update(self, server):
+        recorder = TimelineRecorder(server)
+        server.process(bh(10.0, 100))
+        server.add_peer(400)  # receives the standing blackhole
+        server.process(bh(20.0, 100))
+        tl = recorder.timeline.finalize(100.0)
+        assert tl.accepted_intervals(400, HOST).intervals == [(20.0, 100.0)]
+
+    def test_removed_holder_closes_at_the_next_update(self, server):
+        recorder = TimelineRecorder(server)
+        server.process(bh(10.0, 100))
+        server.remove_peer(300)
+        server.process(bh(20.0, 100))
+        tl = recorder.timeline.finalize(100.0)
+        assert tl.accepted_intervals(300, HOST).intervals == [(10.0, 20.0)]
+        assert tl.accepted_intervals(200, HOST).intervals == [(10.0, 100.0)]
+
+    def test_removed_announcer_ends_acceptance_at_the_next_update(self, server):
+        recorder = TimelineRecorder(server)
+        server.process(bh(10.0, 100))
+        server.remove_peer(100)
+        server.process(withdraw(20.0, 200, HOST))  # any update of the prefix
+        tl = recorder.timeline.finalize(100.0)
+        assert tl.accepted_intervals(200, HOST).intervals == [(10.0, 20.0)]
+        assert tl.accepted_intervals(300, HOST).intervals == [(10.0, 20.0)]

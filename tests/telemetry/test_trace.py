@@ -199,6 +199,11 @@ class TestInstrumentationIntegration:
             assert f"analyze.{analysis}" in names
         assert "generate.traffic" in names
         assert "generate.routes" in names
+        routes = next(r for r in telem.tracer.records
+                      if r["name"] == "generate.routes")["attrs"]
+        # replay work next to its duration: refreshes run no policy
+        assert 0 < routes["refreshes"] < routes["updates"]
+        assert 0 < routes["policy_decisions"]
         snap = telem.metrics_snapshot()
         assert snap["counters"]["sampler.packets_sampled"] > 0
         assert snap["counters"]["route_server.updates{action=announce}"] > 0

@@ -78,7 +78,7 @@ def main() -> None:
           f"{sum(f.pps for f in flows):,.0f} pps total")
 
     sampler = IPFIXSampler(rng, rate=1_000)  # denser sampling for the demo
-    packets = sampler.sample_sorted(flows)
+    packets = sampler.sample(flows)
     print(f"  {len(packets)} sampled packets (1:1000)")
 
     # 3. detection

@@ -66,7 +66,7 @@ def main() -> None:
                            base_pps_in=40.0, base_pps_out=10.0)
     flows += generate_client_traffic(rng, client,
                                      [(asn, 55_000) for asn in transit], 0)
-    packets = IPFIXSampler(rng, rate=100).sample_sorted(flows)
+    packets = IPFIXSampler(rng, rate=100).sample(flows)
     attack_mask = packets["src_port"] != 0  # placeholder, refined below
     attack_mask = np.isin(packets["src_port"], [123, 389]) & (packets["protocol"] == 17)
     legit_mask = ~attack_mask

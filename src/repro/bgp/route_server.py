@@ -20,8 +20,8 @@ raw control-plane corpus of the study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
-                    NamedTuple, Optional, Set, Tuple)
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Hashable,
+                    Iterable, List, NamedTuple, Optional, Set, Tuple)
 
 from repro.bgp.community import Community, redistribution_targets
 from repro.bgp.message import BGPUpdate, UpdateAction
@@ -34,6 +34,8 @@ from repro import telemetry
 
 #: Default route-server ASN (from the 16-bit private-use range).
 DEFAULT_ROUTE_SERVER_ASN = 64500
+
+_NO_ANNOUNCERS: FrozenSet[int] = frozenset()
 
 
 class _Fanout(NamedTuple):
@@ -165,17 +167,28 @@ class RouteServer:
         #: Loc-RIB changes made by session set-up or tear-down, which no
         #: update carries; reported with the prefix's next update
         self._unreported: Dict[IPv4Prefix, Dict[int, Optional[Route]]] = {}
+        #: per prefix: announcers whose announcement a session tear-down
+        #: flushed; reported with the prefix's next update
+        self._flushed: Dict[IPv4Prefix, Set[int]] = {}
         #: every update processed, in arrival order — the control-plane corpus
         self.log: List[BGPUpdate] = []
         #: the peers whose Loc-RIB entry for the last processed update's
         #: prefix changed, with the new entry (None: uninstalled)
         self.loc_rib_changes: Dict[int, Optional[Route]] = {}
+        #: announcers whose announcement of the last processed update's
+        #: prefix a session tear-down flushed since the prefix's previous
+        #: update
+        self.flushed_announcers: AbstractSet[int] = _NO_ANNOUNCERS
         #: announcements that only refreshed a standing route
         self.refreshes = 0
         #: import-policy evaluations, at most one per (update, class)
         self.policy_decisions = 0
         #: optional hooks fired after each processed update
         self._listeners: List[Callable[[BGPUpdate], None]] = []
+        #: the ``route_server.updates`` counter per action, resolved once
+        #: per telemetry context (``_counted_by``)
+        self._update_counters: Dict[UpdateAction, telemetry.Counter] = {}
+        self._counted_by: Optional[telemetry.Telemetry] = None
 
     # -- membership ---------------------------------------------------------
 
@@ -215,6 +228,7 @@ class RouteServer:
             before = {t: self._peers[t].loc_rib.get(prefix) for t in targets}
             changes: Dict[int, Optional[Route]] = {}
             self._retract(announcer, prefix, changes)
+            self._flushed.setdefault(prefix, set()).add(asn)
             for t, route in changes.items():
                 old = before[t]
                 if ((old is not None and old.is_blackhole)
@@ -253,16 +267,28 @@ class RouteServer:
         if update.peer_asn not in self._peers:
             raise BGPError(f"update from unknown peer AS{update.peer_asn}")
         changes = self._unreported.pop(update.prefix, None) or {}
+        self.flushed_announcers = self._flushed.pop(update.prefix,
+                                                    _NO_ANNOUNCERS)
         if update.action is UpdateAction.ANNOUNCE:
             self._apply_announce(update, changes)
         else:
             self._retract(update.peer_asn, update.prefix, changes)
         self.loc_rib_changes = changes
         self.log.append(update)
-        telemetry.current().counter(
-            "route_server.updates", action=update.action.value).inc()
+        self._update_counter(update.action).inc()
         for listener in self._listeners:
             listener(update)
+
+    def _update_counter(self, action: UpdateAction) -> telemetry.Counter:
+        telem = telemetry.current()
+        if telem is not self._counted_by:
+            self._counted_by = telem
+            self._update_counters = {}
+        counter = self._update_counters.get(action)
+        if counter is None:
+            counter = self._update_counters[action] = telem.counter(
+                "route_server.updates", action=action.value)
+        return counter
 
     def _apply_announce(self, update: BGPUpdate,
                         changes: Dict[int, Optional[Route]]) -> None:

@@ -6,7 +6,11 @@ whose Loc-RIB entry for the touched prefix changed
 (:attr:`~repro.bgp.route_server.RouteServer.loc_rib_changes`) against what
 it saw last. Only *blackhole* routes are tracked — ordinary routes never
 send traffic to the blackhole MAC. Subscribe before the first update: a
-peer's state is read only when it changes.
+peer's state is read only when it changes. Session tear-downs
+(:meth:`~repro.bgp.route_server.RouteServer.remove_peer`) reach the
+recorder with the touched prefix's next update, both the acceptance
+changes and the announcements they flushed, so the intervals they end
+close at that update's time.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ class TimelineRecorder:
             # withdraw, or re-announce without the blackhole community
             announcers.discard(update.peer_asn)
             self.timeline.record_server_withdraw(prefix, update.time)
+        # a session tear-down withdrew these without an update; the
+        # server reports them with the prefix's next update (whose own
+        # announcer, if re-added since, was settled above)
+        for asn in self._server.flushed_announcers:
+            if asn != update.peer_asn and asn in announcers:
+                announcers.discard(asn)
+                self.timeline.record_server_withdraw(prefix, update.time)
 
     def _track_acceptance(self, time: float, prefix: IPv4Prefix,
                           changes: Dict[int, Optional[Route]]) -> None:

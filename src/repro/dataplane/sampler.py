@@ -26,6 +26,9 @@ SAMPLING_RATE_DEFAULT = 10_000
 _MIN_PACKET = 40
 _MAX_PACKET = 1500
 
+#: rows gathered per step of :meth:`IPFIXSampler.sample`
+BLOCK_ROWS = 1 << 16
+
 
 class IPFIXSampler:
     """Draws sampled packet records from flow specifications.
@@ -50,7 +53,15 @@ class IPFIXSampler:
         self.size_spread = size_spread
 
     def sample(self, flows: Sequence[FlowSpec]) -> np.ndarray:
-        """Sample all flows into one unsorted `PACKET_DTYPE` array.
+        """Sample all flows into one time-sorted `PACKET_DTYPE` array.
+
+        Rows are in stable time order: equal timestamps keep flow order,
+        then draw order — exactly ``rows[np.argsort(rows["time"],
+        kind="stable")]`` of the rows in flow order. The generator is
+        drawn in that flow order (counts, offsets, sizes), so the sort
+        never changes which values are drawn. Columns are gathered
+        :data:`BLOCK_ROWS` rows at a time, so besides the result only the
+        timestamps, the sort order and the sizes are held at full length.
 
         The ``dropped`` column is left False; marking drops against the
         blackhole acceptance timeline is the fabric's job.
@@ -60,9 +71,13 @@ class IPFIXSampler:
         if not flows:
             return np.zeros(0, dtype=PACKET_DTYPE)
 
-        starts = np.fromiter((f.start for f in flows), dtype=np.float64, count=len(flows))
-        durations = np.fromiter((f.duration for f in flows), dtype=np.float64, count=len(flows))
-        pps = np.fromiter((f.pps for f in flows), dtype=np.float64, count=len(flows))
+        def column(getter, dtype):
+            return np.fromiter((getter(f) for f in flows), dtype=dtype,
+                               count=len(flows))
+
+        starts = column(lambda f: f.start, np.float64)
+        durations = column(lambda f: f.duration, np.float64)
+        pps = column(lambda f: f.pps, np.float64)
         counts = self._rng.poisson(pps * durations / self.rate)
         total = int(counts.sum())
         telem.counter("sampler.packets_sampled").inc(total)
@@ -70,28 +85,38 @@ class IPFIXSampler:
         if total == 0:
             return out
 
-        idx = np.repeat(np.arange(len(flows)), counts)
-        out["time"] = starts[idx] + self._rng.random(total) * durations[idx]
-
-        def column(getter, dtype):
-            vals = np.fromiter((getter(f) for f in flows), dtype=dtype, count=len(flows))
-            return vals[idx]
-
-        out["src_ip"] = column(lambda f: f.src_ip, np.uint32)
-        out["dst_ip"] = column(lambda f: f.dst_ip, np.uint32)
-        out["protocol"] = column(lambda f: f.protocol, np.uint8)
-        out["src_port"] = column(lambda f: f.src_port, np.uint16)
-        out["dst_port"] = column(lambda f: f.dst_port, np.uint16)
-        out["ingress_asn"] = column(lambda f: f.ingress_asn, np.uint32)
-        out["origin_asn"] = column(lambda f: f.origin_asn, np.uint32)
-        out["label"] = column(lambda f: int(f.label), np.uint8)
-
+        # row r (in flow order) belongs to flow searchsorted(ends, r, "right")
+        ends = np.cumsum(counts)
+        times = self._rng.random(total)
         means = column(lambda f: f.mean_packet_size, np.float64)
-        sizes = means * (1.0 + self._rng.standard_normal(total) * self.size_spread)
-        out["size"] = np.clip(np.rint(sizes), _MIN_PACKET, _MAX_PACKET).astype(np.uint16)
-        return out
+        sizes = np.empty(total, dtype=np.uint16)
+        for lo in range(0, total, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, total)
+            flow = np.searchsorted(ends, np.arange(lo, hi), side="right")
+            times[lo:hi] *= durations[flow]
+            times[lo:hi] += starts[flow]
+            spread = self._rng.standard_normal(hi - lo) * self.size_spread
+            sizes[lo:hi] = np.clip(np.rint(means[flow] * (1.0 + spread)),
+                                   _MIN_PACKET, _MAX_PACKET)
 
-    def sample_sorted(self, flows: Sequence[FlowSpec]) -> np.ndarray:
-        """Like :meth:`sample`, time-ordered."""
-        packets = self.sample(flows)
-        return packets[np.argsort(packets["time"], kind="stable")]
+        order = np.argsort(times, kind="stable")
+        fields = {
+            "src_ip": column(lambda f: f.src_ip, np.uint32),
+            "dst_ip": column(lambda f: f.dst_ip, np.uint32),
+            "protocol": column(lambda f: f.protocol, np.uint8),
+            "src_port": column(lambda f: f.src_port, np.uint16),
+            "dst_port": column(lambda f: f.dst_port, np.uint16),
+            "ingress_asn": column(lambda f: f.ingress_asn, np.uint32),
+            "origin_asn": column(lambda f: f.origin_asn, np.uint32),
+            "label": column(lambda f: int(f.label), np.uint8),
+        }
+        for lo in range(0, total, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, total)
+            rows = order[lo:hi]
+            block = out[lo:hi]
+            block["time"] = times[rows]
+            block["size"] = sizes[rows]
+            flow = np.searchsorted(ends, rows, side="right")
+            for name, values in fields.items():
+                block[name] = values[flow]
+        return out

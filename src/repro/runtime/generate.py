@@ -195,12 +195,15 @@ def checkpointed_generate(
             # record before it is checksummed into the manifest
             run = dict(run)
             run["wall_seconds"] = perf_counter() - t0
-        with telem.span("generate.finalize"):
+        with telem.span("generate.finalize") as sp:
             counts = finalize(out, journal, result.day_count,
                               sampling_rate=result.data.sampling_rate,
                               meta={**_platform_meta(result),
                                     **(extra_meta or {})},
                               run=run)
+            # the day segments read (two per day), the packet rows written
+            sp.attrs.update(segments=2 * result.day_count,
+                            rows=counts["data_packets"])
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
     report.manifest_path = str(out / MANIFEST_FILE)
@@ -388,12 +391,18 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
     manifest then checksums the directory and the ``finalize`` step is
     committed, so ``platform.json`` never runs ahead of the corpus files.
     Returns the record counts, taken from the bytes read.
+
+    Each corpus file streams one segment at a time (see
+    :func:`_write_data_file`), so finalize never holds the whole packet
+    plane.
     """
-    import numpy as np
-
     from repro.corpus.platform import write_platform_meta
-    from repro.dataplane.packet import PACKET_DTYPE
 
+    entries = committed_days(journal)
+    if len(entries) < days:
+        raise CheckpointError(
+            f"{out}: only {len(entries)} day(s) committed; cannot "
+            f"finalize {days}")
     seg_dir = out / SEGMENT_DIR
     control_messages = 0
     with atomic_writer(out / CONTROL_FILE, mode="wb") as fh:
@@ -401,18 +410,12 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
             data = (seg_dir / _segment_name("control", day)).read_bytes()
             control_messages += data.count(b"\n")
             fh.write(data)
-    arrays = []
-    for day in range(days):
-        with np.load(seg_dir / _segment_name("data", day)) as archive:
-            arrays.append(archive["packets"])
-    packets = (np.concatenate(arrays) if arrays
-               else np.zeros(0, dtype=PACKET_DTYPE))
-    with atomic_writer(out / DATA_FILE, mode="wb") as fh:
-        np.savez_compressed(fh, packets=packets, sampling_rate=sampling_rate)
+    data_packets = _write_data_file(
+        out, [data for _control, data in entries[:days]], sampling_rate)
     if meta is not None:
         write_platform_meta(out, meta)
     counts = {"control_messages": control_messages,
-              "data_packets": int(len(packets))}
+              "data_packets": data_packets}
     files = write_manifest(out, counts=counts, run=run)["files"]
     journal.commit(
         FINALIZE_KEY,
@@ -421,6 +424,64 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
         **counts,
     )
     return counts
+
+
+def _write_data_file(out: Path, entries: List[dict],
+                     sampling_rate: int) -> int:
+    """Write ``data.npz`` from the data segments of ``entries``' days.
+
+    The bytes are those of ``np.savez_compressed(packets=<the segments
+    concatenated>, sampling_rate=...)``: one deflated ``packets.npy``
+    member whose ``.npy`` header carries the row count summed from the
+    journaled ``records``, then the segments' rows in day order, one
+    segment in memory at a time.  Raises :class:`CheckpointError`, and
+    publishes nothing, when a segment is no 1-D packet array or the rows
+    written differ from the journaled count.  Returns the row count.
+    """
+    import zipfile
+
+    import numpy as np
+
+    from repro.dataplane.packet import PACKET_DTYPE
+
+    try:
+        total = sum(int(entry["records"]) for entry in entries)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{out}: a data segment commit carries no record count") from exc
+    header = np.lib.format.header_data_from_array_1_0(
+        np.zeros(0, dtype=PACKET_DTYPE))
+    header["shape"] = (total,)
+    seg_dir = out / SEGMENT_DIR
+    rows = 0
+    with atomic_writer(out / DATA_FILE, mode="wb") as fh, \
+            zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_DEFLATED,
+                            allowZip64=True) as archive:
+        # numpy's own member layout: forced zip64, the default 1980 stamp
+        with archive.open("packets.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(member, header)
+            for day in range(len(entries)):
+                name = _segment_name("data", day)
+                with np.load(seg_dir / name) as segment:
+                    packets = segment["packets"]
+                if packets.dtype != PACKET_DTYPE or packets.ndim != 1:
+                    raise CheckpointError(
+                        f"{out}: segment {name} holds {packets.dtype} "
+                        f"rows of shape {packets.shape}, not packets")
+                rows += len(packets)
+                if rows > total:
+                    raise CheckpointError(
+                        f"{out}: the data segments hold more than the "
+                        f"{total} rows the journal records")
+                member.write(np.ascontiguousarray(packets).view(np.uint8))
+            if rows != total:
+                raise CheckpointError(
+                    f"{out}: the data segments hold {rows} rows, the "
+                    f"journal records {total}")
+        with archive.open("sampling_rate.npy", "w",
+                          force_zip64=True) as member:
+            np.lib.format.write_array(member, np.asanyarray(sampling_rate))
+    return rows
 
 
 def _platform_meta(result: ScenarioResult) -> dict:

@@ -175,7 +175,8 @@ def run_scenario(config: ScenarioConfig, plan: ScenarioPlan | None = None) -> Sc
         telem.counter("runner.packets_dropped").inc(int(packets["dropped"].sum()))
 
     control = _skewed_control_corpus(ixp, config.control_clock_skew)
-    data = DataPlaneCorpus(packets, sampling_rate=config.sampling_rate)
+    data = DataPlaneCorpus(packets, sampling_rate=config.sampling_rate,
+                           copy=False)
     with telem.span("generate.observations") as sp:
         observations = simulate_external_observations(plan, rng)
         sp.attrs["observations"] = len(observations)

@@ -201,7 +201,7 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
         run = read_manifest(out).get("run")
     except (OSError, ValueError):
         run = None
-    with telem.span("advance.finalize"):
+    with telem.span("advance.finalize") as sp:
         # membership / PeeringDB / route server stay those of the original
         # generation — the regenerated longer scenario's platform may
         # differ, but the appended traffic was filtered against the
@@ -211,6 +211,7 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
                                                      10_000)),
                           meta=dict(meta, duration_days=new_days),
                           run=run if isinstance(run, dict) else None)
+        sp.attrs.update(segments=2 * new_days, rows=counts["data_packets"])
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
     telem.event("stream.advanced", out=str(out), days_added=days,

@@ -8,9 +8,10 @@ prefix is redistributed to, plus every peer that held it accepted, and
 reads each Loc-RIB back. :func:`oracle_snapshot` renders either server
 and its recorder into plain values so the two can be compared.
 
-It carries the ``remove_peer`` fix (a removed peer leaves every standing
+It carries the ``remove_peer`` fixes (a removed peer leaves every standing
 announcement's target set), and its recorder treats a removed peer as
-holding nothing.
+holding nothing and closes a removed announcer's announced interval at
+the prefix's next update.
 """
 
 from typing import Dict, List, Optional, Set, Tuple
@@ -134,6 +135,10 @@ class OracleRouteServer:
         for asn in entry[1]:
             self._peers[asn].revoke(announcer_asn, prefix)
 
+    def announces(self, asn: int, prefix: IPv4Prefix) -> bool:
+        """Whether ``asn`` has a standing announcement of ``prefix``."""
+        return (asn, prefix) in self._announced
+
     def peers_with_route(self, prefix: IPv4Prefix) -> Set[int]:
         out: Set[int] = set()
         for (_announcer, p), (_route, targets) in self._announced.items():
@@ -162,6 +167,12 @@ class OracleRecorder:
         elif update.peer_asn in announcers:
             announcers.discard(update.peer_asn)
             self.timeline.record_server_withdraw(prefix, update.time)
+        for asn in sorted(announcers):
+            # only a removed session's announcement vanishes unannounced
+            if asn != update.peer_asn \
+                    and not self._server.announces(asn, prefix):
+                announcers.discard(asn)
+                self.timeline.record_server_withdraw(prefix, update.time)
         holders = self._accepted_now.setdefault(prefix, set())
         for asn in self._server.peers_with_route(prefix) | holders:
             route = (self._server.peer(asn).loc_rib.get(prefix)

@@ -13,6 +13,7 @@ from repro.bgp.community import announce_to, do_not_announce_to, suppress_all
 from repro.bgp.message import announce, withdraw
 from repro.bgp.policy import ImportPolicy
 from repro.errors import BGPError
+from repro.telemetry import Telemetry, activate
 from repro.net import IPv4Address, IPv4Prefix
 from repro.scenario import runner
 
@@ -269,3 +270,44 @@ class TestOnePolicyEvaluation:
             for asn in plain.route_server.peer_asns:
                 assert (intervals(timeline.accepted_intervals(asn, prefix))
                         == intervals(plain_timeline.accepted_intervals(asn, prefix)))
+
+
+class TestUpdateCounter:
+    """``route_server.updates{action=…}`` is resolved once per action and
+    telemetry context, not once per update."""
+
+    @staticmethod
+    def _lookups(telem):
+        names = []
+        lookup = telem.registry.counter
+
+        def counting(name, /, **labels):
+            names.append((name, labels.get("action")))
+            return lookup(name, **labels)
+
+        telem.registry.counter = counting
+        return names
+
+    def test_series_is_looked_up_once_per_action_per_replay(self, server):
+        updates = [bh_announce(float(t), 100, HOST) for t in range(5)]
+        updates += [withdraw(5.0, 100, HOST), withdraw(6.0, 200, NET),
+                    bh_announce(7.0, 200, NET)]
+        for _replay in range(2):
+            telem = Telemetry()
+            lookups = self._lookups(telem)
+            with activate(telem):
+                for update in updates:
+                    server.process(update)
+            assert sorted(lookups) == [("route_server.updates", "announce"),
+                                       ("route_server.updates", "withdraw")]
+            counters = telem.metrics_snapshot()["counters"]
+            assert counters["route_server.updates{action=announce}"] == 6
+            assert counters["route_server.updates{action=withdraw}"] == 2
+
+    def test_updates_without_telemetry_count_nowhere(self, server):
+        server.process(bh_announce(0.0, 100, HOST))
+        telem = Telemetry()
+        with activate(telem):
+            server.process(withdraw(1.0, 100, HOST))
+        assert telem.metrics_snapshot()["counters"] == {
+            "route_server.updates{action=withdraw}": 1}

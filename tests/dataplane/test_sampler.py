@@ -67,7 +67,7 @@ class TestSampling:
 
     def test_sample_sorted(self, sampler):
         flows = [spec(start=500.0), spec(src_ip=7)]
-        out = sampler.sample_sorted(flows)
+        out = sampler.sample(flows)
         assert (np.diff(out["time"]) >= 0).all()
 
     def test_reproducible_with_same_seed(self):

@@ -231,3 +231,34 @@ class TestRecorderFedByServer:
         tl = recorder.timeline.finalize(100.0)
         assert tl.accepted_intervals(200, HOST).intervals == [(10.0, 20.0)]
         assert tl.accepted_intervals(300, HOST).intervals == [(10.0, 20.0)]
+
+    def test_removed_announcer_ends_the_announcement_at_the_next_update(
+            self, server):
+        recorder = TimelineRecorder(server)
+        server.process(bh(10.0, 100))
+        server.remove_peer(100)
+        server.process(withdraw(20.0, 200, HOST))  # any update of the prefix
+        tl = recorder.timeline.finalize(100.0)
+        assert server.announced_blackholes() == set()
+        assert tl.announced_intervals(HOST).intervals == [(10.0, 20.0)]
+
+    def test_removed_announcer_beside_a_standing_one(self, server):
+        recorder = TimelineRecorder(server)
+        server.process(bh(10.0, 100))
+        server.process(bh(15.0, 200))
+        server.remove_peer(100)
+        server.process(bh(20.0, 300))
+        server.process(withdraw(30.0, 200, HOST))
+        server.process(withdraw(40.0, 300, HOST))
+        tl = recorder.timeline.finalize(100.0)
+        assert tl.announced_intervals(HOST).intervals == [(10.0, 40.0)]
+
+    def test_re_added_announcer_keeps_its_new_announcement(self, server):
+        recorder = TimelineRecorder(server)
+        server.process(bh(10.0, 100))
+        server.remove_peer(100)
+        server.add_peer(100)
+        server.process(bh(20.0, 100))  # the new session announces again
+        server.process(withdraw(30.0, 100, HOST))
+        tl = recorder.timeline.finalize(100.0)
+        assert tl.announced_intervals(HOST).intervals == [(10.0, 30.0)]

@@ -212,6 +212,26 @@ class TestInstrumentationIntegration:
         assert report.telemetry["counters"]["pipeline.analyses{status=ok}"] \
             == len(ANALYSIS_NAMES)
 
+    def test_finalize_spans_count_segments_and_rows(self, tmp_path):
+        from repro.runtime.generate import checkpointed_generate
+        from repro.streaming.advance import advance_corpus
+
+        config = ScenarioConfig.paper(scale=0.004, duration_days=3, seed=5)
+        corpus = tmp_path / "corpus"
+        telem = Telemetry()
+        with activate(telem):
+            generated = checkpointed_generate(
+                config, corpus, keep_segments=True,
+                extra_meta={"scale": 0.004, "duration_days": 3, "seed": 5})
+            advanced = advance_corpus(corpus, 1)
+        attrs = {r["name"]: r["attrs"] for r in telem.tracer.records}
+        # two segments (control and data) per day, every packet row once
+        assert attrs["generate.finalize"] == {
+            "segments": 6, "rows": generated.data_packets}
+        assert attrs["advance.finalize"] == {
+            "segments": 8, "rows": advanced.data_packets}
+        assert 0 < generated.data_packets < advanced.data_packets
+
     def test_run_all_without_telemetry_attaches_none(self):
         from repro import AnalysisPipeline
         from repro.scenario import run_scenario

@@ -86,12 +86,7 @@ class StreamOptions:
     #: supervision knobs shared by every tap (None = library defaults);
     #: a :class:`repro.taps.TapConfig`
     tap_config: Optional[object] = None
-    #: attach the live operations plane (``.obs/`` snapshots + event log)
-    #: and serve /metrics /healthz /readyz /status on this localhost port
-    #: (0 = ephemeral); None = no HTTP endpoint.  The plane itself is
-    #: attached whenever ``obs`` is True.
-    obs_port: Optional[int] = None
-    #: run the operations plane even without an HTTP endpoint
+    #: attach the operations plane (``.obs/`` snapshots + event log)
     obs: bool = False
     #: SLO thresholds the plane judges each tick against (None = library
     #: defaults); a :class:`repro.obs.SLORules`
@@ -232,7 +227,7 @@ class Study:
                                    scrub_every=options.scrub_every)
         if session is not None:
             engine.attach_taps(session)
-        if options.obs or options.obs_port is not None:
+        if options.obs:
             from repro import telemetry
             from repro.obs import ObsPlane, SLORules
 
@@ -242,7 +237,7 @@ class Study:
             telemetry.ensure_active()
             plane = ObsPlane(self.corpus_dir,
                              rules=options.slo or SLORules(),
-                             port=options.obs_port, command="watch")
+                             command="watch")
             engine.attach_obs(plane)
         return engine
 

@@ -19,10 +19,10 @@ Ten subcommands mirror the library's layering::
                                      [--until-days N] [--max-ticks N]
                                      [--analyses a,b] [--no-cache] [--json]
                                      [--tap [NAME=]FORMAT:PATH ...]
-                                     [--reset-stream] [--obs-port N]
+                                     [--reset-stream]
                                      [--slo-lag-days N ...]
                                      [--scrub-every N]
-    python -m repro status corpus_dir [--url URL] [--json]
+    python -m repro status corpus_dir [--json]
     python -m repro advance corpus_dir --days 2 [--json]
     python -m repro summary --scale 0.01 --days 14 [--json]
     python -m repro report t.jsonl
@@ -77,14 +77,13 @@ stage lines to stderr, and ``-q`` silences informational output.  Without
 any of these flags the no-op telemetry backend is active and the
 instrumentation layer costs nothing.
 
-Operations: every ``watch`` session runs the live operations plane —
+Operations: every ``watch`` session runs the operations plane —
 atomic state snapshots plus a severity-leveled JSONL event log under
-``<corpus>/.obs/``, SLO-evaluated health (lag, dead taps, quarantine
-rate, checkpoint staleness; tune with the ``--slo-*`` flags), and, with
-``--obs-port N``, a threaded HTTP endpoint serving ``/metrics``
-(Prometheus text), ``/healthz``, ``/readyz``, and ``/status``.
-``status`` renders the same verdict from the on-disk snapshot (or a
-live endpoint via ``--url``) and exits 0/4/5 for ok/degraded/unhealthy.
+``<corpus>/.obs/``, with SLO-evaluated health (lag, dead taps,
+quarantine rate, checkpoint staleness; tune with the ``--slo-*``
+flags).  ``status`` renders the session's verdict from the on-disk
+snapshot, during the session or after it died, and exits 0/4/5 for
+ok/degraded/unhealthy.
 
 Self-healing: ``doctor`` scrubs every durable artifact a corpus
 directory carries — journals, day segments, corpus files, manifest,
@@ -95,8 +94,8 @@ commits, finalize entries, and the manifest) and reports typed damage;
 journals, regenerate synthetic segments, re-slice tap segments from the
 finalized files, rebuild manifests and stream checkpoints, evict
 drifted cache entries) and quarantines the rest under
-``.doctor.quarantine/``; ``watch`` runs the quick scrub periodically in
-the background (``--scrub-every``), degrading readiness on damage.
+``.doctor.quarantine/``; ``watch`` runs the quick scrub every N ticks
+(``--scrub-every``), degrading readiness on damage.
 ``--cache-max-bytes`` bounds the result cache by LRU eviction.
 
 Exit codes: 0 success; 1 validation or analysis failures, or a damaged
@@ -106,15 +105,16 @@ could not be ingested at all; 4 an analysis run where *every* analysis
 completed but none on clean inputs (fully degraded — "success" CI
 should not trust), or a degraded ``status`` verdict; 5 a corrupt/torn
 stream checkpoint (recover with ``watch --reset-stream``), or an
-unhealthy ``status`` verdict; 6 a live obs endpoint (``status --url``)
-that cannot be reached at all (connection refused/DNS/timeout — the
-session is probably not running).
+unhealthy ``status`` verdict; 141 the reader of stdout went away
+(``repro report t.jsonl | head``), the code a shell reports for a
+process killed by SIGPIPE.  Exit code 6 is retired and not reused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -127,7 +127,6 @@ from repro.errors import (
     FaultInjectionError,
     ObsError,
     ObsSnapshotError,
-    ObsUnreachableError,
     ReproError,
     ScenarioError,
     StreamCheckpointError,
@@ -156,7 +155,7 @@ EXIT_USAGE = 2
 EXIT_UNREADABLE = 3
 EXIT_ALL_DEGRADED = 4
 EXIT_STREAM_CHECKPOINT = 5
-EXIT_OBS_UNREACHABLE = 6
+EXIT_BROKEN_PIPE = 141
 
 #: checkpoint journal for supervised/resumable ``analyze`` runs, kept in
 #: the corpus directory (dot-prefixed: excluded from manifests)
@@ -382,14 +381,13 @@ def _tap_session(args: argparse.Namespace, path: Path):
         return None
     from repro.corpus.ingest import ErrorPolicy
     from repro.runtime.retry import RetryPolicy
-    from repro.taps import BackpressurePolicy, TapConfig, TapSession
+    from repro.taps import TapConfig, TapSession
 
     config = TapConfig(
         stall_timeout=args.tap_stall,
         breaker_threshold=args.tap_breaker,
         max_reconnects=args.tap_max_reconnects,
         queue_capacity=args.tap_queue,
-        queue_policy=BackpressurePolicy(args.tap_queue_policy),
         policy=ErrorPolicy.STRICT if args.strict else ErrorPolicy.COLLECT,
         backoff=RetryPolicy(max_retries=0, backoff_base=args.tap_backoff,
                             backoff_factor=2.0, backoff_max=60.0,
@@ -463,13 +461,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                                        scrub_every=args.scrub_every or None)
             if session is not None:
                 engine.attach_taps(session)
-            plane = ObsPlane(path, rules=_slo_rules(args),
-                             port=args.obs_port, command="watch")
+            plane = ObsPlane(path, rules=_slo_rules(args), command="watch")
             engine.attach_obs(plane)
-            if plane.url is not None and not args.quiet:
-                print(f"obs endpoint listening on {plane.url} "
-                      "(/metrics /healthz /readyz /status)",
-                      file=sys.stderr)
             if args.once:
                 engine.tick(final=True)
             else:
@@ -484,10 +477,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                   "the commit log from day 0", file=sys.stderr)
             return EXIT_STREAM_CHECKPOINT
         except TapError as exc:
-            _write_telemetry(telem, args, manifest, started)
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ObsError as exc:
             _write_telemetry(telem, args, manifest, started)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -552,21 +541,10 @@ def _cmd_advance(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        fetch_status,
-        load_snapshot,
-        render_status,
-        status_exit_code,
-    )
+    from repro.obs import load_snapshot, render_status, status_exit_code
 
     try:
-        if args.url:
-            document = fetch_status(args.url)
-        else:
-            document = load_snapshot(Path(args.corpus))
-    except ObsUnreachableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OBS_UNREACHABLE
+        document = load_snapshot(Path(args.corpus))
     except ObsSnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
@@ -891,12 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="failed reconnect probes before a tap is declared "
                           "dead (default 8)")
     wat.add_argument("--tap-queue", type=int, default=100_000, metavar="N",
-                     help="per-tap bounded ingest queue capacity "
-                          "(default 100000)")
-    wat.add_argument("--tap-queue-policy", default="block",
-                     choices=["block", "drop-oldest", "fail"],
-                     help="backpressure when a tap queue fills (default "
-                          "block)")
+                     help="per-tap bounded ingest queue capacity; a full "
+                          "queue stops reading its source (default "
+                          "100000)")
     wat.add_argument("--tap-backoff", type=float, default=0.5,
                      metavar="SECONDS",
                      help="base reconnect backoff delay (default 0.5)")
@@ -918,10 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run a quick integrity scrub every N ticks, "
                           "surfacing damage through the obs plane "
                           "(default 60; 0 disables)")
-    wat.add_argument("--obs-port", type=int, metavar="PORT",
-                     help="serve /metrics /healthz /readyz /status on "
-                          "127.0.0.1:PORT (0 = ephemeral, printed to "
-                          "stderr)")
     wat.add_argument("--slo-lag-days", type=float, default=2.0,
                      metavar="N",
                      help="committed-but-unconsumed days before readiness "
@@ -961,13 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sta = sub.add_parser("status",
                          help="render a watch session's operational state "
-                              "from its .obs snapshot (or a live "
-                              "endpoint)")
+                              "from its .obs snapshot")
     sta.add_argument("corpus", nargs="?", default=".",
                      help="watched corpus directory (default: .)")
-    sta.add_argument("--url", metavar="URL",
-                     help="query a live session's obs endpoint instead of "
-                          "the on-disk snapshot")
     sta.add_argument("--json", action="store_true",
                      help="print the raw status document as JSON")
     sta.set_defaults(func=_cmd_status)
@@ -1033,8 +1000,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at /dev/null so the
+        # interpreter's exit-time flush does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -214,7 +214,7 @@ class AcceptanceTimeline:
             return packets
         key = packets["ingress_asn"].astype(np.uint64) << np.uint64(32)
         key |= packets["dst_ip"].astype(np.uint64)
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         sorted_key = key[order]
         boundaries = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
         boundaries = np.r_[boundaries, len(sorted_key)]

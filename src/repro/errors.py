@@ -97,22 +97,10 @@ class StreamCheckpointError(StreamError):
 
 
 class ObsError(ReproError):
-    """The live operations plane cannot serve, snapshot, or report.
+    """The operations plane has no state to report.
 
-    Raised for unusable ``--obs-port`` bindings and for ``repro status``
-    against a corpus that has never run a watch session (no ``.obs/``
-    state to report from).
-    """
-
-
-class ObsUnreachableError(ObsError):
-    """A live obs endpoint (``repro status --url``) cannot be reached.
-
-    Connection refused, DNS failure, and timeouts land here — the
-    session may simply not be running, which is operationally very
-    different from a corrupt snapshot or a malformed URL, so the CLI
-    gives it a dedicated exit code (6) that health-check scripts can
-    branch on.
+    Raised for ``repro status`` against a corpus that has never run a
+    watch session (no ``.obs/`` state to report from).
     """
 
 

@@ -1,4 +1,4 @@
-"""The live operations plane of one watch session.
+"""The operations plane of one watch session.
 
 An :class:`ObsPlane` wires the shared components together around a
 running :class:`~repro.streaming.engine.StreamEngine`:
@@ -7,14 +7,11 @@ running :class:`~repro.streaming.engine.StreamEngine`:
   telemetry event channel (``.obs/events.jsonl``, bounded rotation);
 * on every :meth:`observe` — called by the engine at the end of each
   tick — evaluates the SLO rules over the engine's operational sample,
-  emits an ``slo.state`` event on every verdict transition, atomically
-  flushes the versioned snapshot document to ``.obs/snapshot.json``,
-  and publishes the same document to the HTTP endpoint (when one was
-  requested via ``--obs-port``).
+  emits an ``slo.state`` event on every verdict transition, and
+  atomically flushes the versioned snapshot document to
+  ``.obs/snapshot.json``.
 
-The plane is deliberately engine-agnostic: it consumes a plain sample
-dict, so the future ``repro serve`` layer can drive the identical
-publisher/snapshot/SLO machinery from its own sources.
+The plane consumes a plain sample dict, so it never touches the engine.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from typing import Optional
 
 from repro import telemetry
 from repro.obs.events import EventLogWriter
-from repro.obs.server import ObsServer, StatePublisher
 from repro.obs.slo import Health, SLORules, evaluate
 from repro.obs.snapshot import (
     SNAPSHOT_VERSION,
@@ -39,11 +35,10 @@ _SEVERITY_BY_STATE = {"ok": "info", "degraded": "warning",
 
 
 class ObsPlane:
-    """Snapshot + event log + SLO + optional HTTP endpoint for one corpus."""
+    """Snapshot + event log + SLO for one corpus."""
 
     def __init__(self, corpus_dir: str | Path, *,
                  rules: SLORules = SLORules(),
-                 port: Optional[int] = None,
                  command: str = "watch",
                  min_severity: str = "info"):
         self.corpus_dir = Path(corpus_dir)
@@ -57,19 +52,14 @@ class ObsPlane:
                                         min_severity=min_severity)
         self._channel = telemetry.events()
         self._channel.subscribe(self.event_log)
-        self.publisher = StatePublisher()
-        self.server: Optional[ObsServer] = None
-        if port is not None:
-            self.server = ObsServer(self.publisher, port=port).start()
         telemetry.current().event(
             "obs.session_started", command=command,
-            corpus=str(self.corpus_dir),
-            endpoint=None if self.server is None else self.server.url)
+            corpus=str(self.corpus_dir))
 
     # -- the per-tick hook ---------------------------------------------------
 
     def observe(self, sample: dict) -> Health:
-        """Evaluate, persist, and publish one operational sample."""
+        """Evaluate and persist one operational sample."""
         telem = telemetry.current()
         health = evaluate(sample, self.rules)
         previous = self.last_health.state if self.last_health else None
@@ -92,27 +82,19 @@ class ObsPlane:
             "events_logged": self.event_log.written,
         }
         write_snapshot(self.corpus_dir, document)
-        self.publisher.publish({**document, "written_at": time.time()})
         telem.counter("obs.snapshots_written").inc()
         return health
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def url(self) -> Optional[str]:
-        return None if self.server is None else self.server.url
-
     def close(self) -> None:
-        """Detach from the event channel and stop the endpoint."""
+        """Detach from the event channel."""
         telemetry.current().event(
             "obs.session_closed", command=self.command,
             ticks_observed=self.ticks_observed,
             state=None if self.last_health is None
             else self.last_health.state)
         self._channel.unsubscribe(self.event_log)
-        if self.server is not None:
-            self.server.stop()
-            self.server = None
 
     def __enter__(self) -> "ObsPlane":
         return self

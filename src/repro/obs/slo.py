@@ -1,13 +1,12 @@
-"""SLO rules and the health evaluator behind ``/readyz`` and ``repro status``.
+"""SLO rules and the health evaluator behind ``repro status``.
 
 Health is a pure function of one *operational sample* — the dict the
 streaming engine assembles each tick (watermark, commit-log lag, tap
 states, quarantine accounting, checkpoint staleness) — against a frozen
-:class:`SLORules`.  Keeping it pure means the live HTTP endpoint, the
-on-disk snapshot, and ``repro status`` all reproduce the identical
-verdict from the same inputs: the acceptance contract is literally
-"SIGKILL the session, run ``status`` on the snapshot, get the same
-answer ``/readyz`` gave".
+:class:`SLORules`.  Keeping it pure means the live session and the
+on-disk snapshot reproduce the identical verdict from the same inputs:
+SIGKILL the session, run ``status`` on the snapshot, and get the same
+answer the session computed on its last tick.
 
 Escalation model, per check: within threshold → ``ok``; beyond it →
 ``degraded``; beyond ``unhealthy_factor``× the threshold → ``unhealthy``.

@@ -5,9 +5,8 @@ sample, the evaluated health verdict, the SLO rules it was judged
 against, and the full metrics snapshot — through the crash-safe
 atomic-write primitives, so a SIGKILLed session always leaves its *last
 complete* state on disk.  ``repro status`` (and any offline tooling)
-reads that file instead of needing the process alive; the HTTP
-``/status`` endpoint serves the identical document, which is what makes
-the on-disk and live verdicts interchangeable.
+reads that file instead of needing the process alive, so the verdict
+it reports is the one the session itself computed.
 
 The directory is dot-prefixed, like ``.taps/`` and the checkpoints, so
 corpus manifests and digests never include operational state.
@@ -76,7 +75,7 @@ def load_snapshot(corpus_dir: str | Path) -> dict:
         raise ObsError(
             f"{corpus_dir}: no obs snapshot ({path} missing); this corpus "
             "has never run a watch session with the operations plane — "
-            "start one with `repro watch` (optionally --obs-port) first")
+            "start one with `repro watch` first")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:

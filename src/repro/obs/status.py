@@ -1,68 +1,20 @@
 """``repro status``: one look at a watch session, live or post-mortem.
 
-The status document is the obs snapshot — read from
-``<corpus>/.obs/snapshot.json`` (works after the session was SIGKILLed;
-that is the point) or fetched from a live session's ``/status`` endpoint
-with ``--url``.  Either way the SLO verdict shown is the one the session
-itself computed, so ``status`` never re-judges stale data against
-different rules; it *reports*, and its exit code (0 ok / 4 degraded /
-5 unhealthy) makes the verdict scriptable.
+The status document is the obs snapshot read from
+``<corpus>/.obs/snapshot.json``; it is written every tick, so it also
+works after the session was SIGKILLed.  The SLO verdict shown is the
+one the session itself computed, so ``status`` never re-judges stale
+data against different rules; it *reports*, and its exit code (0 ok /
+4 degraded / 5 unhealthy) makes the verdict scriptable.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
-import urllib.error
-import urllib.request
 from typing import List
 
 from repro.core.report import format_table
-from repro.errors import ObsError, ObsSnapshotError, ObsUnreachableError
 from repro.obs.slo import EXIT_CODES, STATE_OK, Health
-from repro.obs.snapshot import SNAPSHOT_VERSION, snapshot_age_seconds
-
-
-def fetch_status(url: str, *, timeout: float = 5.0) -> dict:
-    """The ``/status`` document of a live session at ``url``.
-
-    ``url`` may be the endpoint root (``http://127.0.0.1:9100``) or the
-    full ``/status`` route.  Connection refused, DNS failure, and
-    timeouts raise :class:`~repro.errors.ObsUnreachableError` (CLI exit
-    6 — "probably not running"); an endpoint that *answers* but with an
-    HTTP error or an unusable document raises
-    :class:`~repro.errors.ObsError` /
-    :class:`~repro.errors.ObsSnapshotError` as before.
-    """
-    if not url.startswith(("http://", "https://")):
-        url = "http://" + url
-    if not url.rstrip("/").endswith("/status"):
-        url = url.rstrip("/") + "/status"
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            raw = json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        # the endpoint is alive — it just refused or errored the request
-        raise ObsError(f"{url}: endpoint answered HTTP {exc.code}: "
-                       f"{exc.reason}") from exc
-    except (urllib.error.URLError, ConnectionError, TimeoutError,
-            OSError) as exc:
-        reason = getattr(exc, "reason", None) or exc
-        raise ObsUnreachableError(
-            f"{url}: cannot reach live obs endpoint ({reason}); "
-            "is the watch session running?") from exc
-    except http.client.HTTPException as exc:
-        raise ObsError(f"{url}: malformed HTTP response: {exc}") from exc
-    except ValueError as exc:
-        raise ObsSnapshotError(f"{url}: endpoint returned non-JSON status: "
-                               f"{exc}") from exc
-    if not isinstance(raw, dict):
-        raise ObsSnapshotError(f"{url}: status document is not an object")
-    if raw.get("version") != SNAPSHOT_VERSION:
-        raise ObsSnapshotError(
-            f"{url}: unsupported status version {raw.get('version')!r} "
-            f"(expected {SNAPSHOT_VERSION})")
-    return raw
+from repro.obs.snapshot import snapshot_age_seconds
 
 
 def status_exit_code(document: dict) -> int:

@@ -171,9 +171,8 @@ class StreamEngine:
 
         At the end of each :meth:`tick` the engine hands the plane its
         :meth:`obs_sample`; the plane evaluates the SLO rules over it,
-        appends any transition events, flushes the ``.obs/snapshot.json``
-        document, and feeds the HTTP endpoint.  The engine itself never
-        blocks on (or even knows about) HTTP handlers.
+        appends any transition events, and flushes the
+        ``.obs/snapshot.json`` document.
         """
         self._obs = plane
 

@@ -20,7 +20,6 @@ from repro.taps.adapters import (
 )
 from repro.taps.session import TapPumpReport, TapSession
 from repro.taps.supervisor import (
-    BackpressurePolicy,
     BoundedQueue,
     BreakerState,
     TapConfig,
@@ -30,7 +29,6 @@ from repro.taps.supervisor import (
 
 __all__ = [
     "ADAPTERS",
-    "BackpressurePolicy",
     "BoundedQueue",
     "BreakerState",
     "ExaBGPAdapter",

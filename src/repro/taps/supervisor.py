@@ -25,10 +25,9 @@ circuit breaker
     permanently for this session; the session degrades instead of
     failing.
 bounded ingest queue
-    Parsed updates land in a bounded queue with an explicit backpressure
-    policy: ``block`` defers reading while full (bounded memory, no
-    loss), ``drop-oldest`` evicts from the head (bounded staleness), and
-    ``fail`` raises :class:`~repro.errors.TapError`.
+    Parsed updates land in a bounded queue; while it is full the
+    supervisor defers reading its source (bounded memory, no loss).  A
+    file-backed feed can always wait, so no record is ever dropped.
 malformed-record quarantine
     Undecodable records go through the PR 1 :class:`ErrorPolicy` /
     :class:`IngestReport` machinery: ``strict`` raises, ``skip`` drops
@@ -57,7 +56,7 @@ from repro.runtime import chaos
 from repro.runtime.retry import BackoffTimer, RetryPolicy
 from repro.taps.adapters import MRT_HEADER, MRT_MAX_FRAME, TapSpec
 
-#: bytes consumed from a source per poll, the block-policy memory bound
+#: bytes consumed from a source per poll, the read side's memory bound
 MAX_READ = 4 << 20
 
 
@@ -82,16 +81,6 @@ class BreakerState(str, Enum):
     __str__ = str.__str__
 
 
-class BackpressurePolicy(str, Enum):
-    """What a full ingest queue does to the producer."""
-
-    BLOCK = "block"
-    DROP_OLDEST = "drop-oldest"
-    FAIL = "fail"
-
-    __str__ = str.__str__
-
-
 @dataclass(frozen=True)
 class TapConfig:
     """Supervision knobs shared by every tap of a session."""
@@ -104,7 +93,6 @@ class TapConfig:
     max_reconnects: int = 8
     #: parsed-update capacity of the bounded ingest queue
     queue_capacity: int = 100_000
-    queue_policy: BackpressurePolicy = BackpressurePolicy.BLOCK
     #: malformed-record policy (collect = quarantine sidecars)
     policy: ErrorPolicy = ErrorPolicy.COLLECT
     #: reconnect backoff shape; jitter is deterministic per (policy, seed)
@@ -131,10 +119,8 @@ class TapConfig:
 class BoundedQueue:
     """The bounded ingest queue between parse and the session merge."""
 
-    def __init__(self, capacity: int, policy: BackpressurePolicy):
+    def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self.policy = BackpressurePolicy(policy)
-        self.dropped = 0
         self._items: deque = deque()
 
     def __len__(self) -> int:
@@ -145,27 +131,8 @@ class BoundedQueue:
         return max(0, self.capacity - len(self._items))
 
     def push(self, items: List) -> List:
-        """Enqueue; returns the items that did NOT fit (block policy).
-
-        ``drop-oldest`` always accepts, evicting from the head;
-        ``fail`` raises :class:`TapError` instead of overflowing.
-        """
-        if self.policy is BackpressurePolicy.DROP_OLDEST:
-            for item in items:
-                if len(self._items) >= self.capacity:
-                    self._items.popleft()
-                    self.dropped += 1
-                self._items.append(item)
-            return []
-        if self.policy is BackpressurePolicy.FAIL:
-            if len(items) > self.free:
-                raise TapError(
-                    f"ingest queue overflow: {len(items)} new records "
-                    f"against {self.free} free slots (capacity "
-                    f"{self.capacity}, policy=fail)")
-            self._items.extend(items)
-            return []
-        # block: accept what fits, hand the rest back to the producer
+        """Enqueue what fits; returns the items that did NOT fit, which
+        the producer holds until the queue drains."""
         take = self.free
         self._items.extend(items[:take])
         return items[take:]
@@ -283,7 +250,7 @@ class TapSupervisor:
         self.adapter = spec.adapter()
         self.state = TapState.CONNECTING
         self.breaker = BreakerState.CLOSED
-        self.queue = BoundedQueue(config.queue_capacity, config.queue_policy)
+        self.queue = BoundedQueue(config.queue_capacity)
         self.last_error: Optional[str] = None
         self.frontier = float("-inf")
         self.records_ok = 0
@@ -362,7 +329,7 @@ class TapSupervisor:
             self._reader.reconnect()
 
         if self._pending and self.queue.free == 0:
-            # block-policy backpressure: don't read while saturated
+            # backpressure: do not read while saturated
             telem.gauge("tap.queue_depth", tap=self.name).set(len(self.queue))
             return
 
@@ -502,18 +469,7 @@ class TapSupervisor:
     # -- queue ---------------------------------------------------------------
 
     def _enqueue(self, parsed: List) -> None:
-        items = self._pending + parsed
-        self._pending = []
-        if not items:
-            return
-        dropped_before = self.queue.dropped
-        rejected = self.queue.push(items)
-        if rejected:
-            self._pending = rejected
-        evicted = self.queue.dropped - dropped_before
-        if evicted:
-            telemetry.current().counter(
-                "tap.records", tap=self.name, outcome="evicted").inc(evicted)
+        self._pending = self.queue.push(self._pending + parsed)
 
     # -- failure / recovery lifecycle ----------------------------------------
 
@@ -580,7 +536,6 @@ class TapSupervisor:
             "breaker": self.breaker.value,
             "records_ok": self.records_ok,
             "records_malformed": self.records_malformed,
-            "records_evicted": self.queue.dropped,
             "reconnects": self.reconnects,
             "breaker_opens": self.breaker_opens,
             "consecutive_failures": self.consecutive_failures,

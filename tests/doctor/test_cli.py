@@ -1,6 +1,4 @@
-"""``repro doctor``: exit codes, rendering, --repair, --json — and the
-``status --url`` unreachable-endpoint exit code that shares the typed
-exit-code vocabulary."""
+"""``repro doctor``: exit codes, rendering, --repair, --json."""
 
 import json
 

@@ -1,8 +1,5 @@
 """ObsPlane: the per-tick observe loop wiring events, snapshots, SLO."""
 
-import json
-import urllib.request
-
 import pytest
 
 from repro import telemetry
@@ -83,20 +80,3 @@ class TestObserve:
             plane.observe({})
         assert telem.counter("obs.snapshots_written").value == 2
 
-
-class TestHttpIntegration:
-    def test_port_zero_serves_published_state(self, tmp_path, telem):
-        with ObsPlane(tmp_path, port=0) as plane:
-            assert plane.url is not None
-            plane.observe({"lag_days": 0, "watermark_days": 5,
-                           "metrics": telem.metrics_snapshot()})
-            with urllib.request.urlopen(plane.url + "/status",
-                                        timeout=5) as response:
-                payload = json.loads(response.read())
-            assert payload["watermark_days"] == 5
-            assert payload["health"]["state"] == "ok"
-        assert plane.server is None  # close() stopped it
-
-    def test_no_port_means_no_server(self, tmp_path, telem):
-        with ObsPlane(tmp_path) as plane:
-            assert plane.url is None and plane.server is None

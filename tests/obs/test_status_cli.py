@@ -1,4 +1,4 @@
-"""``repro status``: exit codes, rendering, --json, --url, typed errors."""
+"""``repro status``: exit codes, rendering, --json, typed errors."""
 
 import json
 
@@ -74,20 +74,3 @@ class TestOutput:
         out = capsys.readouterr().out
         assert "ris-a" in out and "closed" in out
 
-
-class TestLiveUrl:
-    def test_url_queries_live_endpoint(self, tmp_path, capsys):
-        with telemetry.activate(telemetry.Telemetry()):
-            with ObsPlane(tmp_path, port=0) as plane:
-                plane.observe({"lag_days": 0, "watermark_days": 7})
-                assert main(["status", str(tmp_path),
-                             "--url", plane.url]) == 0
-        assert "watermark day 7" in capsys.readouterr().out
-
-    def test_unreachable_url_is_typed_error(self, tmp_path, capsys):
-        assert main(["status", str(tmp_path),
-                     "--url", "http://127.0.0.1:1"]) == 6
-        err = capsys.readouterr().err
-        assert "cannot reach live obs endpoint" in err
-        assert "is the watch session running?" in err
-        assert "Traceback" not in err

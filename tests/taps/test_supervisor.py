@@ -10,7 +10,6 @@ from repro.corpus.ingest import ErrorPolicy
 from repro.errors import TapError
 from repro.runtime.retry import RetryPolicy
 from repro.taps import (
-    BackpressurePolicy,
     BoundedQueue,
     BreakerState,
     TapConfig,
@@ -175,8 +174,7 @@ class TestBreakerLifecycle:
 
 class TestQueue:
     def test_block_policy_defers_reading(self, tmp_path, clock):
-        sup, _ = make_tap(tmp_path, clock, queue_capacity=5,
-                          queue_policy=BackpressurePolicy.BLOCK)
+        sup, _ = make_tap(tmp_path, clock, queue_capacity=5)
         sup.poll()
         assert len(sup.queue) == 5
         assert len(sup._pending) > 0
@@ -184,29 +182,18 @@ class TestQueue:
         sup.poll()  # saturated: skips the read entirely
         assert len(sup.queue) == depth_before
         got = sup.drain()
-        sup.poll()  # drained: pending flows in
-        assert len(sup.drain()) > 0
-        assert sup.queue.dropped == 0
         assert len(got) == 5
-
-    def test_drop_oldest_evicts_from_head(self, tmp_path, clock):
-        sup, _ = make_tap(tmp_path, clock, queue_capacity=5,
-                          queue_policy=BackpressurePolicy.DROP_OLDEST)
-        sup.poll()
-        items = sup.drain()
-        assert len(items) == 5
-        assert sup.queue.dropped == 24 - 5
-        # the newest records survive
-        assert [s for _, s, _ in items] == list(range(19, 24))
-
-    def test_fail_policy_raises(self, tmp_path, clock):
-        sup, _ = make_tap(tmp_path, clock, queue_capacity=5,
-                          queue_policy=BackpressurePolicy.FAIL)
-        with pytest.raises(TapError, match="queue overflow"):
-            sup.poll()
+        while True:
+            sup.poll()  # drained: pending flows in
+            batch = sup.drain()
+            if not batch:
+                break
+            got += batch
+        # nothing is dropped: every record arrives, in feed order
+        assert [s for _, s, _ in got] == list(range(24))
 
     def test_bounded_queue_unit(self):
-        q = BoundedQueue(3, BackpressurePolicy.BLOCK)
+        q = BoundedQueue(3)
         assert q.push([1, 2, 3, 4, 5]) == [4, 5]
         assert q.drain() == [1, 2, 3]
         assert q.push([1]) == []

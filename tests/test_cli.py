@@ -4,7 +4,9 @@ the report command, and the degraded-input error paths with their exit
 codes."""
 
 import json
+import os
 import shutil
+import subprocess
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.cli import (
     CONTROL_FILE,
     DATA_FILE,
     EXIT_ALL_DEGRADED,
+    EXIT_BROKEN_PIPE,
     EXIT_FAILURES,
     EXIT_OK,
     EXIT_UNREADABLE,
@@ -20,6 +23,7 @@ from repro.cli import (
     META_FILE,
     main,
 )
+from tests.cli_helpers import CLI_TIMEOUT, cli_command, cli_env
 
 
 @pytest.fixture(scope="module")
@@ -404,3 +408,25 @@ class TestReportCommand:
         rc = main(["report", str(empty)])
         assert rc == EXIT_UNREADABLE
         assert "no span or metrics" in capsys.readouterr().err
+
+    def test_reader_closing_early_is_a_clean_exit(self, tmp_path):
+        """``repro report t.jsonl | head``: a stdout reader that goes
+        away ends the command with its own exit code, no traceback."""
+        trace = tmp_path / "wide.jsonl"
+        # enough distinct spans that the table outgrows a pipe buffer
+        trace.write_text("".join(
+            json.dumps({"type": "span", "name": f"stage.{i:05d}",
+                        "seconds": 0.001}) + "\n" for i in range(4000)))
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(cli_command(["report", trace]),
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                text=True, env=cli_env())
+        os.close(write_end)
+        os.close(read_end)  # the reader is gone before any output
+        try:
+            _, err = proc.communicate(timeout=CLI_TIMEOUT)
+        finally:
+            proc.kill()
+        assert proc.returncode == EXIT_BROKEN_PIPE, err
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

@@ -118,6 +118,19 @@ def test_forked_analysis_workers_import_nothing(corpus, tmp_path):
     assert [entry for entry in children if entry[1]] == []
 
 
+def test_watch_once_loads_no_http_and_starts_no_thread(corpus):
+    """The operations plane reports only through ``.obs/`` files."""
+    result = probe(run_command(["watch", corpus, "--once",
+                                "--host-min-days", "1", "-q"])
+                   + "import threading\n"
+                   "result['threads'] = threading.active_count()\n")
+    assert result["rc"] in (EXIT_OK, 4)
+    assert "repro.obs.plane" in result["modules"]
+    assert loaded(result, "http.server", "http.client",
+                  "urllib.request") == []
+    assert result["threads"] == 1
+
+
 def test_every_lazy_public_name_resolves():
     result = probe(
         "import importlib\n"

@@ -413,12 +413,18 @@ def _regenerate(corpus: Path, scan: JournalScan, *, resume: bool) -> str:
             f"{report.segments_skipped} intact)")
 
 
-def _empty_data_segment_bytes() -> bytes:
+def _empty_data_segment_candidates() -> List[bytes]:
+    """The bytes an empty tap data segment may hold: the segment
+    writer's, then those of ``np.savez_compressed``, which wrote the
+    segments of older tap corpora."""
     from repro.dataplane.packet import PACKET_DTYPE
+    from repro.runtime.npz import write_packet_segment
 
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, packets=np.zeros(0, dtype=PACKET_DTYPE))
-    return buffer.getvalue()
+    empty = np.zeros(0, dtype=PACKET_DTYPE)
+    current, legacy = io.BytesIO(), io.BytesIO()
+    write_packet_segment(current, empty)
+    np.savez_compressed(legacy, packets=empty)
+    return [current.getvalue(), legacy.getvalue()]
 
 
 def _repair_tap_segments(corpus: Path, scan: JournalScan, days: List[int],
@@ -426,8 +432,10 @@ def _repair_tap_segments(corpus: Path, scan: JournalScan, days: List[int],
     """Rebuild damaged tap segments from the finalized corpus files.
 
     Control segments are byte slices of ``control.jsonl`` at the offsets
-    the journal's per-segment byte counts imply; a rebuilt slice only
-    counts when its SHA-256 matches the journal commit.  Days that fail
+    the journal's per-segment byte counts imply; data segments, always
+    empty on a tap corpus, are rebuilt in the encoding whose SHA-256 the
+    journal records.  A rebuilt file only counts when its SHA-256
+    matches the journal commit.  Days that fail
     to verify are unrecoverable — the commit log is truncated there and
     the corpus refinalized to the surviving prefix.
     """
@@ -442,7 +450,7 @@ def _repair_tap_segments(corpus: Path, scan: JournalScan, days: List[int],
     for day, (control, _) in enumerate(committed_days(scan.steps)):
         offsets[day] = position
         position += int(control.get("bytes", 0) or 0)
-    empty_data = _empty_data_segment_bytes()
+    empty_data = _empty_data_segment_candidates()
     import hashlib
     rebuilt = 0
     failed_days: List[int] = []
@@ -458,11 +466,15 @@ def _repair_tap_segments(corpus: Path, scan: JournalScan, days: List[int],
                 continue  # this plane survived; only the other is damaged
             if plane == "control":
                 start = offsets.get(day, len(control_bytes))
-                candidate = control_bytes[
-                    start:start + int(entry.get("bytes", 0) or 0)]
+                candidates = [control_bytes[
+                    start:start + int(entry.get("bytes", 0) or 0)]]
             else:
-                candidate = empty_data
-            if hashlib.sha256(candidate).hexdigest() != entry.get("sha256"):
+                candidates = empty_data
+            candidate = next(
+                (data for data in candidates
+                 if hashlib.sha256(data).hexdigest() == entry.get("sha256")),
+                None)
+            if candidate is None:
                 ok = False
                 continue
             with atomic_writer(path, mode="wb") as fh:

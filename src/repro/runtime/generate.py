@@ -64,6 +64,7 @@ from repro.runtime.checkpoint import CheckpointJournal
 if TYPE_CHECKING:
     from repro.scenario.config import ScenarioConfig
     from repro.scenario.runner import ScenarioResult
+    from repro.telemetry.trace import Span
 
 # ``repro doctor`` and ``repro validate`` read the commit-log layout
 # below, so numpy, the scenario and the record codecs are imported by
@@ -200,10 +201,7 @@ def checkpointed_generate(
                               sampling_rate=result.data.sampling_rate,
                               meta={**_platform_meta(result),
                                     **(extra_meta or {})},
-                              run=run)
-            # the day segments read (two per day), the packet rows written
-            sp.attrs.update(segments=2 * result.day_count,
-                            rows=counts["data_packets"])
+                              run=run, span=sp)
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
     report.manifest_path = str(out / MANIFEST_FILE)
@@ -268,10 +266,10 @@ def write_segment(seg_dir: Path, plane: str, day: int, chunk) -> dict:
             for msg in chunk:
                 fh.write(json.dumps(update_to_json(msg)) + "\n")
     else:
-        import numpy as np
+        from repro.runtime.npz import write_packet_segment
 
         with atomic_writer(path, mode="wb") as fh:
-            np.savez_compressed(fh, packets=chunk)
+            write_packet_segment(fh, chunk)
     return segment_entry(seg_dir, plane, day, records=len(chunk))
 
 
@@ -381,7 +379,8 @@ def _write_pending_parallel(pending, seg_dir: Path,
 
 def finalize(out: Path, journal: CheckpointJournal, days: int, *,
              sampling_rate: int, meta: Optional[dict] = None,
-             run: Optional[dict] = None) -> dict:
+             run: Optional[dict] = None,
+             span: Optional[Span] = None) -> dict:
     """Assemble the corpus files from the first ``days`` committed days.
 
     ``control.jsonl`` is the byte concatenation of the control segments,
@@ -390,11 +389,13 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
     ``platform.json`` next; ``None`` leaves the file as it is.  The
     manifest then checksums the directory and the ``finalize`` step is
     committed, so ``platform.json`` never runs ahead of the corpus files.
-    Returns the record counts, taken from the bytes read.
+    Returns the record counts, taken from the bytes read.  ``span``, the
+    caller's trace span, gets the segments read, the rows written and how
+    many data segments were spliced or re-encoded.
 
-    Each corpus file streams one segment at a time (see
-    :func:`_write_data_file`), so finalize never holds the whole packet
-    plane.
+    Each corpus file streams one segment at a time, and ``data.npz``
+    reuses the segments' compressed rows (see :func:`_write_data_file`),
+    so finalize never holds the whole packet plane nor deflates it again.
     """
     from repro.corpus.platform import write_platform_meta
 
@@ -410,7 +411,7 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
             data = (seg_dir / _segment_name("control", day)).read_bytes()
             control_messages += data.count(b"\n")
             fh.write(data)
-    data_packets = _write_data_file(
+    data_packets, spliced, reencoded = _write_data_file(
         out, [data for _control, data in entries[:days]], sampling_rate)
     if meta is not None:
         write_platform_meta(out, meta)
@@ -423,65 +424,34 @@ def finalize(out: Path, journal: CheckpointJournal, days: int, *,
         data_sha256=files[DATA_FILE]["sha256"],
         **counts,
     )
+    if span is not None:
+        # the day segments read (two per day), the packet rows written,
+        # and how the data segments reached data.npz
+        span.attrs.update(segments=2 * days, rows=data_packets,
+                          spliced=spliced, reencoded=reencoded)
     return counts
 
 
 def _write_data_file(out: Path, entries: List[dict],
-                     sampling_rate: int) -> int:
-    """Write ``data.npz`` from the data segments of ``entries``' days.
-
-    The bytes are those of ``np.savez_compressed(packets=<the segments
-    concatenated>, sampling_rate=...)``: one deflated ``packets.npy``
-    member whose ``.npy`` header carries the row count summed from the
-    journaled ``records``, then the segments' rows in day order, one
-    segment in memory at a time.  Raises :class:`CheckpointError`, and
-    publishes nothing, when a segment is no 1-D packet array or the rows
-    written differ from the journaled count.  Returns the row count.
-    """
-    import zipfile
-
-    import numpy as np
-
-    from repro.dataplane.packet import PACKET_DTYPE
+                     sampling_rate: int) -> Tuple[int, int, int]:
+    """Write ``data.npz`` from the data segments of ``entries``' days
+    (see :func:`~repro.runtime.npz.write_packet_archive`).  Raises
+    :class:`CheckpointError`, and publishes nothing, when a commit lacks
+    its record count or a segment is refused.  Returns the row count and
+    the numbers of spliced and re-encoded segments."""
+    from repro.runtime.npz import write_packet_archive
 
     try:
-        total = sum(int(entry["records"]) for entry in entries)
+        records = [int(entry["records"]) for entry in entries]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{out}: a data segment commit carries no record count") from exc
-    header = np.lib.format.header_data_from_array_1_0(
-        np.zeros(0, dtype=PACKET_DTYPE))
-    header["shape"] = (total,)
     seg_dir = out / SEGMENT_DIR
-    rows = 0
-    with atomic_writer(out / DATA_FILE, mode="wb") as fh, \
-            zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_DEFLATED,
-                            allowZip64=True) as archive:
-        # numpy's own member layout: forced zip64, the default 1980 stamp
-        with archive.open("packets.npy", "w", force_zip64=True) as member:
-            np.lib.format.write_array_header_1_0(member, header)
-            for day in range(len(entries)):
-                name = _segment_name("data", day)
-                with np.load(seg_dir / name) as segment:
-                    packets = segment["packets"]
-                if packets.dtype != PACKET_DTYPE or packets.ndim != 1:
-                    raise CheckpointError(
-                        f"{out}: segment {name} holds {packets.dtype} "
-                        f"rows of shape {packets.shape}, not packets")
-                rows += len(packets)
-                if rows > total:
-                    raise CheckpointError(
-                        f"{out}: the data segments hold more than the "
-                        f"{total} rows the journal records")
-                member.write(np.ascontiguousarray(packets).view(np.uint8))
-            if rows != total:
-                raise CheckpointError(
-                    f"{out}: the data segments hold {rows} rows, the "
-                    f"journal records {total}")
-        with archive.open("sampling_rate.npy", "w",
-                          force_zip64=True) as member:
-            np.lib.format.write_array(member, np.asanyarray(sampling_rate))
-    return rows
+    segments = [(seg_dir / _segment_name("data", day), rows)
+                for day, rows in enumerate(records)]
+    with atomic_writer(out / DATA_FILE, mode="wb") as fh:
+        spliced = write_packet_archive(fh, segments, sampling_rate)
+    return sum(records), spliced, len(records) - spliced
 
 
 def _platform_meta(result: ScenarioResult) -> dict:

@@ -210,8 +210,8 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
                           sampling_rate=int(meta.get("sampling_rate",
                                                      10_000)),
                           meta=dict(meta, duration_days=new_days),
-                          run=run if isinstance(run, dict) else None)
-        sp.attrs.update(segments=2 * new_days, rows=counts["data_packets"])
+                          run=run if isinstance(run, dict) else None,
+                          span=sp)
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
     telem.event("stream.advanced", out=str(out), days_added=days,

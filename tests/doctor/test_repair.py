@@ -4,13 +4,22 @@ same fingerprint an undamaged run produces."""
 
 import json
 
+import pytest
+
 from repro.doctor import (
     DOCTOR_JOURNAL_FILE,
     DOCTOR_QUARANTINE_DIR,
     repair_corpus,
     scrub_corpus,
 )
-from repro.runtime.generate import JOURNAL_FILE, SEGMENT_DIR
+from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.generate import (
+    JOURNAL_FILE,
+    SEGMENT_DIR,
+    _segment_key,
+    committed_days,
+    segment_entry,
+)
 from tests.doctor.conftest import corpus_fingerprint
 
 
@@ -171,6 +180,52 @@ class TestIndividualPlans:
         # quarantine preserves evidence but restores nothing — the
         # report must refuse to call that a successful repair
         assert outcome.unrecoverable and not outcome.ok
+
+
+class TestTapSegments:
+    @staticmethod
+    def tap_corpus(tmp_path):
+        """A two-day tap corpus: control segments from one feed, empty
+        data segments."""
+        from repro.taps import TapConfig, TapSession, write_feed
+        from tests.taps.conftest import FakeClock, make_messages
+
+        feed = write_feed(tmp_path / "a.ris", make_messages(days=2), "ris")
+        session = TapSession.open(
+            tmp_path / "corpus", [f"ris:{feed}"],
+            config=TapConfig(stall_timeout=1.0), clock=FakeClock())
+        assert session.pump(final=True).days_committed == 2
+        return tmp_path / "corpus"
+
+    @pytest.mark.parametrize("writer", ["segment-writer", "savez"])
+    def test_lost_data_segment_is_resliced(self, tmp_path, writer):
+        """A lost empty data segment is rebuilt in the encoding the
+        journal vouches for, so no committed day is dropped."""
+        import numpy as np
+
+        from repro.dataplane.packet import PACKET_DTYPE
+
+        corpus = self.tap_corpus(tmp_path)
+        seg_dir = corpus / SEGMENT_DIR
+        if writer == "savez":
+            # the data segments of a tap corpus from an older writer
+            journal = CheckpointJournal.load(corpus / JOURNAL_FILE)
+            for day in range(2):
+                np.savez_compressed(seg_dir / f"data-{day:03d}.npz",
+                                    packets=np.zeros(0, dtype=PACKET_DTYPE))
+                journal.commit(_segment_key("data", day),
+                               **segment_entry(seg_dir, "data", day))
+        assert scrub_corpus(corpus).clean
+        lost = seg_dir / "data-001.npz"
+        original = lost.read_bytes()
+        lost.unlink()
+
+        outcome = heal(corpus)
+        assert outcome.ok and outcome.verified.clean
+        assert [a.plan for a in outcome.actions] == ["repair-tap-segments"]
+        assert lost.read_bytes() == original
+        journal = CheckpointJournal.load(corpus / JOURNAL_FILE)
+        assert len(committed_days(journal)) == 2
 
 
 class TestRepairJournal:

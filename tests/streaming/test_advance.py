@@ -60,6 +60,44 @@ def test_advance_extends_and_stream_matches_batch(corpus):
         o.name: o.value_digest for o in batch.outcomes}
 
 
+def test_advance_over_savez_segments(corpus):
+    """Kept data segments that ``np.savez_compressed`` wrote, as older
+    versions did, are re-encoded into the extended corpus: it scrubs
+    clean and the stream still matches batch."""
+    import numpy as np
+
+    from repro.doctor import scrub_corpus
+    from repro.runtime.generate import _segment_key, segment_entry
+
+    seg_dir = corpus / SEGMENT_DIR
+    journal = CheckpointJournal.load(corpus / JOURNAL_FILE)
+    days = len(committed_days(journal))
+    for day in range(days):
+        path = seg_dir / f"data-{day:03d}.npz"
+        with np.load(path) as archive:
+            packets = archive["packets"]
+        np.savez_compressed(path, packets=packets)
+        journal.commit(_segment_key("data", day),
+                       **segment_entry(seg_dir, "data", day))
+    with np.load(corpus / DATA_FILE) as archive:
+        before = archive["packets"]
+
+    report = advance_corpus(corpus, 1)
+    assert report.day_count == days + 1
+    assert scrub_corpus(corpus).clean
+    with np.load(corpus / DATA_FILE) as archive:
+        after = archive["packets"]
+    assert after[:len(before)].tobytes() == before.tobytes()
+    assert len(after) == report.data_packets > len(before)
+
+    engine = StreamEngine.open(corpus, host_min_days=1)
+    assert engine.tick() == days + 1
+    batch = Study.open(corpus).analyze(options=AnalyzeOptions(
+        host_min_days=1, analyses=CHECKED))
+    assert engine.report(CHECKED).fingerprints() == {
+        o.name: o.value_digest for o in batch.outcomes}
+
+
 def test_advance_resume_completes_torn_finalize(corpus):
     """A re-run after a crash between the segment commits and finalize
     resumes the interrupted extension instead of stacking days on it."""

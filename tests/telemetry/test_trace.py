@@ -225,11 +225,15 @@ class TestInstrumentationIntegration:
                 extra_meta={"scale": 0.004, "duration_days": 3, "seed": 5})
             advanced = advance_corpus(corpus, 1)
         attrs = {r["name"]: r["attrs"] for r in telem.tracer.records}
-        # two segments (control and data) per day, every packet row once
+        # two segments (control and data) per day, every packet row once;
+        # every data segment's compressed rows are spliced, none deflated
+        # a second time
         assert attrs["generate.finalize"] == {
-            "segments": 6, "rows": generated.data_packets}
+            "segments": 6, "rows": generated.data_packets,
+            "spliced": 3, "reencoded": 0}
         assert attrs["advance.finalize"] == {
-            "segments": 8, "rows": advanced.data_packets}
+            "segments": 8, "rows": advanced.data_packets,
+            "spliced": 4, "reencoded": 0}
         assert 0 < generated.data_packets < advanced.data_packets
 
     def test_run_all_without_telemetry_attaches_none(self):

@@ -54,11 +54,12 @@ N more days through the same commit log.
 
 Live feeds: ``watch --tap [NAME=]FORMAT:PATH`` supervises external BGP
 feeds (``mrt``, ``ris``, or ``exabgp`` format) into the watched corpus's
-commit log — stall watchdog, deterministic reconnect backoff, per-tap
-circuit breaker, bounded ingest queue, malformed-record quarantine under
+commit log — a progress clock (``--tap-stall`` seconds without new bytes
+stall a tap, three such windows kill it), source rewind on truncation or
+rotation, bounded ingest queue, malformed-record quarantine under
 ``.taps/`` — so foreign feeds are consumed exactly like kept day
-segments; a permanently dead tap degrades the session (reported
-per-tap) instead of failing it.  A corrupt stream checkpoint exits with
+segments; a dead tap degrades the session (reported per-tap) instead of
+failing it.  A corrupt stream checkpoint exits with
 its own code; ``watch --reset-stream`` discards it and re-consumes the
 commit log from day 0.
 
@@ -380,19 +381,12 @@ def _tap_session(args: argparse.Namespace, path: Path):
     if not args.tap:
         return None
     from repro.corpus.ingest import ErrorPolicy
-    from repro.runtime.retry import RetryPolicy
     from repro.taps import TapConfig, TapSession
 
     config = TapConfig(
         stall_timeout=args.tap_stall,
-        breaker_threshold=args.tap_breaker,
-        max_reconnects=args.tap_max_reconnects,
         queue_capacity=args.tap_queue,
         policy=ErrorPolicy.STRICT if args.strict else ErrorPolicy.COLLECT,
-        backoff=RetryPolicy(max_retries=0, backoff_base=args.tap_backoff,
-                            backoff_factor=2.0, backoff_max=60.0,
-                            jitter=0.5),
-        seed=args.tap_seed,
         epoch=args.tap_epoch,
     )
     return TapSession.open(path, args.tap, config=config)
@@ -860,24 +854,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "repeatable)")
     wat.add_argument("--tap-stall", type=float, default=30.0,
                      metavar="SECONDS",
-                     help="tap stall-watchdog timeout (default 30)")
-    wat.add_argument("--tap-breaker", type=int, default=3, metavar="N",
-                     help="consecutive tap failures before its circuit "
-                          "breaker opens (default 3)")
-    wat.add_argument("--tap-max-reconnects", type=int, default=8,
-                     metavar="N",
-                     help="failed reconnect probes before a tap is declared "
-                          "dead (default 8)")
+                     help="seconds without new bytes before a tap is "
+                          "stalled; three such windows declare it dead "
+                          "(default 30)")
     wat.add_argument("--tap-queue", type=int, default=100_000, metavar="N",
                      help="per-tap bounded ingest queue capacity; a full "
                           "queue stops reading its source (default "
                           "100000)")
-    wat.add_argument("--tap-backoff", type=float, default=0.5,
-                     metavar="SECONDS",
-                     help="base reconnect backoff delay (default 0.5)")
-    wat.add_argument("--tap-seed", type=int, default=0, metavar="N",
-                     help="seed of the deterministic reconnect jitter "
-                          "(default 0)")
     wat.add_argument("--tap-epoch", type=float, default=0.0,
                      metavar="SECONDS",
                      help="feed timestamps are shifted by -EPOCH into "

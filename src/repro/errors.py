@@ -128,10 +128,10 @@ class DoctorError(ReproError):
 class TapError(ReproError):
     """A live-feed tap cannot be configured, read, or decoded.
 
-    Raised for unparseable ``--tap`` specs, unknown adapter formats, an
-    ingest queue overflowing under the ``fail`` backpressure policy, and
-    (under the ``strict`` error policy) the first malformed feed record.
+    Raised for unparseable ``--tap`` specs, unknown adapter formats, bad
+    supervision settings, and (under the ``strict`` error policy) the
+    first malformed feed record.
     Transient source failures — a vanished file, a stalled feed — are
     *not* raised; the :class:`repro.taps.supervisor.TapSupervisor`
-    absorbs those into its reconnect/circuit-breaker lifecycle.
+    absorbs those into its progress clock (stalled, then dead).
     """

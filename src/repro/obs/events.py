@@ -6,8 +6,8 @@ exceeds ``max_bytes`` — the active log is renamed to ``events.jsonl.1``
 (… ``.N``), oldest dropped — so a weeks-long watch session occupies
 bounded disk no matter how chatty its taps are.  Appends are plain
 buffered writes flushed per record (events are operator forensics, not
-the commit log; an fsync per breaker flap would be absurd), which means
-a crash can tear the *tail* line of the active file.  :func:`read_events`
+the commit log; an fsync per quarantined record would be absurd), which
+means a crash can tear the *tail* line of the active file.  :func:`read_events`
 therefore tolerates exactly that: a torn or garbled line is skipped with
 accounting instead of poisoning the whole read — the same stance the
 checkpoint journal takes.

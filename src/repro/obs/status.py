@@ -58,15 +58,14 @@ def render_status(document: dict) -> str:
         rows = []
         for name, entry in sorted(taps.items()):
             rows.append([
-                name, entry.get("state", "?"), entry.get("breaker", "?"),
+                name, entry.get("state", "?"),
                 entry.get("records_ok", 0),
                 entry.get("records_malformed", 0),
-                entry.get("reconnects", 0),
                 entry.get("last_error") or ""])
         lines.append("")
         lines.append(format_table(
-            ["tap", "state", "breaker", "ok", "malformed", "reconnects",
-             "last_error"], rows, title="taps:"))
+            ["tap", "state", "ok", "malformed", "last_error"], rows,
+            title="taps:"))
 
     events_logged = document.get("events_logged")
     if events_logged is not None:

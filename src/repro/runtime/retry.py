@@ -80,35 +80,3 @@ class RetryPolicy:
         return [self.delay(attempt, rng)
                 for attempt in range(self.max_retries)]
 
-
-class BackoffTimer:
-    """Stateful, unbounded backoff pacing for reconnect loops.
-
-    The supervisor's :class:`RetryPolicy` models a *bounded* number of
-    re-executions; a live-feed tap instead reconnects indefinitely, with
-    the delay growing per consecutive failure and resetting once the feed
-    recovers.  This wraps a policy plus a seeded RNG so a given
-    ``(policy, seed)`` replays the exact same delay sequence — including
-    across :meth:`reset` boundaries, because the jitter stream is drawn
-    from one RNG and never re-seeded mid-run.
-
-    ``attempt`` counts consecutive failures since the last reset; it is
-    what callers compare against their give-up threshold.
-    """
-
-    def __init__(self, policy: RetryPolicy, seed: int):
-        self.policy = policy
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self.attempt = 0
-
-    def next_delay(self) -> float:
-        """The delay before the next reconnect attempt; advances state."""
-        delay = self.policy.delay(self.attempt, self._rng)
-        self.attempt += 1
-        return delay
-
-    def reset(self) -> None:
-        """The feed recovered: start the escalation over (jitter stream
-        keeps advancing — determinism comes from the seed, not reuse)."""
-        self.attempt = 0

@@ -106,10 +106,8 @@ class StreamReport:
             for name, entry in sorted(self.taps.items()):
                 line = (f"  {name.ljust(width)}  "
                         f"{entry.get('state', '?'):12s}  "
-                        f"breaker={entry.get('breaker', '?')}  "
                         f"ok={entry.get('records_ok', 0)}  "
-                        f"malformed={entry.get('records_malformed', 0)}  "
-                        f"reconnects={entry.get('reconnects', 0)}")
+                        f"malformed={entry.get('records_malformed', 0)}")
                 if entry.get("last_error"):
                     line += f"  [{entry['last_error']}]"
                 lines.append(line)

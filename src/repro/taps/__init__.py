@@ -1,11 +1,12 @@
 """Fault-tolerant live-feed taps: external BGP feeds → the commit log.
 
 ``repro.taps`` adapts foreign control-plane formats (MRT-style framed
-dumps, RIPE RIS-style JSON lines, exabgp-style line streams) into the
-streaming engine's commit log, under full supervision — stall watchdogs,
-deterministic reconnect backoff, per-tap circuit breakers, bounded
-ingest queues, and SHA-256-deduped malformed-record quarantine.  See
-DESIGN.md §11 for the feed fault model.
+dumps, RIPE RIS-style JSON lines, exabgp-style line streams) read from
+growing files into the streaming engine's commit log, under supervision
+— a progress clock that marks silent taps stalled and then dead, source
+rewind on truncation or rotation, bounded ingest queues, and
+SHA-256-deduped malformed-record quarantine.  See DESIGN.md §11 for the
+feed fault model.
 """
 
 from repro.taps.adapters import (
@@ -21,7 +22,6 @@ from repro.taps.adapters import (
 from repro.taps.session import TapPumpReport, TapSession
 from repro.taps.supervisor import (
     BoundedQueue,
-    BreakerState,
     TapConfig,
     TapState,
     TapSupervisor,
@@ -30,7 +30,6 @@ from repro.taps.supervisor import (
 __all__ = [
     "ADAPTERS",
     "BoundedQueue",
-    "BreakerState",
     "ExaBGPAdapter",
     "MRTAdapter",
     "RISLinesAdapter",

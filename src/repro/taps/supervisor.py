@@ -1,39 +1,37 @@
-"""Supervised consumption of one external feed: every failure mode of a
-real BGP feed gets a deterministic, testable handling path.
+"""Supervised consumption of one file-backed feed: every failure mode of
+a growing source file gets a deterministic, testable handling path.
 
 A :class:`TapSupervisor` wraps one :class:`~repro.taps.adapters.TapSpec`
 and is *pull-based*: the session calls :meth:`poll` on every pump, and
 the supervisor reads whatever new bytes its source file holds.  Around
 that read sit the robustness layers, in order:
 
-stall watchdog
-    No new bytes for longer than ``stall_timeout`` (on the injected
-    clock) counts as a failure — a wedged feed looks exactly like a
-    silent one.
-reconnect with deterministic backoff
-    Failures escalate through :class:`repro.runtime.retry.BackoffTimer`
-    — the same seeded-jitter policy machinery the analysis supervisor
-    uses — so a given ``(policy, seed)`` replays the identical reconnect
-    schedule.  The chaos kill points ``tap:reconnect:N`` and
-    ``tap:<name>:reconnect:N`` fire as each reconnect probe begins.
-circuit breaker
-    ``breaker_threshold`` consecutive failures open the breaker: polls
-    short-circuit without touching the source until the cooldown
-    expires, then a single half-open probe decides between closing it
-    (new data arrived) and re-opening with the next backoff delay.
-    ``max_reconnects`` consecutive failed probes declare the tap dead —
-    permanently for this session; the session degrades instead of
-    failing.
+progress clock
+    A poll that consumes bytes is progress.  The clock is armed at the
+    first poll, so a source that is missing or never gets a byte is
+    judged like one that went quiet.  No progress (no new bytes, or an
+    ``OSError``) for longer than ``stall_timeout`` on the injected clock
+    marks the tap ``stalled``; new bytes make it ``live`` again.  No
+    progress for :data:`DEAD_AFTER_STALLS` stall windows declares it
+    ``dead`` — permanently for this session; the session degrades
+    instead of failing.  The chaos kill points ``tap:stall:N`` and
+    ``tap:<name>:stall:N`` fire as the tap enters its N-th stall.
+source rewind
+    A source that shrank or was replaced by another file (new
+    ``(st_dev, st_ino)``, as logrotate's ``create`` mode leaves it) is
+    re-read from offset 0 in the same poll, under a bumped
+    ``generation`` the session uses to drop the tap's uncommitted
+    records.  It is also the only way out of a garbled MRT stream.
 bounded ingest queue
     Parsed updates land in a bounded queue; while it is full the
     supervisor defers reading its source (bounded memory, no loss).  A
     file-backed feed can always wait, so no record is ever dropped.
 malformed-record quarantine
-    Undecodable records go through the PR 1 :class:`ErrorPolicy` /
-    :class:`IngestReport` machinery: ``strict`` raises, ``skip`` drops
-    with accounting, ``collect`` additionally appends to a SHA-256
-    deduped quarantine sidecar — re-ingesting a feed never double-counts
-    its quarantine.
+    Undecodable records go through the corpus ingest
+    :class:`ErrorPolicy` / :class:`IngestReport` machinery: ``strict``
+    raises, ``skip`` drops with accounting, ``collect`` additionally
+    appends to a SHA-256 deduped quarantine sidecar — re-ingesting a
+    feed never double-counts its quarantine.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import math
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
@@ -53,30 +51,23 @@ from repro.bgp.message import BGPUpdate
 from repro.corpus.ingest import ErrorPolicy, IngestReport, check_policy
 from repro.errors import TapError
 from repro.runtime import chaos
-from repro.runtime.retry import BackoffTimer, RetryPolicy
 from repro.taps.adapters import MRT_HEADER, MRT_MAX_FRAME, TapSpec
 
 #: bytes consumed from a source per poll, the read side's memory bound
 MAX_READ = 4 << 20
 
+#: stall windows without progress after which a tap is declared dead
+DEAD_AFTER_STALLS = 3
+
 
 class TapState(str, Enum):
     """Lifecycle of one supervised tap."""
 
-    CONNECTING = "connecting"   # never produced a record yet
+    CONNECTING = "connecting"   # never consumed a byte yet
     LIVE = "live"               # data flowed within the stall window
-    STALLED = "stalled"         # watchdog fired, breaker still closed
-    RECONNECTING = "reconnecting"  # breaker open/half-open, probing
-    DEAD = "dead"               # reconnect budget exhausted; permanent
+    STALLED = "stalled"         # no progress for a stall window
+    DEAD = "dead"               # no progress for DEAD_AFTER_STALLS windows
     FINISHED = "finished"       # final pump drained it to EOF
-
-    __str__ = str.__str__
-
-
-class BreakerState(str, Enum):
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
 
     __str__ = str.__str__
 
@@ -87,31 +78,17 @@ class TapConfig:
 
     #: seconds of no progress before the watchdog declares a stall
     stall_timeout: float = 30.0
-    #: consecutive failures before the circuit breaker opens
-    breaker_threshold: int = 3
-    #: consecutive failed reconnect probes before the tap is declared dead
-    max_reconnects: int = 8
     #: parsed-update capacity of the bounded ingest queue
     queue_capacity: int = 100_000
     #: malformed-record policy (collect = quarantine sidecars)
     policy: ErrorPolicy = ErrorPolicy.COLLECT
-    #: reconnect backoff shape; jitter is deterministic per (policy, seed)
-    backoff: RetryPolicy = RetryPolicy(max_retries=0, backoff_base=0.5,
-                                       backoff_factor=2.0, backoff_max=60.0,
-                                       jitter=0.5)
-    #: seed of the jitter stream (and the determinism contract)
-    seed: int = 0
     #: feed timestamps are shifted by -epoch into corpus time
     epoch: float = 0.0
 
     def __post_init__(self) -> None:
         check_policy(self.policy)
-        if self.stall_timeout <= 0:
+        if not self.stall_timeout > 0:
             raise TapError("stall_timeout must be > 0")
-        if self.breaker_threshold < 1:
-            raise TapError("breaker_threshold must be >= 1")
-        if self.max_reconnects < 1:
-            raise TapError("max_reconnects must be >= 1")
         if self.queue_capacity < 1:
             raise TapError("queue_capacity must be >= 1")
 
@@ -146,11 +123,11 @@ class BoundedQueue:
 class _SourceReader:
     """Incremental, offset-tracking reader over a (growing) source file.
 
-    Raises ``OSError`` on missing/unreadable/truncated sources — the
-    supervisor turns those into failures.  A truncated (rotated) source
-    is recovered on reconnect by restarting from offset 0 and bumping
-    ``generation`` so the session can discard the tap's uncommitted
-    buffer instead of double-counting re-read records.
+    Raises ``OSError`` on a missing or unreadable source.  A source that
+    shrank below the offset, or whose ``(st_dev, st_ino)`` changed since
+    the last read (rotated away and recreated), is re-read from offset 0
+    and ``generation`` is bumped, so the session can discard the tap's
+    uncommitted buffer instead of double-counting re-read records.
     """
 
     def __init__(self, path: Path, framing: str):
@@ -158,27 +135,36 @@ class _SourceReader:
         self.framing = framing
         self.offset = 0
         self.generation = 0
+        self._identity: Optional[Tuple[int, int]] = None
         self._line_buf = b""
         self._byte_buf = b""
         self._corrupt: Optional[str] = None
 
     def read(self) -> Tuple[List, int, List[Tuple[str, str]]]:
         """``(payloads, bytes_consumed, framing_errors)`` since last read."""
-        if self._corrupt is not None:
-            return [], 0, []
-        size = os.stat(self.path).st_size
-        if size < self.offset:
-            raise OSError(f"{self.path}: source shrank from {self.offset} "
-                          f"to {size} bytes (truncated/rotated)")
-        if size == self.offset:
-            return [], 0, []
         with open(self.path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            identity = (st.st_dev, st.st_ino)
+            if st.st_size < self.offset or (
+                    self._identity is not None
+                    and identity != self._identity):
+                self._rewind()
+            self._identity = identity
+            if self._corrupt is not None or st.st_size == self.offset:
+                return [], 0, []
             fh.seek(self.offset)
             data = fh.read(MAX_READ)
         self.offset += len(data)
         if self.framing == "mrt":
             return self._frames(data)
         return self._lines(data)
+
+    def _rewind(self) -> None:
+        self.offset = 0
+        self._line_buf = b""
+        self._byte_buf = b""
+        self._corrupt = None
+        self.generation += 1
 
     def _lines(self, data: bytes) -> Tuple[List, int, List]:
         buf = self._line_buf + data
@@ -195,8 +181,9 @@ class _SourceReader:
             _, _, _, length = MRT_HEADER.unpack_from(buf)
             if length > MRT_MAX_FRAME:
                 # a garbage header desynchronizes the whole remaining
-                # stream: quarantine the evidence and freeze the tap —
-                # the watchdog/breaker will walk it to dead
+                # stream: quarantine the evidence and freeze the tap
+                # until the source is rewound, or the progress clock
+                # walks it to dead
                 self._corrupt = (f"unframeable MRT header "
                                  f"{buf[:MRT_HEADER.size].hex()} claims "
                                  f"{length} payload bytes")
@@ -209,20 +196,6 @@ class _SourceReader:
             buf = buf[MRT_HEADER.size + length:]
         self._byte_buf = buf
         return payloads, len(data), errors
-
-    def reconnect(self) -> None:
-        """Re-establish the source: recover from rotation/corruption by
-        restarting from offset 0 when the file shrank or was garbled."""
-        try:
-            size = os.stat(self.path).st_size
-        except OSError:
-            size = None
-        if self._corrupt is not None or size is None or size < self.offset:
-            self.offset = 0
-            self._line_buf = b""
-            self._byte_buf = b""
-            self._corrupt = None
-            self.generation += 1
 
     def flush_tail(self) -> List[Tuple[str, str]]:
         """Torn trailing data at a final pump, as quarantine entries."""
@@ -249,20 +222,15 @@ class TapSupervisor:
         self.clock = clock
         self.adapter = spec.adapter()
         self.state = TapState.CONNECTING
-        self.breaker = BreakerState.CLOSED
         self.queue = BoundedQueue(config.queue_capacity)
         self.last_error: Optional[str] = None
         self.frontier = float("-inf")
         self.records_ok = 0
         self.records_malformed = 0
-        self.reconnects = 0
-        self.breaker_opens = 0
-        self.consecutive_failures = 0
+        self.stalls = 0
         self.seq = 0
         self._reader = _SourceReader(spec.path, self.adapter.framing)
-        self._open_until = float("-inf")
         self._last_progress: Optional[float] = None
-        self._backoff = BackoffTimer(config.backoff, config.seed)
         self._pending: List = []
         quarantine = None
         if quarantine_dir is not None \
@@ -288,7 +256,7 @@ class TapSupervisor:
         self._offset_path = (
             None if quarantine_dir is None
             else Path(quarantine_dir) / f"{spec.name}.offset.json")
-        self._offset_written = -1
+        self._offset_written: Optional[Tuple[int, int]] = None
 
     # -- identity ------------------------------------------------------------
 
@@ -315,29 +283,32 @@ class TapSupervisor:
             return
         now = self.clock()
         if self._last_progress is None:
-            self._last_progress = now
+            self._last_progress = now  # arm the progress clock
         telem = telemetry.current()
-        if self.breaker is BreakerState.OPEN:
-            if now < self._open_until:
-                return  # short-circuit: no source IO while cooling down
-            self._transition_breaker(BreakerState.HALF_OPEN)
-            self.state = TapState.RECONNECTING
-            self.reconnects += 1
-            chaos.maybe_kill(f"tap:reconnect:{self.reconnects}")
-            chaos.maybe_kill(f"tap:{self.name}:reconnect:{self.reconnects}")
-            telem.counter("tap.reconnects", tap=self.name).inc()
-            self._reader.reconnect()
 
         if self._pending and self.queue.free == 0:
             # backpressure: do not read while saturated
             telem.gauge("tap.queue_depth", tap=self.name).set(len(self.queue))
             return
 
+        generation = self._reader.generation
+        source_error = None
         try:
             payloads, consumed, framing_errors = self._reader.read()
         except OSError as exc:
-            self._failure(now, f"source error: {exc}")
-            return
+            payloads, consumed, framing_errors = [], 0, []
+            source_error = self.last_error = f"source error: {exc}"
+        if self._reader.generation != generation:
+            # rewound: records of the old generation not yet handed to
+            # the session are superseded by the re-read
+            self._pending = []
+            self.queue.drain()
+        if consumed > 0:
+            self._last_progress = now
+            self.state = TapState.LIVE
+            self.last_error = None
+        elif not final:
+            self._no_progress(now, source_error)
 
         for reason, payload in framing_errors:
             self._malformed(reason, payload)
@@ -345,15 +316,6 @@ class TapSupervisor:
         if final:
             for reason, payload in self._reader.flush_tail():
                 self._malformed(reason, payload)
-
-        if consumed > 0:
-            self._success(now)
-        elif self.breaker is BreakerState.HALF_OPEN:
-            self._failure(now, "reconnect probe found no new data")
-        elif not final and self.state is not TapState.CONNECTING \
-                and now - self._last_progress > self.config.stall_timeout:
-            self._failure(now, "stalled: no new data within "
-                               f"{self.config.stall_timeout:g}s")
 
         self._enqueue(parsed)
         self._flush_quarantine()
@@ -447,8 +409,8 @@ class TapSupervisor:
         read back on resume: replay convergence comes from the commit
         log, not from trusting a sidecar.  Sidecar IO never fails a tap.
         """
-        if self._offset_path is None \
-                or self._reader.offset == self._offset_written:
+        position = (self._reader.offset, self._reader.generation)
+        if self._offset_path is None or position == self._offset_written:
             return
         try:
             size = os.stat(self.spec.path).st_size
@@ -462,7 +424,7 @@ class TapSupervisor:
                 "generation": self._reader.generation,
                 "source": str(self.spec.path),
                 "source_bytes": size}, sort_keys=True))
-            self._offset_written = self._reader.offset
+            self._offset_written = position
         except OSError:  # pragma: no cover - disk trouble must not kill taps
             pass
 
@@ -471,59 +433,27 @@ class TapSupervisor:
     def _enqueue(self, parsed: List) -> None:
         self._pending = self.queue.push(self._pending + parsed)
 
-    # -- failure / recovery lifecycle ----------------------------------------
+    # -- the progress clock --------------------------------------------------
 
-    def _success(self, now: float) -> None:
-        self._last_progress = now
-        self.consecutive_failures = 0
-        if self.breaker is not BreakerState.CLOSED:
-            self._transition_breaker(BreakerState.CLOSED)
-            self._backoff.reset()
-            telemetry.current().event(
-                "tap.recovered", tap=self.name,
-                reconnects=self.reconnects)
-        self.state = TapState.LIVE
-        self.last_error = None
-
-    def _failure(self, now: float, reason: str) -> None:
-        self.last_error = reason
-        self.consecutive_failures += 1
-        self._last_progress = now  # re-arm the watchdog window
-        if self.breaker is BreakerState.HALF_OPEN:
-            self._escalate(now)
-        elif self.breaker is BreakerState.CLOSED:
-            self.state = TapState.STALLED
-            if self.consecutive_failures >= self.config.breaker_threshold:
-                self._escalate(now)
-
-    def _escalate(self, now: float) -> None:
-        """Open (or re-open) the breaker, or give up entirely."""
-        if self._backoff.attempt >= self.config.max_reconnects:
+    def _no_progress(self, now: float, source_error: Optional[str]) -> None:
+        """A poll consumed nothing: stall after one window, die after
+        :data:`DEAD_AFTER_STALLS`."""
+        idle = now - self._last_progress
+        if idle <= self.config.stall_timeout:
+            return
+        self.last_error = source_error or (
+            f"stalled: no new data within {self.config.stall_timeout:g}s")
+        if idle > DEAD_AFTER_STALLS * self.config.stall_timeout:
             self.state = TapState.DEAD
-            self._transition_breaker(BreakerState.OPEN)
             telem = telemetry.current()
             telem.counter("tap.dead", tap=self.name).inc()
             telem.event("tap.dead", severity="error", tap=self.name,
-                        reason=self.last_error,
-                        reconnects=self.reconnects)
-            return
-        self._open_until = now + self._backoff.next_delay()
-        self._transition_breaker(BreakerState.OPEN)
-        self.state = TapState.RECONNECTING
-
-    def _transition_breaker(self, to: BreakerState) -> None:
-        if to is self.breaker:
-            return
-        if to is BreakerState.OPEN:
-            self.breaker_opens += 1
-        telem = telemetry.current()
-        telem.counter("tap.breaker", tap=self.name, to=to.value).inc()
-        telem.event(
-            "tap.breaker",
-            severity="warning" if to is BreakerState.OPEN else "info",
-            tap=self.name, from_state=self.breaker.value,
-            to_state=to.value, last_error=self.last_error)
-        self.breaker = to
+                        reason=self.last_error, stalls=self.stalls)
+        elif self.state is not TapState.STALLED:
+            self.state = TapState.STALLED
+            self.stalls += 1
+            chaos.maybe_kill(f"tap:stall:{self.stalls}")
+            chaos.maybe_kill(f"tap:{self.name}:stall:{self.stalls}")
 
     # -- reporting -----------------------------------------------------------
 
@@ -533,12 +463,8 @@ class TapSupervisor:
             "format": self.spec.format,
             "source": str(self.spec.path),
             "state": self.state.value,
-            "breaker": self.breaker.value,
             "records_ok": self.records_ok,
             "records_malformed": self.records_malformed,
-            "reconnects": self.reconnects,
-            "breaker_opens": self.breaker_opens,
-            "consecutive_failures": self.consecutive_failures,
             "frontier": (None if not math.isfinite(self.frontier)
                          else self.frontier),
             "queue_depth": len(self.queue),

@@ -78,8 +78,8 @@ class EventChannel:
     """The structured operational event stream of one telemetry context.
 
     Where metrics answer "how much" and spans answer "how long", events
-    answer "what happened": breaker transitions, tap deaths and
-    revivals, day commits, checkpoint writes, SLO state changes.  Each
+    answer "what happened": tap deaths, quarantined records, day
+    commits, checkpoint writes, SLO state changes.  Each
     :meth:`emit` produces one flat JSON-serializable record —
     ``{"kind", "severity", "time", ...fields}`` — buffered in order and
     fanned out to every subscribed sink (the obs plane subscribes its

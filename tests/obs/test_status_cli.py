@@ -67,10 +67,13 @@ class TestOutput:
     def test_tap_table_rendered(self, tmp_path, capsys):
         _watch_once(tmp_path, {
             "lag_days": 0,
-            "taps": {"ris-a": {"state": "live", "breaker": "closed",
+            "taps": {"ris-a": {"state": "stalled",
                                "records_ok": 12, "records_malformed": 1,
-                               "reconnects": 0, "last_error": None}}})
+                               "last_error": "stalled: no new data"}}})
         assert main(["status", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "ris-a" in out and "closed" in out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("ris-a"))
+        assert row.split()[:4] == ["ris-a", "stalled", "12", "1"]
+        assert row.endswith("stalled: no new data")
 

@@ -1,7 +1,7 @@
 """Property tests for the retry/backoff machinery (hypothesis).
 
-The tap supervisor leans on ``is_retryable_exception`` and the seeded
-jitter schedule for its determinism contract, so these pin the
+The analysis supervisor leans on ``is_retryable_exception`` and the
+seeded jitter schedule for its determinism contract, so these pin the
 properties rather than examples: typed errors never retry (even under
 multiple inheritance with the transient types), a ``(policy, seed)``
 pair replays a byte-stable schedule, and backoff is monotone and
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.runtime.retry import (
     RETRYABLE_TYPES,
-    BackoffTimer,
     RetryPolicy,
     is_retryable_exception,
 )
@@ -82,32 +81,6 @@ class TestScheduleDeterminism:
             jitter=policy.jitter).schedule(seed)
         assert first == second  # exact float equality, not approx
         assert len(first) == policy.max_retries
-
-    @given(policy=POLICIES, seed=SEEDS)
-    @settings(max_examples=60, deadline=None)
-    def test_backoff_timer_replays_the_schedule(self, policy, seed):
-        """BackoffTimer draws from the same stream ``schedule`` pins."""
-        want = policy.schedule(seed)
-        timer = BackoffTimer(policy, seed)
-        got = [timer.next_delay() for _ in range(policy.max_retries)]
-        assert got == want
-
-    @given(policy=POLICIES, seed=SEEDS,
-           resets=st.lists(st.integers(min_value=0, max_value=5),
-                           max_size=4))
-    @settings(max_examples=40, deadline=None)
-    def test_timer_reset_restarts_attempts_not_jitter(self, policy, seed,
-                                                      resets):
-        """reset() zeroes the escalation but the jitter stream advances:
-        two timers driven through the same call sequence stay identical."""
-        a = BackoffTimer(policy, seed)
-        b = BackoffTimer(policy, seed)
-        for burst in resets:
-            for _ in range(burst):
-                assert a.next_delay() == b.next_delay()
-            a.reset(), b.reset()
-            assert a.attempt == b.attempt == 0
-        assert a.next_delay() == b.next_delay()
 
 
 class TestBackoffShape:

@@ -2,7 +2,7 @@
 
 Two kill targets, two recoveries:
 
-* the *watcher* dies at the ``tap:reconnect:N`` chaos point — a rerun
+* the *watcher* dies at the ``tap:stall:N`` chaos point — a rerun
   re-reads the sources from offset 0 and the committed-day fence makes
   the replay idempotent;
 * a *tap source* dies (kill -9 of the feeder process) mid-watch — the
@@ -23,7 +23,6 @@ import pytest
 from repro.api import AnalyzeOptions, Study, StreamOptions
 from repro.corpus.ingest import ErrorPolicy
 from repro.runtime.chaos import KILL_ENV
-from repro.runtime.retry import RetryPolicy
 from repro.streaming import StreamEngine
 from repro.taps import TapConfig, TapSession, write_feed
 from repro.taps.adapters import ADAPTERS
@@ -34,11 +33,7 @@ CONTROL_ANALYSES = ("fig3_load", "fig4_targeted_visibility")
 
 #: real-clock supervision tuned so fault paths resolve in well under a
 #: second per transition (the feeder writes every ~20ms)
-REALTIME = TapConfig(
-    stall_timeout=0.1, breaker_threshold=2, max_reconnects=2,
-    backoff=RetryPolicy(max_retries=0, backoff_base=0.02,
-                        backoff_factor=2.0, backoff_max=0.1, jitter=0.0),
-    policy=ErrorPolicy.COLLECT)
+REALTIME = TapConfig(stall_timeout=0.1, policy=ErrorPolicy.COLLECT)
 
 
 def append_feed(path, messages):
@@ -48,18 +43,17 @@ def append_feed(path, messages):
             fh.write(adapter.encode(msg) + "\n")
 
 
-def test_chaos_kill_at_tap_reconnect_then_replay(tmp_path):
-    """SIGKILL the watcher the instant its first reconnect probe begins;
+def test_chaos_kill_at_tap_stall_then_replay(tmp_path):
+    """SIGKILL the watcher the instant its tap enters its first stall;
     a plain rerun converges with nothing double-ingested."""
     feed = write_feed(tmp_path / "feed.ris", make_messages(days=1), "ris")
     corpus = tmp_path / "corpus"
     killed = run_cli(
         ["watch", str(corpus), "--tap", f"ris:{feed}",
          "--interval", "0.02", "--max-ticks", "200",
-         "--tap-stall", "0.01", "--tap-breaker", "1",
-         "--tap-backoff", "0.01", "--tap-max-reconnects", "5",
+         "--tap-stall", "0.01",
          "--analyses", "fig3_load", "--host-min-days", "1", "--no-cache"],
-        chaos={KILL_ENV: "tap:reconnect:1"})
+        chaos={KILL_ENV: "tap:stall:1"})
     assert killed.returncode == -signal.SIGKILL
 
     finished = run_cli(
@@ -77,16 +71,15 @@ def test_chaos_kill_at_tap_reconnect_then_replay(tmp_path):
     assert digests == {o.name: o.value_digest for o in batch.outcomes}
 
 
-def test_named_tap_reconnect_point_fires(tmp_path):
+def test_named_tap_stall_point_fires(tmp_path):
     feed = write_feed(tmp_path / "up.ris", make_messages(days=1), "ris")
     corpus = tmp_path / "corpus"
     killed = run_cli(
         ["watch", str(corpus), "--tap", f"up=ris:{feed}",
          "--interval", "0.02", "--max-ticks", "200",
-         "--tap-stall", "0.01", "--tap-breaker", "1",
-         "--tap-backoff", "0.01", "--tap-max-reconnects", "5",
+         "--tap-stall", "0.01",
          "--analyses", "fig3_load", "--host-min-days", "1", "--no-cache"],
-        chaos={KILL_ENV: "tap:up:reconnect:1"})
+        chaos={KILL_ENV: "tap:up:stall:1"})
     assert killed.returncode == -signal.SIGKILL
 
 
@@ -137,7 +130,7 @@ def test_sigkill_tap_source_mid_watch_degrades_then_converges(tmp_path):
                                host_min_days=1, cache=None)
     engine.attach_taps(session)
     # keep the survivor producing (a record per pump) so only the killed
-    # feed stalls its watchdog and walks breaker -> dead
+    # feed stalls its watchdog and walks stalled -> dead
     deadline = time.monotonic() + 60.0
     extra_day = 2
     while not session.degraded:

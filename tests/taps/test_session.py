@@ -9,7 +9,6 @@ import pytest
 from repro.api import AnalyzeOptions, Study, StreamOptions
 from repro.corpus.manifest import MANIFEST_FILE, validate_corpus
 from repro.errors import TapError
-from repro.runtime.retry import RetryPolicy
 from repro.scenario.config import DAY
 from repro.taps import TapConfig, TapSession, TapState, write_feed
 from repro.taps.adapters import ADAPTERS
@@ -18,10 +17,7 @@ from tests.taps.conftest import FakeClock, make_messages
 #: the control-only analyses a tap corpus (empty data plane) can answer
 CONTROL_ANALYSES = ("fig3_load", "fig4_targeted_visibility")
 
-FAST = TapConfig(stall_timeout=1.0, breaker_threshold=2, max_reconnects=2,
-                 backoff=RetryPolicy(max_retries=0, backoff_base=0.5,
-                                     backoff_factor=2.0, backoff_max=5.0,
-                                     jitter=0.0))
+FAST = TapConfig(stall_timeout=1.0)
 
 
 def append_feed(path, messages, fmt="ris"):
@@ -115,8 +111,8 @@ class TestDegradation:
             config=FAST, clock=clock)
         session.pump()
         assert session.committed_days == 0  # dead still gates the fence
-        # the dead feed never grows: stall → breaker → dead; the alive
-        # one keeps producing (fresh records each pump), so only one dies
+        # the dead feed never grows: stall → dead; the alive one keeps
+        # producing (fresh records each pump), so only one dies
         for extra_day in range(2, 14):
             clock.advance(10.0)
             append_feed(alive, make_messages(days=1, per_day=1,
@@ -131,6 +127,31 @@ class TestDegradation:
         # with the dead tap out of the fence the surviving tap commits
         assert session.committed_days >= 2
         assert session.supervisors[1].state is TapState.DEAD
+
+    def test_empty_source_dies_and_releases_the_fence(self, tmp_path,
+                                                       clock):
+        """A source that exists but never gets a byte is judged by the
+        same progress clock as one that went quiet."""
+        live = write_feed(tmp_path / "live.ris", make_messages(days=3),
+                          "ris")
+        empty = tmp_path / "empty.ris"
+        empty.touch()
+        session = TapSession.open(
+            tmp_path / "corpus", [f"live=ris:{live}", f"empty=ris:{empty}"],
+            config=FAST, clock=clock)
+        session.pump()
+        assert session.committed_days == 0  # the empty tap gates day 0
+        for extra_day in range(3, 13):
+            clock.advance(0.5)
+            append_feed(live, make_messages(days=1, per_day=1,
+                                            start_day=extra_day))
+            session.pump()
+            if session.degraded:
+                break
+        status = session.status()
+        assert status["empty"]["state"] == "dead"
+        assert status["live"]["state"] == "live"
+        assert session.committed_days >= 3
 
     def test_replayed_dead_feed_converges_to_batch(self, tmp_path, clock):
         """The acceptance-criteria invariant: after the dead feed's

@@ -1,6 +1,6 @@
 """Tap supervisor fault paths, each driven deterministically: the clock
-is injected, the backoff jitter is seeded, and the feeds are files — no
-sleeping, no network, no flakiness."""
+is injected and the feeds are files — no sleeping, no network, no
+flakiness."""
 
 import json
 
@@ -8,23 +8,20 @@ import pytest
 
 from repro.corpus.ingest import ErrorPolicy
 from repro.errors import TapError
-from repro.runtime.retry import RetryPolicy
 from repro.taps import (
     BoundedQueue,
-    BreakerState,
     TapConfig,
     TapState,
     TapSupervisor,
     parse_tap_spec,
     write_feed,
 )
-from tests.taps.conftest import FakeClock, make_messages
+from repro.taps.supervisor import DEAD_AFTER_STALLS
+from tests.taps.conftest import make_messages
+from tests.taps.test_session import append_feed
 
-#: aggressive knobs so fault paths trigger in a handful of polls
-FAST = dict(stall_timeout=1.0, breaker_threshold=2, max_reconnects=3,
-            backoff=RetryPolicy(max_retries=0, backoff_base=2.0,
-                                backoff_factor=2.0, backoff_max=60.0,
-                                jitter=0.0))
+#: a short stall window so fault paths trigger in a handful of polls
+FAST = dict(stall_timeout=1.0)
 
 
 def make_tap(tmp_path, clock, fmt="ris", messages=None, name="feed",
@@ -45,7 +42,6 @@ class TestHappyPath:
         items = sup.drain()
         assert len(items) == 24
         assert sup.state is TapState.LIVE
-        assert sup.breaker is BreakerState.CLOSED
         times = [t for t, _, _ in items]
         assert times == sorted(times)
         seqs = [s for _, s, _ in items]
@@ -67,18 +63,17 @@ class TestHappyPath:
 
 
 class TestStallWatchdog:
-    def test_quiet_feed_stalls_then_opens_breaker(self, tmp_path, clock):
+    def test_quiet_feed_stalls_after_one_window(self, tmp_path, clock):
         sup, _ = make_tap(tmp_path, clock)
         sup.poll()  # consumes the whole fixture: LIVE
-        clock.advance(1.5)
-        sup.poll()  # watchdog fires: failure 1
+        clock.advance(1.0)
+        sup.poll()  # exactly one window: not yet stalled
+        assert sup.state is TapState.LIVE
+        clock.advance(0.5)
+        sup.poll()  # past the window: the watchdog fires
         assert sup.state is TapState.STALLED
-        assert sup.consecutive_failures == 1
-        clock.advance(1.5)
-        sup.poll()  # failure 2 == breaker_threshold
-        assert sup.breaker is BreakerState.OPEN
-        assert sup.state is TapState.RECONNECTING
-        assert sup.breaker_opens == 1
+        assert sup.stalls == 1
+        assert sup.alive  # a stalled tap still gates the fence
         assert "stalled" in sup.last_error
 
     def test_stall_window_resets_on_progress(self, tmp_path, clock,
@@ -86,90 +81,67 @@ class TestStallWatchdog:
         sup, path = make_tap(tmp_path, clock)
         sup.poll()
         clock.advance(0.9)
-        sup.poll()  # inside the window: no failure
-        assert sup.consecutive_failures == 0
-        with open(path, "a", encoding="utf-8") as fh:
-            from repro.taps.adapters import ADAPTERS
-            for msg in make_messages(start_day=2, days=1):
-                fh.write(ADAPTERS["ris"]().encode(msg) + "\n")
+        sup.poll()  # inside the window: no stall
+        assert sup.state is TapState.LIVE
+        append_feed(path, make_messages(days=1, start_day=2))
         clock.advance(0.9)
         sup.poll()
+        clock.advance(0.9)
+        sup.poll()  # 1.8s since the first read, 0.9s since progress
         assert sup.state is TapState.LIVE
-        assert sup.consecutive_failures == 0
+        assert sup.stalls == 0
 
 
-class TestBreakerLifecycle:
-    def trip(self, sup, clock):
-        sup.poll()
-        while sup.breaker is not BreakerState.OPEN:
-            clock.advance(1.5)
-            sup.poll()
-
-    def test_open_short_circuits_until_cooldown(self, tmp_path, clock):
-        sup, _ = make_tap(tmp_path, clock)
-        self.trip(sup, clock)
-        reads_before = sup._reader.offset
-        sup.poll()  # cooling down: no IO, no state change
-        assert sup.breaker is BreakerState.OPEN
-        assert sup._reader.offset == reads_before
-        assert sup.reconnects == 0
-
-    def test_half_open_probe_closes_on_new_data(self, tmp_path, clock):
+class TestDeadline:
+    def test_new_bytes_return_a_stalled_tap_to_live(self, tmp_path, clock):
         sup, path = make_tap(tmp_path, clock)
-        self.trip(sup, clock)
-        with open(path, "a", encoding="utf-8") as fh:
-            from repro.taps.adapters import ADAPTERS
-            for msg in make_messages(start_day=3, days=1):
-                fh.write(ADAPTERS["ris"]().encode(msg) + "\n")
-        clock.advance(2.1)  # past the (jitterless) 2.0s cooldown
-        sup.poll()  # half-open probe finds the appended day
-        assert sup.breaker is BreakerState.CLOSED
+        sup.poll()
+        sup.drain()
+        clock.advance(2.5)
+        sup.poll()
+        assert sup.state is TapState.STALLED
+        append_feed(path, make_messages(days=1, start_day=3))
+        clock.advance(0.1)
+        sup.poll()
         assert sup.state is TapState.LIVE
-        assert sup.reconnects == 1
-        assert sup.consecutive_failures == 0
-        assert len(sup.drain()) > 0
+        assert sup.last_error is None
+        assert len(sup.drain()) == 12
+        # the clock restarted at the new bytes: a fresh full window is
+        # needed before the next stall
+        clock.advance(1.0)
+        sup.poll()
+        assert sup.state is TapState.LIVE
 
-    def test_failed_probes_walk_to_dead(self, tmp_path, clock):
+    def test_silence_for_three_windows_is_dead(self, tmp_path, clock):
         sup, _ = make_tap(tmp_path, clock)
-        self.trip(sup, clock)
-        for _ in range(10):
-            if sup.state is TapState.DEAD:
-                break
-            clock.advance(70.0)  # beyond any backoff delay
+        sup.poll()
+        for _ in range(DEAD_AFTER_STALLS * 2):
+            clock.advance(0.5)
             sup.poll()
+        assert sup.state is TapState.STALLED  # exactly three windows
+        clock.advance(0.1)
+        sup.poll()
         assert sup.state is TapState.DEAD
         assert not sup.alive
-        assert sup.reconnects == FAST["max_reconnects"]
-        # dead is permanent: further polls are no-ops
+        assert sup.stalls == 1  # one episode, not one per poll
+
+    def test_dead_tap_reads_nothing(self, tmp_path, clock):
+        sup, path = make_tap(tmp_path, clock)
+        sup.poll()
+        sup.drain()
+        clock.advance(3.5)
+        sup.poll()  # one poll after a long silence goes straight to dead
+        assert sup.state is TapState.DEAD
+        assert "no new data" in sup.last_error
+        # dead is permanent: new bytes are not even read
         offset = sup._reader.offset
+        append_feed(path, make_messages(days=1, start_day=3))
         clock.advance(100.0)
         sup.poll()
+        sup.poll(final=True)
         assert sup.state is TapState.DEAD
         assert sup._reader.offset == offset
-
-    def test_reconnect_delays_replay_the_seeded_schedule(self, tmp_path):
-        policy = RetryPolicy(max_retries=0, backoff_base=0.5,
-                             backoff_factor=2.0, backoff_max=60.0,
-                             jitter=0.5)
-        delays = {}
-        for run in range(2):
-            clock = FakeClock()
-            sup, _ = make_tap(tmp_path, clock, name=f"det{run}",
-                              backoff=policy, seed=1234)
-            sup.poll()
-            seen = []
-            for _ in range(12):
-                before = sup._open_until
-                clock.advance(80.0)
-                sup.poll()
-                if sup._open_until != before:
-                    seen.append(sup._open_until - clock.now)
-                if sup.state is TapState.DEAD:
-                    break
-            delays[run] = seen
-        assert delays[0] == delays[1]  # byte-stable across runs
-        assert delays[0] == delays[0]  # sanity
-        assert len(delays[0]) >= 2
+        assert sup.drain() == []
 
 
 class TestQueue:
@@ -191,6 +163,20 @@ class TestQueue:
             got += batch
         # nothing is dropped: every record arrives, in feed order
         assert [s for _, s, _ in got] == list(range(24))
+
+    def test_rewind_discards_undelivered_records(self, tmp_path, clock,
+                                                 messages):
+        sup, path = make_tap(tmp_path, clock, queue_capacity=5)
+        sup.poll()
+        sup.drain()
+        assert len(sup._pending) == 19  # read but not yet handed over
+        write_feed(path, messages[:2], "ris")  # truncated and rewritten
+        sup.poll()
+        assert sup.generation == 1
+        # the held-back records belong to the old generation: only the
+        # re-read ones reach the session
+        assert [msg for _, _, msg in sup.drain()] == messages[:2]
+        assert sup._pending == []
 
     def test_bounded_queue_unit(self):
         q = BoundedQueue(3)
@@ -259,11 +245,14 @@ class TestQuarantine:
         assert sup.records_malformed == 1
         sidecar = tmp_path / "g.quarantine.jsonl"
         assert "ffffffff" in sidecar.read_text()  # the hex evidence
-        # the stream is desynchronized: no further reads succeed, the
-        # watchdog walks the tap toward the breaker
+        # the stream is desynchronized: appended bytes are ignored and
+        # the progress clock walks the tap toward dead
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 32)
         clock.advance(1.5)
         sup.poll()
-        assert sup.consecutive_failures >= 1
+        assert sup.state is TapState.STALLED
+        assert sup.records_ok == 3
 
 
 class TestSourceRecovery:
@@ -272,27 +261,46 @@ class TestSourceRecovery:
         sup, path = make_tap(tmp_path, clock)
         path.unlink()
         sup.poll()
-        assert sup.consecutive_failures == 1
+        assert sup.state is TapState.CONNECTING
         assert "source error" in sup.last_error
-
-    def test_truncated_source_reconnects_with_generation_bump(
-            self, tmp_path, clock, messages):
-        sup, path = make_tap(tmp_path, clock)
-        sup.poll()
-        assert len(sup.drain()) == 24
-        assert sup.generation == 0
-        # rotate: rewrite shorter than the consumed offset
-        write_feed(path, messages[:2], "ris")
-        clock.advance(0.1)
-        sup.poll()  # shrink detected: failure 1
         clock.advance(1.5)
-        sup.poll()  # failure 2: breaker opens
-        assert sup.breaker is BreakerState.OPEN
-        clock.advance(70.0)
-        sup.poll()  # half-open probe reconnects from offset 0
+        sup.poll()
+        assert sup.state is TapState.STALLED
+        assert "source error" in sup.last_error
+        clock.advance(2.0)
+        sup.poll()
+        assert sup.state is TapState.DEAD
+
+    @pytest.mark.parametrize("rotation", [
+        "truncated", "replaced", "replaced-same-size"])
+    def test_rewritten_source_rewinds_in_one_poll(self, tmp_path, clock,
+                                                  rotation):
+        sup, path = make_tap(tmp_path, clock,
+                             messages=make_messages(days=1))
+        sup.poll()
+        assert len(sup.drain()) == 12
+        assert sup.generation == 0
+        if rotation == "truncated":
+            # rewritten in place, shorter than the consumed offset
+            fresh = make_messages(days=1)[:2]
+            write_feed(path, fresh, "ris")
+        else:
+            # logrotate ``create`` style: the old file is renamed away
+            # and a new one, as large or larger, takes its name
+            path.rename(path.with_name(path.name + ".1"))
+            fresh = make_messages(days=1 if rotation.endswith("size")
+                                  else 3)
+            write_feed(path, fresh, "ris")
+            assert path.stat().st_size >= sup._reader.offset
+        clock.advance(0.1)
+        sup.poll()
         assert sup.generation == 1
-        assert sup.breaker is BreakerState.CLOSED
-        assert len(sup.drain()) == 2
+        assert sup.state is TapState.LIVE
+        assert sup.records_malformed == 0
+        assert [msg for _, _, msg in sup.drain()] == fresh
+        record = json.loads((tmp_path / "feed.offset.json").read_text())
+        assert (record["offset"], record["generation"]) == (
+            path.stat().st_size, 1)
 
     def test_final_poll_quarantines_torn_tail(self, tmp_path, clock):
         sup, path = make_tap(tmp_path, clock)
@@ -301,16 +309,16 @@ class TestSourceRecovery:
         sup.poll(final=True)
         assert sup.state is TapState.FINISHED
         assert sup.records_malformed == 1
-        assert "torn trailing line" in (tmp_path / "feed.quarantine.jsonl"
-                                        ).read_text() or True
-        assert sup.report.quarantined
+        sidecar = (tmp_path / "feed.quarantine.jsonl").read_text()
+        assert '{"type": "UPDATE", "timesta' in sidecar
+        assert "torn trailing line" in sup.last_error
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"stall_timeout": 0.0},
-        {"breaker_threshold": 0},
-        {"max_reconnects": 0},
+        {"stall_timeout": float("nan")},
+        {"stall_timeout": -1.0},
         {"queue_capacity": 0},
     ])
     def test_bad_knobs_raise(self, kwargs):
@@ -409,7 +417,6 @@ class TestOffsetSidecar:
         sup.poll()
         before = json.loads(
             (tmp_path / "feed.offset.json").read_text())["offset"]
-        from tests.taps.test_session import append_feed
         append_feed(path, make_messages(days=1, start_day=1))
         clock.advance(0.1)
         sup.poll()

@@ -13,7 +13,8 @@ from repro.core.report import format_table
 
 def test_bench_fig05_droprate_by_prefixlen(benchmark, pipeline, events):
     rates = once(benchmark,
-                 lambda: drop_rate_by_prefix_length(pipeline.data, events))
+                 lambda: drop_rate_by_prefix_length(events,
+                                                    pipeline.event_rows))
     rows = []
     for i, length in enumerate(rates.lengths):
         rows.append([f"/{int(length)}",

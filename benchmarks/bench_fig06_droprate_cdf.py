@@ -11,7 +11,7 @@ from repro.core.droprate import drop_rate_cdf_by_length
 
 def test_bench_fig06_droprate_cdf(benchmark, pipeline, events):
     cdfs = once(benchmark, lambda: drop_rate_cdf_by_length(
-        pipeline.data, events, lengths=(24, 32)))
+        events, pipeline.event_rows, lengths=(24, 32)))
     q24 = cdfs[24].quartiles()
     q32 = cdfs[32].quartiles()
     from repro.core.plots import cdf_plot

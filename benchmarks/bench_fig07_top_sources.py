@@ -7,13 +7,17 @@ count the top-N is scaled accordingly.
 """
 
 from benchmarks.conftest import BENCH_SCALE, once, report
-from repro.core.droprate import reaction_buckets, top_source_reactions
+from repro.core.droprate import (
+    reaction_buckets,
+    source_table,
+    top_source_reactions,
+)
 
 
 def test_bench_fig07_top_sources(benchmark, pipeline, events):
     top_n = max(10, round(100 * max(BENCH_SCALE, 0.2)))
     reactions = once(benchmark, lambda: top_source_reactions(
-        pipeline.data, events, top_n=top_n))
+        source_table(events, pipeline.event_rows), top_n=top_n))
     buckets = reaction_buckets(reactions)
     n = len(reactions)
     report(

@@ -11,9 +11,9 @@ from repro.core.report import format_table
 from repro.ixp.peeringdb import OrgType
 
 
-def test_bench_fig08_org_types(benchmark, pipeline, events):
+def test_bench_fig08_org_types(benchmark, pipeline):
     top_n = max(10, round(100 * max(BENCH_SCALE, 0.2)))
-    reactions = top_source_reactions(pipeline.data, events, top_n=top_n)
+    reactions = top_source_reactions(pipeline.source_table, top_n=top_n)
     hist = once(benchmark, lambda: top_source_org_types(reactions,
                                                         pipeline.peeringdb))
     rows = [[org.value, count] for org, count in

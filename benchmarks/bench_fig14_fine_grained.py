@@ -13,7 +13,7 @@ from repro.core.filtering import filterable_share_cdf
 def test_bench_fig14_fine_grained(benchmark, pipeline, events,
                                   pre_classification):
     cdf = once(benchmark, lambda: filterable_share_cdf(
-        pipeline.data, events, pre_classification))
+        events, pipeline.event_rows, pre_classification))
     fully = 1.0 - float(cdf(0.999))
     report(
         "Fig. 14 — droppable share per event with port-based filtering",

@@ -15,7 +15,7 @@ from repro.core.filtering import as_participation
 def test_bench_fig15_as_participation(benchmark, pipeline, events,
                                       pre_classification):
     part = once(benchmark, lambda: as_participation(
-        pipeline.data, events, pre_classification))
+        events, pipeline.event_rows, pre_classification))
     top_origin = part.top("origin", 1)[0]
     top_handover = part.top("handover", 1)[0]
     import numpy as np

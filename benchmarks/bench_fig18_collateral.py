@@ -12,7 +12,7 @@ from repro.core.collateral import collateral_damage
 
 def test_bench_fig18_collateral(benchmark, pipeline, events, host_study):
     damage = once(benchmark, lambda: collateral_damage(
-        pipeline.data, events, host_study))
+        events, pipeline.event_rows, host_study))
     cdf_all = damage.cdf()
     report(
         "Fig. 18 — collateral damage to server top ports during events",

@@ -12,7 +12,7 @@ from repro.core.report import seconds_human
 
 
 def test_bench_fig19_classification(benchmark, pipeline):
-    result = once(benchmark, pipeline.fig19_use_cases)
+    result = once(benchmark, lambda: pipeline.run("fig19_use_cases"))
     shares = result.shares()
     counts = result.counts()
     lines = [

@@ -13,7 +13,7 @@ from repro.net.protocols import IPProtocol
 def test_bench_sec54_event_traffic(benchmark, pipeline, events,
                                    pre_classification):
     mix = once(benchmark, lambda: event_protocol_mix(
-        pipeline.data, events, pre_classification))
+        events, pipeline.event_rows, pre_classification))
     shares = mix.protocol_shares
     report(
         "§5.4 — traffic during RTBH events",

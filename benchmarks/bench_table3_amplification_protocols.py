@@ -6,14 +6,13 @@ attacks misuse one or two amplification vectors.
 """
 
 from benchmarks.conftest import once, report
-from repro.core.protocols import amplification_protocol_table, event_protocol_mix
+from repro.core.protocols import amplification_protocol_table
 from repro.core.report import format_table
 
 
-def test_bench_table3_amplification_protocols(benchmark, pipeline, events,
-                                              pre_classification):
-    mix = event_protocol_mix(pipeline.data, events, pre_classification)
-    table = once(benchmark, lambda: amplification_protocol_table(mix))
+def test_bench_table3_amplification_protocols(benchmark, pipeline):
+    table = once(benchmark, lambda: amplification_protocol_table(
+        pipeline.protocol_mix))
     paper = {0: 0.06, 1: 0.40, 2: 0.45, 3: 0.083, 4: 0.006, 5: 0.001}
     rows = [[k, f"{100 * paper[k]:.1f}%", f"{100 * table[k]:.1f}%"]
             for k in sorted(table)]

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro import AnalysisPipeline, ScenarioConfig, run_scenario
 from repro.bgp import BLACKHOLE, Route
-from repro.core.droprate import top_source_reactions
 from repro.core.report import format_table
 from repro.net import IPv4Address, IPv4Prefix
 
@@ -70,8 +69,7 @@ def main() -> None:
     pipeline = AnalysisPipeline(result.control, result.data,
                                 peer_asns=result.ixp.member_asns,
                                 peeringdb=result.ixp.peeringdb)
-    reactions = top_source_reactions(pipeline.data, pipeline.events,
-                                     top_n=len(result.ixp))
+    reactions = pipeline.run("fig7_top_sources", top_n=len(result.ixp))
     policy_of = {m.asn: m.policy_name for m in result.ixp.members()}
     rows = []
     for reaction in reactions[:12]:

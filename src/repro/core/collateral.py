@@ -9,13 +9,13 @@ not shares (§6.3 explains why), form the unnormalised CDF of Fig. 18.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.events import RTBHEvent
 from repro.core.hosts import HostClass, HostStudy
-from repro.corpus.data import DataPlaneCorpus
+from repro.corpus.data import WindowRows
 from repro.errors import AnalysisError
 from repro.stats.cdf import EmpiricalCDF
 
@@ -55,54 +55,46 @@ class CollateralDamage:
 
 
 def collateral_damage(
-    data: DataPlaneCorpus,
     events: Sequence[RTBHEvent],
+    rows: WindowRows,
     hosts: HostStudy,
 ) -> CollateralDamage:
     """Count per-event traffic to detected servers' top ports during the
-    event's announced windows.
+    event's announced windows, from the events' window rows
+    (:func:`~repro.core.events.event_rows`).
 
     The count is an *upper bound*: application-layer attacks on the same
     ports are indistinguishable from legitimate clients (§6.3)."""
     servers = hosts.classified(HostClass.SERVER)
-    by_ip: Dict[int, frozenset] = {
-        s.ip: frozenset(port for _proto, port in s.top_ports) for s in servers
+    by_ip: Dict[int, List[int]] = {
+        s.ip: sorted({port for _proto, port in s.top_ports}) for s in servers
     }
     records: List[CollateralRecord] = []
-    for event in events:
+    for i, event in enumerate(events):
         covered = [ip for ip in by_ip if ip in event.prefix]
-        if not covered:
+        if not covered or rows.offsets[i + 1] == rows.offsets[i]:
             continue
-        for start, end in event.windows:
-            window = data.slice_time(start, end)
-            if len(window) == 0:
+        packets = rows.records(i)
+        # the rows run window by window, in time order: a server's
+        # record takes its place from the first window it has hits in
+        bounds = np.searchsorted(packets["time"],
+                                 [start for start, _ in event.windows],
+                                 side="left")
+        found = []
+        for rank, ip in enumerate(covered):
+            hit = ((packets["dst_ip"] == np.uint32(ip))
+                   & np.isin(packets["dst_port"], by_ip[ip]))
+            if not hit.any():
                 continue
-            for ip in covered:
-                sub = window[window["dst_ip"] == np.uint32(ip)]
-                if len(sub) == 0:
-                    continue
-                tops = sorted(by_ip[ip])
-                hit = np.isin(sub["dst_port"], tops)
-                if not hit.any():
-                    continue
-                records.append(CollateralRecord(
-                    event_id=event.event_id,
-                    server_ip=ip,
-                    packets_to_top_ports=int(hit.sum()),
-                    dropped_to_top_ports=int((hit & sub["dropped"]).sum()),
-                ))
-    # merge multiple windows of the same (event, server)
-    merged: Dict[Tuple[int, int], CollateralRecord] = {}
-    for rec in records:
-        key = (rec.event_id, rec.server_ip)
-        if key in merged:
-            old = merged[key]
-            merged[key] = CollateralRecord(
-                event_id=rec.event_id, server_ip=rec.server_ip,
-                packets_to_top_ports=old.packets_to_top_ports + rec.packets_to_top_ports,
-                dropped_to_top_ports=old.dropped_to_top_ports + rec.dropped_to_top_ports,
-            )
-        else:
-            merged[key] = rec
-    return CollateralDamage(records=list(merged.values()),
+            first = int(np.searchsorted(bounds, np.argmax(hit),
+                                        side="right"))
+            found.append((first, rank, CollateralRecord(
+                event_id=event.event_id,
+                server_ip=ip,
+                packets_to_top_ports=int(hit.sum()),
+                dropped_to_top_ports=int((hit & packets["dropped"]).sum()),
+            )))
+        records.extend(record for *_, record in sorted(
+            found, key=lambda f: f[:2]))
+    return CollateralDamage(records=records,
                             servers_considered=len(servers))

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.events import RTBHEvent
-from repro.corpus.data import DataPlaneCorpus
+from repro.corpus.data import DataPlaneCorpus, WindowRows
 from repro.errors import AnalysisError
 from repro.ixp.peeringdb import OrgType, PeeringDB
 from repro.net.ip import IPv4Prefix
@@ -43,23 +43,17 @@ class EventTraffic:
         return self.dropped_bytes / self.bytes if self.bytes else 0.0
 
 
-def event_traffic(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
-                  ) -> List[EventTraffic]:
-    """Select and total each event's during-blackhole traffic."""
-    return [EventTraffic(event.event_id, event.prefix.length,
-                         *_traffic_totals(data.window_packets(
-                             event.prefix, event.windows)))
-            for event in events]
-
-
-def _traffic_totals(packets: np.ndarray) -> Tuple[int, int, int, int]:
-    """``(packets, dropped, bytes, dropped_bytes)`` of a packet array."""
-    if len(packets) == 0:
-        return 0, 0, 0, 0
-    sizes = packets["size"].astype(np.int64)
-    dropped = packets["dropped"]
-    return (len(packets), int(dropped.sum()),
-            int(sizes.sum()), int(sizes[dropped].sum()))
+def event_traffic(events: Sequence[RTBHEvent],
+                  rows: WindowRows) -> List[EventTraffic]:
+    """Each event's during-blackhole traffic totals, from its window
+    rows (:func:`~repro.core.events.event_rows`) in one segmented sum."""
+    sizes = rows.column("size")
+    dropped = rows.column("dropped")
+    columns = (rows.counts, rows.sums(dropped), rows.sums(sizes),
+               rows.sums(np.where(dropped, sizes, 0)))
+    return [EventTraffic(event.event_id, event.prefix.length, *totals)
+            for event, *totals in zip(events,
+                                      *(c.tolist() for c in columns))]
 
 
 @dataclass(frozen=True)
@@ -85,18 +79,23 @@ def window_traffic_totals(data: DataPlaneCorpus, prefix: IPv4Prefix,
     """``(packets, dropped, bytes, dropped_bytes)`` destined into
     ``prefix`` during ``[t0, t1)``.
 
-    The per-window kernel of :func:`event_traffic`, exposed so the
-    streaming engine can accumulate the same integer totals window
-    fragment by window fragment — sums of fragment totals equal the
-    batch totals exactly.
+    The streaming engine accumulates the same integer totals as
+    :func:`event_traffic` window fragment by window fragment — sums of
+    fragment totals equal the batch totals exactly.
     """
-    return _traffic_totals(data.window_packets(prefix, [(t0, t1)]))
+    packets = data.window_packets(prefix, [(t0, t1)])
+    if len(packets) == 0:
+        return 0, 0, 0, 0
+    sizes = packets["size"].astype(np.int64)
+    dropped = packets["dropped"]
+    return (len(packets), int(dropped.sum()),
+            int(sizes.sum()), int(sizes[dropped].sum()))
 
 
-def drop_rate_by_prefix_length(data: DataPlaneCorpus,
-                               events: Sequence[RTBHEvent]) -> PrefixLengthDropRates:
+def drop_rate_by_prefix_length(events: Sequence[RTBHEvent],
+                               rows: WindowRows) -> PrefixLengthDropRates:
     """Aggregate Fig. 5 from per-event traffic."""
-    return aggregate_drop_rates(event_traffic(data, events))
+    return aggregate_drop_rates(event_traffic(events, rows))
 
 
 def aggregate_drop_rates(traffic: Sequence[EventTraffic],
@@ -129,7 +128,7 @@ def aggregate_drop_rates(traffic: Sequence[EventTraffic],
     )
 
 
-def drop_rate_cdf_by_length(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
+def drop_rate_cdf_by_length(events: Sequence[RTBHEvent], rows: WindowRows,
                             lengths: Sequence[int] = (24, 32),
                             min_packets: int = 10) -> Dict[int, EmpiricalCDF]:
     """Fig. 6: per-event drop-share ECDFs for selected prefix lengths.
@@ -137,7 +136,7 @@ def drop_rate_cdf_by_length(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
     Events with fewer than ``min_packets`` sampled packets are skipped —
     a drop share estimated from a couple of samples is noise.
     """
-    return drop_cdfs_from_traffic(event_traffic(data, events),
+    return drop_cdfs_from_traffic(event_traffic(events, rows),
                                   lengths=lengths, min_packets=min_packets)
 
 
@@ -169,22 +168,39 @@ class SourceReaction:
         return self.dropped / self.packets if self.packets else 0.0
 
 
-def top_source_reactions(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
-                         top_n: int = 100,
-                         prefix_length: int = 32) -> List[SourceReaction]:
-    """Fig. 7: the ``top_n`` handover ASes by traffic volume towards
-    /32 blackholes, with their drop shares, ordered by drop share."""
-    parts = [data.window_packets(event.prefix, event.windows)
-             for event in events if event.prefix.length == prefix_length]
-    sub = np.concatenate(parts) if parts else data.packets[:0]
-    if len(sub) == 0:
+@dataclass(frozen=True)
+class SourceTable:
+    """Every handover AS's traffic towards one blackhole length, the
+    Fig. 7 input: ``asns`` ascending, ``packets``/``dropped`` aligned."""
+
+    asns: np.ndarray
+    packets: np.ndarray
+    dropped: np.ndarray
+
+
+def source_table(events: Sequence[RTBHEvent], rows: WindowRows,
+                 prefix_length: int = 32) -> SourceTable:
+    """Per handover AS, the packets (and dropped packets) sent into
+    ``/prefix_length`` blackholes while they stood."""
+    sub = rows.select([event.prefix.length == prefix_length
+                       for event in events])
+    if len(sub.rows) == 0:
         raise AnalysisError("no traffic towards blackholes of that length")
-    asns, inverse = np.unique(sub["ingress_asn"], return_inverse=True)
+    ingress = sub.column("ingress_asn")
+    asns = np.unique(ingress)
+    inverse = np.searchsorted(asns, ingress)
     totals = np.bincount(inverse, minlength=len(asns))
-    dropped = np.bincount(inverse, weights=sub["dropped"].astype(np.float64),
-                          minlength=len(asns)).astype(np.int64)
-    order = np.argsort(totals)[::-1][:top_n]
-    reactions = [SourceReaction(int(asns[i]), int(totals[i]), int(dropped[i]))
+    dropped = np.bincount(inverse[sub.column("dropped")], minlength=len(asns))
+    return SourceTable(asns, totals, dropped)
+
+
+def top_source_reactions(table: SourceTable,
+                         top_n: int = 100) -> List[SourceReaction]:
+    """Fig. 7: the ``top_n`` handover ASes by traffic volume, with their
+    drop shares, ordered by drop share."""
+    order = np.argsort(table.packets)[::-1][:top_n]
+    reactions = [SourceReaction(int(table.asns[i]), int(table.packets[i]),
+                                int(table.dropped[i]))
                  for i in order]
     reactions.sort(key=lambda r: r.drop_share, reverse=True)
     return reactions

@@ -23,6 +23,7 @@ from repro.corpus.control import (
     ControlPlaneCorpus,
     opens_blackhole,
 )
+from repro.corpus.data import DataPlaneCorpus, WindowRows
 from repro.dataplane.timeline import IntervalSet
 from repro.errors import AnalysisError
 from repro.net.ip import IPv4Prefix
@@ -74,6 +75,14 @@ class RTBHEvent:
 
     def covers_time(self, time: float) -> bool:
         return any(s <= time < e for s, e in self.windows)
+
+
+def event_rows(data: DataPlaneCorpus,
+               events: Sequence[RTBHEvent]) -> WindowRows:
+    """Every event's announced-window packets, one gather per event:
+    the shared input of Figs 5–8, §5.4, Figs 14–15 and Fig 18."""
+    return data.window_rows([e.prefix for e in events],
+                            [e.windows for e in events])
 
 
 def extract_events(control: ControlPlaneCorpus,

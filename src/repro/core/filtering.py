@@ -15,41 +15,26 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.events import RTBHEvent
-from repro.core.pre_rtbh import PreRTBHClass, PreRTBHClassification
-from repro.core.protocols import event_window_packets
-from repro.corpus.data import DataPlaneCorpus
+from repro.core.pre_rtbh import PreRTBHClassification
+from repro.core.protocols import anomaly_rows, reflected
+from repro.corpus.data import WindowRows
 from repro.errors import AnalysisError
 from repro.net.ports import AMPLIFICATION_PORTS
-from repro.net.protocols import IPProtocol
 from repro.stats.cdf import EmpiricalCDF
 
 
-def _anomaly_events(events: Sequence[RTBHEvent],
-                    classification: PreRTBHClassification) -> List[RTBHEvent]:
-    anomalous = {e.event_id for e in classification.events
-                 if e.classification is PreRTBHClass.DATA_ANOMALY}
-    return [e for e in events if e.event_id in anomalous]
-
-
 def filterable_share_cdf(
-    data: DataPlaneCorpus,
     events: Sequence[RTBHEvent],
+    rows: WindowRows,
     classification: PreRTBHClassification,
     ports: frozenset[int] = AMPLIFICATION_PORTS,
 ) -> EmpiricalCDF:
     """Fig. 14: ECDF over events of the share of packets a UDP
     source-port filter would have dropped."""
-    shares = []
-    for event in _anomaly_events(events, classification):
-        packets = event_window_packets(data, event)
-        if len(packets) == 0:
-            continue
-        udp = packets["protocol"] == int(IPProtocol.UDP)
-        matches = udp & np.isin(packets["src_port"], sorted(ports))
-        shares.append(float(matches.sum()) / len(packets))
-    if not shares:
+    sub = anomaly_rows(events, rows, classification)
+    if len(sub) == 0:
         raise AnalysisError("no anomaly events with traffic")
-    return EmpiricalCDF(shares)
+    return EmpiricalCDF(sub.sums(reflected(sub, ports)) / sub.counts)
 
 
 @dataclass(frozen=True)
@@ -74,8 +59,8 @@ class ASParticipation:
 
 
 def as_participation(
-    data: DataPlaneCorpus,
     events: Sequence[RTBHEvent],
+    rows: WindowRows,
     classification: PreRTBHClassification,
     ports: frozenset[int] = AMPLIFICATION_PORTS,
 ) -> ASParticipation:
@@ -86,36 +71,28 @@ def as_participation(
     AS attribution is not spoofable — the handover AS (MAC-derived) never
     is.
     """
-    handover_hits: Dict[int, int] = {}
-    origin_hits: Dict[int, int] = {}
-    amp_counts, handover_counts, origin_counts = [], [], []
-    n_events = 0
-    port_list = sorted(ports)
-    for event in _anomaly_events(events, classification):
-        packets = event_window_packets(data, event)
-        if len(packets) == 0:
-            continue
-        amp = packets[(packets["protocol"] == int(IPProtocol.UDP))
-                      & np.isin(packets["src_port"], port_list)]
-        if len(amp) == 0:
-            continue
-        n_events += 1
-        handovers = set(np.unique(amp["ingress_asn"]).tolist())
-        origins = set(np.unique(amp["origin_asn"]).tolist())
-        amp_counts.append(len(np.unique(amp["src_ip"])))
-        handover_counts.append(len(handovers))
-        origin_counts.append(len(origins))
-        for asn in handovers:
-            handover_hits[asn] = handover_hits.get(asn, 0) + 1
-        for asn in origins:
-            origin_hits[asn] = origin_hits.get(asn, 0) + 1
+    amp = anomaly_rows(events, rows, classification)
+    amp = amp.where(reflected(amp, ports))
+    amp = amp.select(amp.counts > 0)
+    n_events = len(amp)
     if n_events == 0:
         raise AnalysisError("no amplification events with traffic")
+
+    def spread(column: str) -> Tuple[np.ndarray, Dict[int, float]]:
+        """Distinct values per event, and each value's share of events."""
+        gather, values = amp.distinct(amp.column(column))
+        ids, hits = np.unique(values, return_counts=True)
+        return (np.bincount(gather, minlength=n_events),
+                {v: c / n_events for v, c in zip(ids.tolist(), hits.tolist())})
+
+    amplifiers, _ = spread("src_ip")
+    handovers, handover = spread("ingress_asn")
+    origins, origin = spread("origin_asn")
     return ASParticipation(
         total_events=n_events,
-        handover={asn: c / n_events for asn, c in handover_hits.items()},
-        origin={asn: c / n_events for asn, c in origin_hits.items()},
-        mean_amplifiers_per_event=float(np.mean(amp_counts)),
-        mean_handover_asns_per_event=float(np.mean(handover_counts)),
-        mean_origin_asns_per_event=float(np.mean(origin_counts)),
+        handover=handover,
+        origin=origin,
+        mean_amplifiers_per_event=float(np.mean(amplifiers)),
+        mean_handover_asns_per_event=float(np.mean(handovers)),
+        mean_origin_asns_per_event=float(np.mean(origins)),
     )

@@ -22,7 +22,6 @@ from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError
 from repro.ixp.peeringdb import OrgType, PeeringDB
 from repro.net.ip import PREFIX_MASKS, IPv4Prefix
-from repro.net.radix import RadixTree
 
 DAY = 86_400.0
 REACTION_MARGIN = 600.0
@@ -89,13 +88,28 @@ class HostStudy:
         return out
 
 
-def _origin_map(control: ControlPlaneCorpus) -> RadixTree:
-    """Host → origin AS via the RTBH announcements covering it."""
-    tree: RadixTree = RadixTree()
-    for msg in control.rtbh_updates():
-        if opens_blackhole(msg):
-            tree.insert(msg.prefix, msg.origin_asn)
-    return tree
+def _origins(control: ControlPlaneCorpus) -> Dict[IPv4Prefix, int]:
+    """Prefix → origin AS of the RTBH announcements (the last one wins)."""
+    return {msg.prefix: msg.origin_asn for msg in control.rtbh_updates()
+            if opens_blackhole(msg)}
+
+
+def _origin_lookup(origins: Dict[IPv4Prefix, int],
+                   addresses: np.ndarray) -> np.ndarray:
+    """Longest-prefix match of every address against ``origins``: the
+    origin AS, or -1 where no prefix covers it.  One sorted-network
+    search per prefix length in use, most specific first."""
+    out = np.full(len(addresses), -1, dtype=np.int64)
+    for length in sorted({p.length for p in origins}, reverse=True):
+        table = sorted((p.network_int, asn) for p, asn in origins.items()
+                       if p.length == length)
+        networks = np.array([n for n, _ in table], dtype=np.uint32)
+        asns = np.array([a for _, a in table], dtype=np.int64)
+        masked = addresses & np.uint32(PREFIX_MASKS[length])
+        at = np.minimum(np.searchsorted(networks, masked), len(networks) - 1)
+        hit = (out < 0) & (networks[at] == masked)
+        out[hit] = asns[at[hit]]
+    return out
 
 
 def _exclusion_intervals(events: Sequence[RTBHEvent]) -> Dict[IPv4Prefix, List[Tuple[float, float]]]:
@@ -127,22 +141,21 @@ def classify_hosts(
 ) -> HostStudy:
     """Profile every blackholed host with enough activity (§6.1's
     conservative ≥ ``min_days``-day criterion) and classify it."""
-    origin_tree = _origin_map(control)
     exclusions = _exclusion_intervals(events)
     packets = data.packets
 
     # one stable sort per direction: a host's rows are one slice of it,
-    # in the corpus's time order
-    by_dst = np.argsort(packets["dst_ip"], kind="stable")
+    # in the corpus's time order (the destination one is the corpus's)
+    by_dst, sorted_dst = data.dst_order, data.dst_sorted
     by_src = np.argsort(packets["src_ip"], kind="stable")
-    sorted_dst = packets["dst_ip"][by_dst]
     sorted_src = packets["src_ip"][by_src]
 
     # candidate hosts: addresses covered by any RTBH prefix, as traffic
     # destinations or sources
-    covered = np.array(
-        [ip for ip in np.union1d(_runs(sorted_dst), _runs(sorted_src)).tolist()
-         if origin_tree.lookup(ip) is not None], dtype=np.uint32)
+    addresses = np.union1d(_runs(sorted_dst), _runs(sorted_src))
+    origin = _origin_lookup(_origins(control), addresses)
+    covered = addresses[origin >= 0]
+    origin = origin[origin >= 0].tolist()
     in_lo = np.searchsorted(sorted_dst, covered, side="left").tolist()
     in_hi = np.searchsorted(sorted_dst, covered, side="right").tolist()
     out_lo = np.searchsorted(sorted_src, covered, side="left").tolist()
@@ -176,7 +189,6 @@ def classify_hosts(
                 cls = HostClass.UNCLASSIFIED
         else:
             cls = HostClass.UNCLASSIFIED
-        hit = origin_tree.lookup(ip)
         hosts.append(HostProfile(
             ip=ip,
             active_days=active_days,
@@ -184,7 +196,7 @@ def classify_hosts(
             top_ports=tuple(sorted(top_ports)),
             port_variation=variation,
             classification=cls,
-            origin_asn=None if hit is None else int(hit[1]),
+            origin_asn=origin[h],
         ))
     return HostStudy(hosts=hosts, min_days=min_days)
 

@@ -1,8 +1,11 @@
 """End-to-end analysis pipeline.
 
 :class:`AnalysisPipeline` strings every per-figure analysis together with
-shared caching: events are extracted once, the pre-RTBH classification and
-per-event traffic are computed once, and every figure/table draws on those.
+shared caching: events are extracted once, each event's packets are
+gathered once (one index array over the corpus's destination order), and
+the per-event traffic, the per-AS source table, the protocol mix, the
+pre-RTBH classification and the host study are computed once; every
+figure/table draws on those, and none recomputes another.
 Consumes only the two corpora (plus the membership list and the PeeringDB
 registry for the joins) — never scenario ground truth.
 
@@ -26,6 +29,7 @@ from typing import Callable, Dict, List, Sequence
 from repro.core import classify as classify_mod
 from repro.core import collateral as collateral_mod
 from repro.core import droprate as droprate_mod
+from repro.core import events as events_mod
 from repro.core import filtering as filtering_mod
 from repro.core import hosts as hosts_mod
 from repro.core import load as load_mod
@@ -37,7 +41,7 @@ from repro.core.events import DEFAULT_DELTA, RTBHEvent, merge_threshold_sweep
 from repro.core.registry import ANALYSES, get_analysis
 from repro.core.study import StudyReport
 from repro.corpus.control import ControlPlaneCorpus
-from repro.corpus.data import DataPlaneCorpus
+from repro.corpus.data import DataPlaneCorpus, WindowRows
 from repro.ixp.peeringdb import PeeringDB
 from repro.runtime.supervisor import run_analyses
 
@@ -45,6 +49,12 @@ from repro.runtime.supervisor import run_analyses
 #: names (see :data:`repro.core.registry.ANALYSES`) so reports stay
 #: greppable against the paper
 ANALYSIS_NAMES = tuple(spec.name for spec in ANALYSES)
+
+#: the pipeline's ``cached_property`` intermediates, in dependency order;
+#: the forked runner warms exactly these before it forks
+SHARED_INTERMEDIATES = ("events", "pre_classification", "event_rows",
+                        "event_traffic", "source_table", "protocol_mix",
+                        "host_study")
 
 
 class AnalysisPipeline:
@@ -77,14 +87,32 @@ class AnalysisPipeline:
         return self.control.rtbh_fold.events(self.delta)
 
     @cached_property
+    def event_rows(self) -> WindowRows:
+        """Every event's announced-window rows, gathered once (§14)."""
+        return events_mod.event_rows(self.data, self.events)
+
+    @cached_property
     def pre_classification(self) -> pre_mod.PreRTBHClassification:
         """Pre-RTBH traffic classification (§5.2–5.3)."""
-        return pre_mod.classify_pre_rtbh_events(self.data, self.events)
+        return pre_mod.classify_pre_rtbh_events(
+            self.data, self.events,
+            rows=pre_mod.pre_window_rows(self.data, self.events))
 
     @cached_property
     def event_traffic(self) -> List[droprate_mod.EventTraffic]:
         """Per-event during-blackhole traffic totals."""
-        return droprate_mod.event_traffic(self.data, self.events)
+        return droprate_mod.event_traffic(self.events, self.event_rows)
+
+    @cached_property
+    def source_table(self) -> droprate_mod.SourceTable:
+        """Per-AS traffic towards /32 blackholes (Figs 7–8)."""
+        return droprate_mod.source_table(self.events, self.event_rows)
+
+    @cached_property
+    def protocol_mix(self) -> protocols_mod.EventProtocolMix:
+        """The §5.4 per-event protocol mix (§5.4, Table 3)."""
+        return protocols_mod.event_protocol_mix(
+            self.events, self.event_rows, self.pre_classification)
 
     @cached_property
     def host_study(self) -> hosts_mod.HostStudy:
@@ -135,12 +163,12 @@ class AnalysisPipeline:
 
     def _impl_fig7_top_sources(self, top_n: int = 100,
                                ) -> List[droprate_mod.SourceReaction]:
-        return droprate_mod.top_source_reactions(self.data, self.events,
-                                                 top_n=top_n)
+        return droprate_mod.top_source_reactions(self.source_table, top_n)
 
     def _impl_fig8_org_types(self, top_n: int = 100):
         return droprate_mod.top_source_org_types(
-            self._impl_fig7_top_sources(top_n), self.peeringdb)
+            droprate_mod.top_source_reactions(self.source_table, top_n),
+            self.peeringdb)
 
     def _impl_fig10_merge_sweep(self, deltas=None):
         return merge_threshold_sweep(self.control, deltas)
@@ -149,27 +177,25 @@ class AnalysisPipeline:
         return self.pre_classification.class_shares()
 
     def _impl_sec54_protocol_mix(self) -> protocols_mod.EventProtocolMix:
-        return protocols_mod.event_protocol_mix(self.data, self.events,
-                                                self.pre_classification)
+        return self.protocol_mix
 
     def _impl_table3_amplification(self) -> Dict[int, float]:
-        return protocols_mod.amplification_protocol_table(
-            self._impl_sec54_protocol_mix())
+        return protocols_mod.amplification_protocol_table(self.protocol_mix)
 
     def _impl_fig14_filterable(self):
-        return filtering_mod.filterable_share_cdf(self.data, self.events,
-                                                  self.pre_classification)
+        return filtering_mod.filterable_share_cdf(
+            self.events, self.event_rows, self.pre_classification)
 
     def _impl_fig15_participation(self) -> filtering_mod.ASParticipation:
-        return filtering_mod.as_participation(self.data, self.events,
-                                              self.pre_classification)
+        return filtering_mod.as_participation(
+            self.events, self.event_rows, self.pre_classification)
 
     def _impl_table4_host_types(self):
         return self.host_study.org_type_table(self.peeringdb)
 
     def _impl_fig18_collateral(self) -> collateral_mod.CollateralDamage:
-        return collateral_mod.collateral_damage(self.data, self.events,
-                                                self.host_study)
+        return collateral_mod.collateral_damage(
+            self.events, self.event_rows, self.host_study)
 
     def _impl_fig19_use_cases(self) -> classify_mod.UseCaseClassification:
         # On short corpora the absolute month-scale squatting threshold is
@@ -194,7 +220,7 @@ class AnalysisPipeline:
         return False
 
     def warm_shared_caches(self) -> None:
-        """Precompute the shared intermediates (events, classifications).
+        """Precompute the :data:`SHARED_INTERMEDIATES`.
 
         The analysis runner calls this in the parent before forking the
         per-analysis children, so every child inherits the caches via
@@ -203,8 +229,7 @@ class AnalysisPipeline:
         """
         from repro.errors import ReproError
 
-        for attr in ("events", "pre_classification", "event_traffic",
-                     "host_study"):
+        for attr in SHARED_INTERMEDIATES:
             try:
                 getattr(self, attr)
             except ReproError:

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.events import RTBHEvent
-from repro.corpus.data import DataPlaneCorpus
+from repro.corpus.data import DataPlaneCorpus, WindowRows
 from repro.errors import AnalysisError
 from repro.stats.anomaly import AnomalyConfig, EWMAAnomalyDetector
 
@@ -202,15 +202,27 @@ class PreRTBHClassification:
         }
 
 
+def pre_window_rows(data: DataPlaneCorpus,
+                    events: Sequence[RTBHEvent]) -> WindowRows:
+    """Every event's pre-window rows, one gather per event."""
+    return data.window_rows([e.prefix for e in events],
+                            [[(e.start - PRE_WINDOW, e.start)] for e in events])
+
+
 def classify_pre_rtbh_events(
     data: DataPlaneCorpus,
     events: Sequence[RTBHEvent],
     detector: EWMAAnomalyDetector | None = None,
     anomaly_horizon_min: float = 10.0,
+    *,
+    rows: WindowRows | None = None,
 ) -> PreRTBHClassification:
     """Run the full §5.2–5.3 pipeline over all events, in event order.
 
-    Pre-windows are gathered into batches of at most ``_BATCH_ROWS`` rows;
+    Pre-windows come from ``rows`` (:func:`pre_window_rows`), or else
+    one :meth:`~repro.corpus.data.DataPlaneCorpus.window_packets` call
+    each, as the streaming reducer gathers them.  They are gathered into
+    batches of at most ``_BATCH_ROWS`` rows;
     each batch computes its features and runs the detector in one call.
     An event's result depends only on data *before* ``event.start`` (and
     the fixed corpus start), so the streaming engine classifies each event
@@ -220,18 +232,20 @@ def classify_pre_rtbh_events(
     detector = detector or EWMAAnomalyDetector(AnomalyConfig())
     result = PreRTBHClassification()
     corpus_start = data.start_time if len(data) else 0.0
+    windows = (map(rows.records, range(len(events))) if rows is not None
+               else (data.window_packets(
+                   e.prefix, [(e.start - PRE_WINDOW, e.start)])
+                   for e in events))
     batch: List[Tuple[RTBHEvent, np.ndarray]] = []
-    rows = 0
-    for event in events:
-        window = data.window_packets(
-            event.prefix, [(event.start - PRE_WINDOW, event.start)])
+    n_rows = 0
+    for event, window in zip(events, windows):
         batch.append((event, window))
         if len(window):
-            rows += len(window) + N_SLOTS
-        if rows >= _BATCH_ROWS:
+            n_rows += len(window) + N_SLOTS
+        if n_rows >= _BATCH_ROWS:
             result.events.extend(_classify_batch(
                 batch, detector, corpus_start, anomaly_horizon_min))
-            batch, rows = [], 0
+            batch, n_rows = [], 0
     result.events.extend(_classify_batch(
         batch, detector, corpus_start, anomaly_horizon_min))
     return result

@@ -9,22 +9,16 @@ All statistics are per event to keep heavy hitters from biasing the mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.events import RTBHEvent
 from repro.core.pre_rtbh import PreRTBHClass, PreRTBHClassification
-from repro.corpus.data import DataPlaneCorpus
+from repro.corpus.data import WindowRows
 from repro.errors import AnalysisError
 from repro.net.ports import AMPLIFICATION_PORTS
 from repro.net.protocols import IPProtocol
-
-
-def event_window_packets(data: DataPlaneCorpus, event: RTBHEvent) -> np.ndarray:
-    """All sampled packets destined into the event's prefix during its
-    announced windows."""
-    return data.window_packets(event.prefix, event.windows)
 
 
 @dataclass(frozen=True)
@@ -44,48 +38,47 @@ class EventProtocolMix:
         return self.events_with_data / self.events_total if self.events_total else 0.0
 
 
+def anomaly_rows(events: Sequence[RTBHEvent], rows: WindowRows,
+                 classification: PreRTBHClassification) -> WindowRows:
+    """The window rows of the events with data and a preceding anomaly."""
+    anomalous = {e.event_id for e in classification.events
+                 if e.classification is PreRTBHClass.DATA_ANOMALY}
+    return rows.select([e.event_id in anomalous and bool(n)
+                        for e, n in zip(events, rows.counts.tolist())])
+
+
+def reflected(rows: WindowRows,
+              ports: frozenset[int] = AMPLIFICATION_PORTS) -> np.ndarray:
+    """Per row: UDP from one of the (amplification) source ``ports``."""
+    return ((rows.column("protocol") == int(IPProtocol.UDP))
+            & np.isin(rows.column("src_port"), sorted(ports)))
+
+
 def event_protocol_mix(
-    data: DataPlaneCorpus,
     events: Sequence[RTBHEvent],
+    rows: WindowRows,
     classification: PreRTBHClassification,
 ) -> EventProtocolMix:
-    """Compute the §5.4 statistics (and the Table 3 input)."""
+    """Compute the §5.4 statistics (and the Table 3 input) from the
+    events' window rows (:func:`~repro.core.events.event_rows`)."""
     if len(events) != len(classification.events):
         raise AnalysisError("events and classification must align")
-    by_id = {e.event_id: e for e in classification.events}
-    with_data = 0
-    with_data_and_anomaly = 0
-    shares_acc: Dict[IPProtocol, List[float]] = {p: [] for p in IPProtocol}
-    amp_counts: List[int] = []
-    for event in events:
-        packets = event_window_packets(data, event)
-        if len(packets) == 0:
-            continue
-        with_data += 1
-        pre = by_id[event.event_id]
-        if pre.classification is not PreRTBHClass.DATA_ANOMALY:
-            continue
-        with_data_and_anomaly += 1
-        protocols = packets["protocol"]
-        n = len(packets)
-        for proto in (IPProtocol.UDP, IPProtocol.TCP, IPProtocol.ICMP):
-            shares_acc[proto].append(float((protocols == int(proto)).sum()) / n)
-        shares_acc[IPProtocol.OTHER].append(
-            float(np.isin(protocols, [1, 6, 17], invert=True).sum()) / n
-        )
-        udp = packets[protocols == int(IPProtocol.UDP)]
-        seen: Set[int] = set(np.unique(udp["src_port"]).tolist()) & AMPLIFICATION_PORTS
-        amp_counts.append(len(seen))
-    protocol_shares = {
-        proto: float(np.mean(vals)) if vals else 0.0
-        for proto, vals in shares_acc.items()
-    }
+    sub = anomaly_rows(events, rows, classification)
+    n = sub.counts
+    protocols = sub.column("protocol")
+    counts = {proto: sub.sums(protocols == int(proto))
+              for proto in (IPProtocol.UDP, IPProtocol.TCP, IPProtocol.ICMP)}
+    counts[IPProtocol.OTHER] = n - sum(counts.values())
+    amp = sub.where(reflected(sub))
+    gather, _ = amp.distinct(amp.column("src_port"))
     return EventProtocolMix(
         events_total=len(events),
-        events_with_data=with_data,
-        events_with_data_and_anomaly=with_data_and_anomaly,
-        protocol_shares=protocol_shares,
-        amplification_protocol_counts=tuple(amp_counts),
+        events_with_data=int((rows.counts > 0).sum()),
+        events_with_data_and_anomaly=len(sub),
+        protocol_shares={proto: float(np.mean(c / n)) if len(n) else 0.0
+                         for proto, c in counts.items()},
+        amplification_protocol_counts=tuple(
+            np.bincount(gather, minlength=len(sub)).tolist()),
     )
 
 

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import zipfile
 import zlib
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +18,62 @@ from repro.dataplane.packet import PACKET_DTYPE, packets_from_arrays
 from repro.errors import CorpusError, IngestError
 from repro import telemetry
 from repro.net.ip import IPv4Prefix, in_prefix
+
+
+@dataclass(frozen=True)
+class WindowRows:
+    """The rows of many window gathers, flat: gather ``i`` owns
+    ``rows[offsets[i]:offsets[i + 1]]``, indices into ``packets``.
+    Consumers read only the columns they need and reduce per gather."""
+
+    packets: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def column(self, name: str) -> np.ndarray:
+        """One packet field of every row, gather by gather."""
+        return self.packets[name][self.rows]
+
+    def records(self, i: int) -> np.ndarray:
+        return self.packets[self.rows[self.offsets[i]:self.offsets[i + 1]]]
+
+    def select(self, keep) -> "WindowRows":
+        """The gathers where the per-gather mask ``keep`` is set."""
+        keep = np.asarray(keep, dtype=bool)
+        return _grouped(self.packets, self.rows[np.repeat(keep, self.counts)],
+                        self.counts[keep])
+
+    def where(self, mask: np.ndarray) -> "WindowRows":
+        """Every gather, keeping only the rows where ``mask`` is set."""
+        return _grouped(self.packets, self.rows[mask], self.sums(mask))
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-gather sums of a per-row integer array, exact in 64 bits."""
+        total = np.zeros(len(values) + 1, dtype=np.int64)
+        np.cumsum(values, dtype=np.int64, out=total[1:])
+        return total[self.offsets[1:]] - total[self.offsets[:-1]]
+
+    def distinct(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct ``(gather, value)`` pairs of a per-row array of
+        ``uint32``-range values, sorted by gather, then value."""
+        keys = np.repeat(np.arange(len(self), dtype=np.uint64) << np.uint64(32),
+                         self.counts)
+        keys |= values
+        keys = np.unique(keys)
+        return ((keys >> np.uint64(32)).astype(np.intp),
+                keys & np.uint64(0xFFFFFFFF))
+
+
+def _grouped(packets: np.ndarray, rows: np.ndarray, counts) -> WindowRows:
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return WindowRows(packets, rows, offsets)
 
 
 class DataPlaneCorpus:
@@ -122,21 +180,19 @@ class DataPlaneCorpus:
         out[lo:hi] = True
         return out
 
-    def slice_time(self, t0: float, t1: float) -> np.ndarray:
-        lo, hi = np.searchsorted(self._time, (t0, t1), side="left")
-        return self._packets[lo:hi]
-
     def window_packets(self, prefix: IPv4Prefix,
                        windows: Sequence[Tuple[float, float]]) -> np.ndarray:
         """Packets destined into ``prefix`` during any of ``windows``.
 
-        The one gather behind every per-event data-plane analysis: a
-        batched ``searchsorted`` over the contiguous time column finds
-        each ``[start, end)`` row range, a prefix mask over the
-        contiguous destination column picks the rows inside it.  The
-        result is window by window, in time order within each window —
-        for the sorted, disjoint windows of an RTBH event exactly the
-        packets in time order.
+        One prefix at a time, without the destination order: a batched
+        ``searchsorted`` over the contiguous time column finds each
+        ``[start, end)`` row range, a prefix mask over the contiguous
+        destination column picks the rows inside it.  The result is
+        window by window, in time order within each window — for the
+        sorted, disjoint windows of an RTBH event exactly the packets in
+        time order.  The streaming reducers gather through it, since a
+        growing corpus never builds :attr:`dst_order`; the batch
+        pipeline uses :meth:`window_rows`.
         """
         if not windows or len(self._packets) == 0:
             return self._packets[:0]
@@ -154,6 +210,61 @@ class DataPlaneCorpus:
             return self._packets[:0]
         return self._packets[parts[0] if len(parts) == 1
                              else np.concatenate(parts)]
+
+    @cached_property
+    def dst_order(self) -> np.ndarray:
+        """Row indices in destination order, built on first use: the
+        stable ``argsort`` of the destination column (one address's rows
+        stay in time order), in the narrowest index dtype."""
+        return np.argsort(self._dst_ip, kind="stable").astype(
+            np.int32 if len(self._dst_ip) < 2**31 else np.int64)
+
+    @cached_property
+    def dst_sorted(self) -> np.ndarray:
+        """The destination column in :attr:`dst_order`."""
+        return self._dst_ip[self.dst_order]
+
+    def window_rows(self, prefixes: Sequence[IPv4Prefix],
+                    windows: Sequence[Sequence[Tuple[float, float]]],
+                    ) -> WindowRows:
+        """Many :meth:`window_packets` gathers at once, as row indices.
+
+        Gather ``i`` holds exactly the records, in the same order, that
+        ``window_packets(prefixes[i], windows[i])`` returns.  Each
+        distinct prefix is one row range of :attr:`dst_order`, put back
+        into time order once and binary-searched per window; only one
+        prefix's range is held at a time.
+        """
+        by_prefix: Dict[IPv4Prefix, List[int]] = {}
+        for i, prefix in enumerate(prefixes):
+            by_prefix.setdefault(prefix, []).append(i)
+        parts = [np.zeros(0, np.intp)] * len(prefixes)
+        for prefix, gathers in by_prefix.items():
+            rows, times = self._prefix_rows(prefix)
+            for i in gathers:
+                bounds = np.asarray(windows[i], dtype=np.float64).reshape(-1, 2)
+                picked = [rows[a:b] for a, b in zip(
+                    np.searchsorted(times, bounds[:, 0]).tolist(),
+                    np.searchsorted(times, bounds[:, 1]).tolist()) if b > a]
+                if picked:  # a copy, so the range itself can be freed
+                    parts[i] = np.concatenate(picked)
+        rows = np.concatenate(parts) if parts else np.zeros(0, np.intp)
+        return _grouped(self._packets, rows, [len(p) for p in parts])
+
+    def _prefix_rows(self, prefix: IPv4Prefix,
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows destined into ``prefix`` in time order, and their
+        times."""
+        first = prefix.network_int
+        # exclusive upper bound; 2**32 (past uint32) for the top prefix
+        end = first + (1 << (32 - prefix.length))
+        lo = int(np.searchsorted(self.dst_sorted, np.uint32(first)))
+        hi = (len(self.dst_sorted) if end > 0xFFFFFFFF
+              else int(np.searchsorted(self.dst_sorted, np.uint32(end))))
+        rows = self.dst_order[lo:hi]
+        if prefix.length < 32:
+            rows = np.sort(rows)  # row order is time order
+        return rows, self._time[rows]
 
     def select(
         self,

@@ -37,11 +37,8 @@ Both modes share everything around the attempt:
   journal, then finished entries of the content-addressed result cache,
   are served without running anything.
 * **Ordering.**  The rest is dispatched in :func:`schedule_order`: heavy
-  analyses first (longest-processing-time first), analyses another one
-  recomputes internally (``fig7_top_sources`` inside
-  ``fig8_org_types``, ``sec54_protocol_mix`` inside
-  ``table3_amplification``) no later than their dependents.  Outcomes
-  are merged back into study order.
+  analyses first (longest-processing-time first).  Outcomes are merged
+  back into study order.
 * **Determinism.**  Backoff jitter is seeded per analysis,
   ``f"{seed}:{name}"``, so a schedule never depends on completion order
   or on ``jobs``; values are fingerprinted before they cross a pipe.
@@ -79,30 +76,17 @@ from repro.runtime.retry import RetryPolicy, is_retryable_exception
 #: journal key prefix for per-analysis terminal outcomes
 ANALYSIS_KEY = "analysis:"
 
-#: relative cost estimates (longest-processing-time-first dispatch);
-#: anything absent weighs 1 — exact values only shape the schedule,
-#: never the results
+#: relative cost estimates (longest-processing-time-first dispatch): an
+#: analysis's time over warmed intermediates at the paper default
+#: (0.05 × 104 d), in units of 10 ms; anything absent weighs 1 — exact
+#: values only shape the schedule, never the results
 ANALYSIS_WEIGHTS = {
-    "fig2_time_offset": 6,
-    "fig8_org_types": 5,      # recomputes fig7's source scan internally
-    "fig7_top_sources": 5,
-    "fig4_targeted_visibility": 4,
-    "fig10_merge_sweep": 3,
-    "fig5_drop_by_length": 3,
-    "fig6_drop_cdfs": 3,
-    "fig19_use_cases": 2,
+    "fig4_targeted_visibility": 28,
+    "fig15_participation": 6,
+    "fig2_time_offset": 5,
+    "fig18_collateral": 4,
+    "fig3_load": 3,
     "fig14_filterable": 2,
-    "fig18_collateral": 2,
-    "table3_amplification": 2,  # recomputes sec54's protocol mix
-    "sec54_protocol_mix": 2,
-}
-
-#: analyses another analysis recomputes internally: the provider is
-#: dispatched no later than its dependents so a shared intermediate is
-#: never the last thing keeping a worker busy
-ANALYSIS_PROVIDES = {
-    "fig7_top_sources": ("fig8_org_types",),
-    "sec54_protocol_mix": ("table3_amplification",),
 }
 
 
@@ -132,17 +116,11 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def schedule_order(names: Sequence[str]) -> List[str]:
-    """The dispatch order: heavy first, providers before dependents,
-    study order as the deterministic tie-break."""
+    """The dispatch order: heavy first, study order as the
+    deterministic tie-break."""
     index = {name: i for i, name in enumerate(names)}
-    weight = {}
-    for name in names:
-        w = ANALYSIS_WEIGHTS.get(name, 1)
-        for dependent in ANALYSIS_PROVIDES.get(name, ()):
-            if dependent in index:
-                w = max(w, ANALYSIS_WEIGHTS.get(dependent, 1) + 1)
-        weight[name] = w
-    return sorted(names, key=lambda n: (-weight[n], index[n]))
+    return sorted(names, key=lambda n: (-ANALYSIS_WEIGHTS.get(n, 1),
+                                        index[n]))
 
 
 def _child_main(conn, name: str, fn, degraded: bool, inherited=()) -> None:

@@ -9,10 +9,11 @@ from repro.core.droprate import (
     drop_rate_cdf_by_length,
     event_traffic,
     reaction_buckets,
+    source_table,
     top_source_org_types,
     top_source_reactions,
 )
-from repro.core.events import RTBHEvent
+from repro.core.events import RTBHEvent, event_rows
 from repro.corpus import DataPlaneCorpus
 from repro.dataplane.packet import packets_from_arrays
 from repro.errors import AnalysisError
@@ -28,6 +29,15 @@ IP24 = int(IPv4Address("198.51.100.9"))
 def make_event(eid, prefix, windows):
     return RTBHEvent(event_id=eid, prefix=prefix, windows=tuple(windows),
                      announcer_asns=(100,), origin_asn=65000)
+
+
+def traffic(data, events):
+    return event_traffic(events, event_rows(data, events))
+
+
+def top_sources(data, events, top_n=100):
+    return top_source_reactions(
+        source_table(events, event_rows(data, events)), top_n)
 
 
 def corpus(rows):
@@ -51,7 +61,7 @@ class TestEventTraffic:
             (250.0, IP32, 1, True, 100),    # after
         ])
         event = make_event(0, V32, [(100.0, 200.0)])
-        [t] = event_traffic(data, [event])
+        [t] = traffic(data, [event])
         assert t.packets == 2 and t.dropped_packets == 1
         assert t.bytes == 300 and t.dropped_bytes == 100
         assert t.drop_share_packets == 0.5
@@ -59,13 +69,13 @@ class TestEventTraffic:
     def test_prefix_selectivity(self):
         data = corpus([(150.0, IP24, 1, True, 100), (150.0, IP32, 1, True, 100)])
         event = make_event(0, V32, [(100.0, 200.0)])
-        [t] = event_traffic(data, [event])
+        [t] = traffic(data, [event])
         assert t.packets == 1
 
     def test_empty_event(self):
         data = corpus([(150.0, IP32, 1, True, 100)])
         event = make_event(0, V32, [(300.0, 400.0)])
-        [t] = event_traffic(data, [event])
+        [t] = traffic(data, [event])
         assert t.packets == 0 and t.drop_share_packets == 0.0
 
 
@@ -77,7 +87,7 @@ class TestDropByLength:
         )
         events = [make_event(0, V32, [(100.0, 200.0)]),
                   make_event(1, V24, [(100.0, 200.0)])]
-        rates = drop_rate_by_prefix_length(data, events)
+        rates = drop_rate_by_prefix_length(events, event_rows(data, events))
         drop32, _, share32 = rates.row(32)
         drop24, _, share24 = rates.row(24)
         assert drop32 == pytest.approx(0.5)
@@ -88,7 +98,8 @@ class TestDropByLength:
     def test_no_traffic_rejected(self):
         data = corpus([(50.0, IP32, 1, False, 100)])
         with pytest.raises(AnalysisError):
-            drop_rate_by_prefix_length(data, [make_event(0, V32, [(100.0, 200.0)])])
+            events = [make_event(0, V32, [(100.0, 200.0)])]
+            drop_rate_by_prefix_length(events, event_rows(data, events))
 
 
 class TestDropCDF:
@@ -96,8 +107,8 @@ class TestDropCDF:
         data = corpus([(150.0, IP32, 1, True, 100) for _ in range(3)])
         events = [make_event(0, V32, [(100.0, 200.0)])]
         with pytest.raises(AnalysisError):
-            drop_rate_cdf_by_length(data, events, lengths=(32,), min_packets=10)
-        cdfs = drop_rate_cdf_by_length(data, events, lengths=(32,), min_packets=2)
+            drop_rate_cdf_by_length(events, event_rows(data, events), lengths=(32,), min_packets=10)
+        cdfs = drop_rate_cdf_by_length(events, event_rows(data, events), lengths=(32,), min_packets=2)
         assert cdfs[32].median == 1.0
 
 
@@ -109,7 +120,7 @@ class TestTopSources:
         rows += [(150.0, IP32, 3, i < 30, 100) for i in range(60)]  # AS3 inconsistent
         data = corpus(rows)
         events = [make_event(0, V32, [(100.0, 200.0)])]
-        reactions = top_source_reactions(data, events, top_n=10)
+        reactions = top_sources(data, events, top_n=10)
         assert [r.asn for r in reactions] == [1, 3, 2]  # sorted by drop share
         buckets = reaction_buckets(reactions)
         assert buckets == {"drop_ge_99": 1, "forward_ge_99": 1, "inconsistent": 1}
@@ -118,18 +129,18 @@ class TestTopSources:
         rows = [(150.0, IP32, asn, False, 100) for asn in range(1, 31)]
         data = corpus(rows)
         events = [make_event(0, V32, [(100.0, 200.0)])]
-        assert len(top_source_reactions(data, events, top_n=5)) == 5
+        assert len(top_sources(data, events, top_n=5)) == 5
 
     def test_org_type_join(self):
         db = PeeringDB()
         db.register(PeeringDBRecord(asn=1, name="a", org_type=OrgType.NSP))
         rows = [(150.0, IP32, 1, True, 100), (150.0, IP32, 2, True, 100)]
         events = [make_event(0, V32, [(100.0, 200.0)])]
-        reactions = top_source_reactions(corpus(rows), events, top_n=10)
+        reactions = top_sources(corpus(rows), events, top_n=10)
         hist = top_source_org_types(reactions, db)
         assert hist[OrgType.NSP] == 1 and hist[OrgType.UNKNOWN] == 1
 
     def test_no_traffic_rejected(self):
         data = corpus([(50.0, IP32, 1, False, 100)])
         with pytest.raises(AnalysisError):
-            top_source_reactions(data, [make_event(0, V32, [(100.0, 200.0)])])
+            top_sources(data, [make_event(0, V32, [(100.0, 200.0)])])

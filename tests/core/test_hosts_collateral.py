@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from repro.bgp import BLACKHOLE
 from repro.bgp.message import announce, withdraw
 from repro.core.collateral import collateral_damage
-from repro.core.events import RTBHEvent, extract_events
+from repro.core.events import RTBHEvent, event_rows, extract_events
 from repro.core.hosts import (
     HostClass,
+    HostProfile,
+    HostStudy,
     _daily_top_ports,
+    _origin_lookup,
     classify_hosts,
     host_port_features,
 )
 from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
 from repro.dataplane.packet import packets_from_arrays
-from repro.net import IPv4Address, IPv4Prefix
+from repro.net import IPv4Address, IPv4Prefix, RadixTree
 
 DAY = 86_400.0
 SERVER_IP = int(IPv4Address("203.0.113.7"))
@@ -227,7 +230,7 @@ class TestCollateral:
         events = extract_events(control)
         data = build_data(cols)
         study = classify_hosts(control, data, events, min_days=20)
-        damage = collateral_damage(data, events, study)
+        damage = collateral_damage(events, event_rows(data, events), study)
         assert damage.servers_considered == 1
         assert damage.events_with_collateral == 1
         [record] = damage.records
@@ -242,5 +245,67 @@ class TestCollateral:
         control = control_for(CLIENT_IP)
         events = extract_events(control)
         study = classify_hosts(control, data, events, min_days=20)
-        damage = collateral_damage(data, events, study)
+        damage = collateral_damage(events, event_rows(data, events), study)
         assert damage.records == []
+
+
+@st.composite
+def origin_tables(draw):
+    """Nested prefixes (a /0, a /1 and /8 … /32 around one address)
+    with origins, plus addresses inside and outside them."""
+    anchor = draw(st.integers(0, 2**32 - 1))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 8, 16, 24, 31, 32]),
+                            min_size=1, max_size=5))
+    origins = {}
+    for length in lengths:
+        near = draw(st.integers(0, 2**32 - 1)) if draw(st.booleans()) \
+            else anchor
+        origins[IPv4Prefix(near, length)] = draw(st.integers(1, 65_000))
+    addresses = draw(st.lists(st.one_of(
+        st.just(anchor), st.integers(0, 2**32 - 1),
+        st.sampled_from([p.network_int for p in origins])), max_size=12))
+    return origins, np.array(addresses, dtype=np.uint32)
+
+
+class TestOriginLookup:
+    @settings(deadline=None)
+    @given(origin_tables())
+    def test_matches_the_radix_tree(self, table):
+        origins, addresses = table
+        tree = RadixTree()
+        for prefix, asn in origins.items():
+            tree.insert(prefix, asn)
+        expected = [-1 if tree.lookup(a) is None else tree.lookup(a)[1]
+                    for a in addresses.tolist()]
+        assert _origin_lookup(origins, addresses).tolist() == expected
+
+
+class TestCollateralOrder:
+    def test_records_follow_the_first_window_with_hits(self):
+        # two servers in one /24 event with two windows: B is hit in the
+        # first window only, A in the second only; records come in
+        # (first window, server) order, as a window-by-window scan
+        # would emit them, with each server's windows merged
+        a, b = SERVER_IP, CLIENT_IP
+        rows = [(150.0, b, 443), (160.0, a, 80), (450.0, a, 443),
+                (460.0, b, 443), (470.0, a, 443)]
+        data = DataPlaneCorpus(packets_from_arrays({
+            "time": np.array([t for t, _, _ in rows]),
+            "dst_ip": np.array([ip for _, ip, _ in rows], dtype=np.uint32),
+            "dst_port": np.array([port for *_, port in rows],
+                                 dtype=np.uint16),
+        }))
+        event = RTBHEvent(event_id=3, prefix=IPv4Prefix(SERVER_IP, 24),
+                          windows=((100.0, 200.0), (400.0, 500.0)),
+                          announcer_asns=(100,), origin_asn=65000)
+
+        def server(ip):
+            return HostProfile(ip=ip, active_days=30,
+                               port_features=(1, 1, 1, 1),
+                               top_ports=((6, 443),), port_variation=0.0,
+                               classification=HostClass.SERVER)
+
+        study = HostStudy(hosts=[server(a), server(b)], min_days=20)
+        damage = collateral_damage([event], event_rows(data, [event]), study)
+        assert [(r.server_ip, r.packets_to_top_ports)
+                for r in damage.records] == [(b, 2), (a, 2)]

@@ -189,3 +189,53 @@ class TestFig19:
         _, ddos_median, _ = result.duration_quartiles(
             UseCase.INFRASTRUCTURE_PROTECTION)
         assert zombie_median > 10 * ddos_median
+
+
+class TestSharedGather:
+    """Each event's packets are gathered once per pass (event windows,
+    pre-windows), and no analysis recomputes another's result."""
+
+    @pytest.fixture
+    def fresh_pipeline(self, tiny_result):
+        from repro import AnalysisPipeline
+
+        return AnalysisPipeline(tiny_result.control, tiny_result.data,
+                                peer_asns=tiny_result.ixp.member_asns,
+                                peeringdb=tiny_result.ixp.peeringdb,
+                                host_min_days=8)
+
+    def test_one_gather_per_event_per_pass(self, fresh_pipeline,
+                                           monkeypatch):
+        from repro.core import events as events_mod
+        from repro.corpus.data import DataPlaneCorpus
+
+        per_event, batched, built = [], [], []
+        real_rows = DataPlaneCorpus.window_rows
+        real_event_rows = events_mod.event_rows
+        monkeypatch.setattr(
+            DataPlaneCorpus, "window_packets",
+            lambda self, *a: per_event.append(a) or self.packets[:0])
+        monkeypatch.setattr(
+            DataPlaneCorpus, "window_rows",
+            lambda self, prefixes, windows: batched.append(len(prefixes))
+            or real_rows(self, prefixes, windows))
+        monkeypatch.setattr(
+            events_mod, "event_rows",
+            lambda *a: built.append(1) or real_event_rows(*a))
+        report = fresh_pipeline.run_all(strict=False)
+        assert not report.failed()
+        assert per_event == []
+        n_events = len(fresh_pipeline.events)
+        # one batched gather of the event windows, one of the pre-windows
+        assert batched == [n_events, n_events]
+        assert built == [1]
+
+    def test_top_n_is_cut_from_one_table(self, fresh_pipeline):
+        full = fresh_pipeline.run("fig7_top_sources")
+        top5 = fresh_pipeline.run("fig7_top_sources", top_n=5)
+        assert len(full) > 5 and len(top5) == 5
+        top20 = fresh_pipeline.run("fig7_top_sources", top_n=20)
+        hist = fresh_pipeline.run("fig8_org_types", top_n=20)
+        assert sum(hist.values()) == len(top20)
+        assert hist == fresh_pipeline.peeringdb.type_histogram(
+            r.asn for r in top20)

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.events import RTBHEvent
+from repro.core.events import RTBHEvent, event_rows
 from repro.core.filtering import as_participation, filterable_share_cdf
 from repro.core.pre_rtbh import PreRTBHClass, PreRTBHClassification, PreRTBHEvent
-from repro.core.protocols import (
-    amplification_protocol_table,
-    event_protocol_mix,
-    event_window_packets,
-)
+from repro.core.protocols import amplification_protocol_table, event_protocol_mix
 from repro.corpus import DataPlaneCorpus
 from repro.dataplane.packet import packets_from_arrays
 from repro.errors import AnalysisError
@@ -31,6 +27,11 @@ def pre(eid, cls):
                         total_packets=10)
 
 
+def on_rows(analysis, data, events, classification):
+    """Run a per-event analysis over the events' window rows."""
+    return analysis(events, event_rows(data, events), classification)
+
+
 def data_from(times, src_ports, protocols, ingress=None, origins=None, src_ips=None):
     n = len(times)
     return DataPlaneCorpus(packets_from_arrays({
@@ -49,8 +50,9 @@ def data_from(times, src_ports, protocols, ingress=None, origins=None, src_ips=N
 class TestProtocolMix:
     def test_window_packet_selection(self):
         data = data_from([50.0, 150.0, 250.0], [123] * 3, [17] * 3)
-        packets = event_window_packets(data, make_event(0))
-        assert len(packets) == 1
+        rows = event_rows(data, [make_event(0)])
+        assert rows.counts.tolist() == [1]
+        assert rows.records(0)["time"].tolist() == [150.0]
 
     def test_udp_dominates_and_amp_count(self):
         # 8 NTP + 1 DNS + 1 TCP packet during the event
@@ -62,7 +64,7 @@ class TestProtocolMix:
         events = [make_event(0)]
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_ANOMALY)])
-        mix = event_protocol_mix(data, events, classification)
+        mix = on_rows(event_protocol_mix, data, events, classification)
         assert mix.events_with_data == 1
         assert mix.events_with_data_and_anomaly == 1
         assert mix.protocol_shares[IPProtocol.UDP] == pytest.approx(0.9)
@@ -74,28 +76,28 @@ class TestProtocolMix:
         events = [make_event(0)]
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_NO_ANOMALY)])
-        mix = event_protocol_mix(data, events, classification)
+        mix = on_rows(event_protocol_mix, data, events, classification)
         assert mix.events_with_data == 1
         assert mix.events_with_data_and_anomaly == 0
 
     def test_alignment_enforced(self):
         data = data_from([150.0], [123], [17])
         with pytest.raises(AnalysisError):
-            event_protocol_mix(data, [make_event(0)], PreRTBHClassification(events=[]))
+            on_rows(event_protocol_mix, data, [make_event(0)], PreRTBHClassification(events=[]))
 
     def test_table3(self):
         data = data_from([150.0] * 4, [123, 53, 19, 4444], [17] * 4)
         events = [make_event(0)]
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_ANOMALY)])
-        mix = event_protocol_mix(data, events, classification)
+        mix = on_rows(event_protocol_mix, data, events, classification)
         table = amplification_protocol_table(mix)
         assert table[3] == 1.0
         assert sum(table.values()) == pytest.approx(1.0)
 
     def test_table3_requires_anomaly_events(self):
-        mix_empty = event_protocol_mix(
-            data_from([999.0], [1], [6]), [make_event(0)],
+        mix_empty = on_rows(
+            event_protocol_mix, data_from([999.0], [1], [6]), [make_event(0)],
             PreRTBHClassification(events=[pre(0, PreRTBHClass.NO_DATA)]))
         with pytest.raises(AnalysisError):
             amplification_protocol_table(mix_empty)
@@ -106,21 +108,21 @@ class TestFiltering:
         data = data_from([150.0] * 5, [123] * 5, [17] * 5)
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_ANOMALY)])
-        cdf = filterable_share_cdf(data, [make_event(0)], classification)
+        cdf = on_rows(filterable_share_cdf, data, [make_event(0)], classification)
         assert cdf.median == 1.0
 
     def test_syn_flood_not_filterable(self):
         data = data_from([150.0] * 5, [4444] * 5, [6] * 5)
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_ANOMALY)])
-        cdf = filterable_share_cdf(data, [make_event(0)], classification)
+        cdf = on_rows(filterable_share_cdf, data, [make_event(0)], classification)
         assert cdf.median == 0.0
 
     def test_tcp_port_123_not_filterable(self):
         data = data_from([150.0] * 4, [123] * 4, [6] * 4)
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_ANOMALY)])
-        cdf = filterable_share_cdf(data, [make_event(0)], classification)
+        cdf = on_rows(filterable_share_cdf, data, [make_event(0)], classification)
         assert cdf.median == 0.0
 
     def test_no_anomaly_events_rejected(self):
@@ -128,7 +130,7 @@ class TestFiltering:
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.NO_DATA)])
         with pytest.raises(AnalysisError):
-            filterable_share_cdf(data, [make_event(0)], classification)
+            on_rows(filterable_share_cdf, data, [make_event(0)], classification)
 
 
 class TestParticipation:
@@ -145,7 +147,7 @@ class TestParticipation:
         events = [make_event(0), make_event(1, 400.0, 500.0)]
         classification = PreRTBHClassification(events=[
             pre(0, PreRTBHClass.DATA_ANOMALY), pre(1, PreRTBHClass.DATA_ANOMALY)])
-        part = as_participation(data, events, classification)
+        part = on_rows(as_participation, data, events, classification)
         assert part.total_events == 2
         assert part.handover[5] == 1.0
         assert part.handover[6] == 0.5
@@ -157,14 +159,14 @@ class TestParticipation:
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_ANOMALY)])
         with pytest.raises(AnalysisError):
-            as_participation(data, [make_event(0)], classification)
+            on_rows(as_participation, data, [make_event(0)], classification)
 
     def test_mean_counters(self):
         data = data_from([150.0, 151.0], [123, 53], [17, 17],
                          ingress=[5, 6], origins=[70, 71], src_ips=[1, 2])
         classification = PreRTBHClassification(
             events=[pre(0, PreRTBHClass.DATA_ANOMALY)])
-        part = as_participation(data, [make_event(0)], classification)
+        part = on_rows(as_participation, data, [make_event(0)], classification)
         assert part.mean_amplifiers_per_event == 2.0
         assert part.mean_handover_asns_per_event == 2.0
         assert part.mean_origin_asns_per_event == 2.0

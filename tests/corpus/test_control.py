@@ -1,11 +1,12 @@
 """Tests for the control-plane corpus."""
 
+import numpy as np
 import pytest
 
 from repro.bgp import BLACKHOLE
 from repro.bgp.message import announce, withdraw
 from repro.core.events import extract_events, merge_threshold_sweep
-from repro.core.hosts import _origin_map
+from repro.core.hosts import _origin_lookup, _origins
 from repro.core.load import rtbh_load_series
 from repro.core.visibility import targeted_visibility
 from repro.corpus import ControlPlaneCorpus
@@ -130,8 +131,10 @@ class TestDowngrade:
         assert series.announced[1:].max() == 0
 
     def test_host_origin_is_the_blackhole_announcers(self):
-        prefix, origin = _origin_map(self.corpus()).lookup(HOST.network)
-        assert (prefix, origin) == (HOST, 100)
+        origins = _origins(self.corpus())
+        assert origins[HOST] == 100
+        hosts = np.array([HOST.network_int], dtype=np.uint32)
+        assert _origin_lookup(origins, hosts).tolist() == [100]
 
 
 class TestPersistence:

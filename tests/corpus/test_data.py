@@ -40,9 +40,6 @@ class TestSelection:
     def test_mask_src(self, corpus):
         assert corpus.mask_src_in(IPv4Prefix("203.0.113.0/24")).sum() == 1
 
-    def test_time_slice_half_open(self, corpus):
-        assert corpus.slice_time(3.0, 7.0)["time"].tolist() == [3.0, 5.0]
-
     def test_select_combined(self, corpus):
         got = corpus.select(dst_prefix=P1, dropped=True, t0=0.0, t1=6.0)
         assert got["time"].tolist() == [5.0]

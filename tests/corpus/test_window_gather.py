@@ -1,14 +1,21 @@
-"""``DataPlaneCorpus.window_packets`` — the one gather behind every
-per-event data-plane analysis — against a brute-force oracle.
+"""The window gathers against brute-force oracles.
 
-The oracle walks the records in Python: a packet belongs to the result
-when its timestamp falls in one of the half-open windows and its
-destination shares the prefix's leading bits.  The strategies cover the
-edge cases the gather's index arithmetic must survive: empty streams,
-single-record corpora, /8 through /32 prefixes, duplicate timestamps,
-empty windows, and windows that start or end exactly at the corpus ends.
-On the seeded tiny scenario every analysis must fingerprint identically
-when the gather is swapped for a full-store scan.
+``DataPlaneCorpus.window_packets`` (one prefix at a time; the streaming
+reducers' gather) is checked against a record-by-record oracle: a packet
+belongs to the result when its timestamp falls in one of the half-open
+windows and its destination shares the prefix's leading bits.  The
+strategies cover the edge cases the gather's index arithmetic must
+survive: empty streams, single-record corpora, /8 through /32 prefixes,
+duplicate timestamps, empty windows, and windows that start or end
+exactly at the corpus ends.
+
+``DataPlaneCorpus.window_rows`` (every event at once, over the
+destination order; the batch pipeline's gather) must return, gather by
+gather, exactly the records ``window_packets`` returns — for event
+windows and 72 h pre-windows, nested and repeated prefixes, and the
+prefixes at the ends of the address space.  On the seeded tiny scenario
+every analysis must fingerprint identically when ``window_rows`` is
+swapped for a full-store scan.
 
 Intermediates with NaN payloads (pre-RTBH amplification factors) are
 compared by fingerprint, never by ``==`` — ``nan != nan``.
@@ -23,10 +30,12 @@ from repro import AnalysisPipeline
 from repro.bgp import BLACKHOLE
 from repro.bgp.message import announce, withdraw
 from repro.core.droprate import event_traffic
-from repro.core.events import extract_events
+from repro.core.events import event_rows, extract_events
+from repro.core.pre_rtbh import PRE_WINDOW
 from repro.core.pipeline import ANALYSIS_NAMES
 from repro.core.study import run_analysis
 from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
+from repro.corpus.data import WindowRows
 from repro.dataplane.packet import PACKET_DTYPE
 from repro.net import IPv4Address, IPv4Prefix
 from repro.parallel.golden import value_fingerprint
@@ -132,7 +141,8 @@ class TestAdversarialStreams:
             if closed:
                 messages.append(withdraw(t, 100, prefix))
         events = extract_events(ControlPlaneCorpus(messages))
-        for event, traffic in zip(events, event_traffic(data, events)):
+        for event, traffic in zip(events, event_traffic(
+                events, event_rows(data, events))):
             sub = oracle(data.packets, event.prefix, event.windows)
             sizes = sub["size"].astype(np.int64)
             assert (traffic.packets, traffic.dropped_packets,
@@ -161,19 +171,132 @@ class TestAdversarialStreams:
         assert len(data.window_packets(other, [(0.0, 20.0)])) == 0
 
 
-class ScanCorpus(DataPlaneCorpus):
-    """The same store with the gather replaced by full-store scans: no
-    binary search, no row ranges, no contiguous column copies."""
+#: nested (a /32 inside a /24, both inside the /1 and the /0) and the
+#: prefixes whose exclusive upper bound is 2**32
+EDGE_POOL = (
+    IPv4Prefix("203.0.113.0/24"),
+    IPv4Prefix("203.0.113.7/32"),
+    IPv4Prefix("255.255.255.255/32"),
+    IPv4Prefix("128.0.0.0/1"),
+    IPv4Prefix("0.0.0.0/0"),
+)
 
-    def window_packets(self, prefix, windows):
+#: the time grid of the batched-gather corpora: 6 h steps over 10 days,
+#: so 72 h pre-windows cover some steps and miss others
+STEP = 6 * 3_600.0
+
+
+@st.composite
+def spread_corpora(draw):
+    """Destinations at the edges and inside of every ``EDGE_POOL``
+    prefix, or anywhere, on a coarse grid with repeated timestamps."""
+    n = draw(st.integers(0, 40))
+    packets = np.zeros(n, dtype=PACKET_DTYPE)
+    for i in range(n):
+        packets["time"][i] = draw(st.integers(0, 40)) * STEP
+        prefix = draw(st.sampled_from(EDGE_POOL))
+        last = prefix.network_int + 2 ** (32 - prefix.length) - 1
+        packets["dst_ip"][i] = draw(st.one_of(
+            st.sampled_from([prefix.network_int, last]),
+            st.integers(prefix.network_int, last)))
+        packets["size"][i] = draw(st.integers(40, 1500))
+    return DataPlaneCorpus(packets, sampling_rate=10)
+
+
+@st.composite
+def gathers(draw):
+    """Events as (prefix, windows): repeated prefixes, no windows, empty
+    windows and windows past both ends of the grid."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        edges = sorted(draw(st.lists(st.integers(-4, 44), max_size=6)))
+        out.append((draw(st.sampled_from(EDGE_POOL)),
+                    [(a * STEP, b * STEP)
+                     for a, b in zip(edges[::2], edges[1::2])]))
+    return out
+
+
+def assert_rows_match_window_packets(data, prefixes, windows):
+    rows = data.window_rows(prefixes, windows)
+    assert len(rows) == len(prefixes)
+    assert rows.offsets[0] == 0 and rows.offsets[-1] == len(rows.rows)
+    for i, (prefix, wins) in enumerate(zip(prefixes, windows)):
+        expected = data.window_packets(prefix, wins)
+        assert rows.records(i).tobytes() == expected.tobytes(), (prefix, wins)
+
+
+class TestBatchedGather:
+    @settings(deadline=None)
+    @given(spread_corpora(), gathers())
+    def test_event_windows_match_window_packets(self, data, events):
+        assert_rows_match_window_packets(
+            data, [p for p, _ in events], [w for _, w in events])
+
+    @settings(deadline=None)
+    @given(spread_corpora(), gathers())
+    def test_pre_windows_match_window_packets(self, data, events):
+        starts = [w[0][0] for _, w in events if w]
+        prefixes = [p for p, w in events if w]
+        assert_rows_match_window_packets(
+            data, prefixes, [[(s - PRE_WINDOW, s)] for s in starts])
+
+    def test_nested_repeated_and_edge_prefixes(self):
+        # one packet at the first and last address of each edge prefix
+        addresses = sorted({a for p in EDGE_POOL for a in (
+            p.network_int, p.network_int + 2 ** (32 - p.length) - 1)})
+        packets = np.zeros(2 * len(addresses), dtype=PACKET_DTYPE)
+        packets["time"] = np.repeat([STEP, 2 * STEP], len(addresses))
+        packets["dst_ip"] = addresses * 2
+        data = DataPlaneCorpus(packets, sampling_rate=10)
+        prefixes = [*EDGE_POOL, *EDGE_POOL]
+        windows = [[(0.0, 3 * STEP)]] * len(EDGE_POOL) + \
+            [[(STEP, STEP)], [], [(2 * STEP, 9 * STEP)],
+             [(0.0, STEP), (STEP, 2 * STEP)], [(-STEP, 0.0)]]
+        assert_rows_match_window_packets(data, prefixes, windows)
+        counts = data.window_rows(prefixes, windows).counts.tolist()
+        # each address twice: the /24 holds 3, each /32 1, the /1 5 and
+        # the /0 all 6
+        assert len(addresses) == 6
+        assert counts[:5] == [6, 2, 2, 10, 12]
+
+    def test_no_gathers_builds_no_destination_order(self):
+        packets = np.zeros(3, dtype=PACKET_DTYPE)
+        data = DataPlaneCorpus(packets, sampling_rate=10)
+        rows = data.window_rows([], [])
+        assert len(rows) == 0 and len(rows.rows) == 0
+        assert "dst_order" not in vars(data)
+
+    def test_destination_order_is_narrow_and_stable(self):
+        packets = np.zeros(5, dtype=PACKET_DTYPE)
+        packets["time"] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        packets["dst_ip"] = [9, 3, 9, 3, 1]
+        data = DataPlaneCorpus(packets, sampling_rate=10)
+        assert data.dst_order.dtype == np.int32
+        assert data.dst_order.tolist() == [4, 1, 3, 0, 2]
+        assert data.dst_sorted.tolist() == [1, 3, 3, 9, 9]
+
+
+class ScanCorpus(DataPlaneCorpus):
+    """The same store with the batched gather replaced by full-store
+    scans: no destination order, no binary search, no row ranges."""
+
+    #: how many batched gathers the pipeline asked for
+    scans = 0
+
+    def window_rows(self, prefixes, windows):
+        self.scans += 1
         packets = self.packets
-        shift = np.uint64(32 - prefix.length)
-        hits = np.flatnonzero(packets["dst_ip"].astype(np.uint64) >> shift
-                              == np.uint64(prefix.network_int) >> shift)
-        times = packets["time"][hits]
-        parts = [packets[hits[(times >= t0) & (times < t1)]]
-                 for t0, t1 in windows]
-        return np.concatenate(parts) if parts else packets[:0]
+        parts, offsets = [], [0]
+        for prefix, wins in zip(prefixes, windows):
+            shift = np.uint64(32 - prefix.length)
+            hits = np.flatnonzero(
+                packets["dst_ip"].astype(np.uint64) >> shift
+                == np.uint64(prefix.network_int) >> shift)
+            times = packets["time"][hits]
+            parts += [hits[(times >= t0) & (times < t1)] for t0, t1 in wins]
+            offsets.append(sum(map(len, parts)))
+        rows = np.concatenate(parts) if parts else np.zeros(0, np.int64)
+        return WindowRows(packets, rows, np.array(offsets, dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +335,10 @@ class TestTinyScenario:
                                             scan_pipeline):
         assert value_fingerprint(tiny_pipeline.pre_classification) \
             == value_fingerprint(scan_pipeline.pre_classification)
+
+    def test_the_scan_replaced_every_gather(self, scan_pipeline):
+        # event windows and pre-windows, one batched gather each: the
+        # comparisons above really ran the scan, not the fast gather
+        for name in ANALYSIS_NAMES:
+            _outcome(scan_pipeline, name)
+        assert scan_pipeline.data.scans == 2

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.core.pipeline import SHARED_INTERMEDIATES
 from repro.core.study import AnalysisStatus
 from repro.errors import AnalysisError, SupervisorError
 from repro.parallel.cache import ResultCache
@@ -225,8 +226,7 @@ class TestWarmUpOnlyWhenQueued:
     """Resolving every analysis from the cache or the journal must not
     compute the shared intermediates the forked workers would need."""
 
-    INTERMEDIATES = ("events", "pre_classification", "event_traffic",
-                     "host_study")
+    INTERMEDIATES = SHARED_INTERMEDIATES
 
     @pytest.fixture
     def fresh_pipeline(self, tiny_result):
@@ -288,10 +288,21 @@ class TestScheduleOrder:
         assert sorted(order) == sorted(ANALYSIS_NAMES)
         assert order == schedule_order(ANALYSIS_NAMES)
 
-    def test_providers_precede_their_dependents(self):
-        from repro.core.pipeline import ANALYSIS_NAMES
+    def test_fig8_after_fig7_builds_the_source_table_once(
+            self, tiny_result, monkeypatch):
+        # no analysis recomputes another: Fig 8 and Fig 7 cut one
+        # shared per-AS table, whichever runs first
+        from repro import AnalysisPipeline
+        from repro.core import droprate
 
-        order = schedule_order(ANALYSIS_NAMES)
-        assert order.index("fig7_top_sources") < order.index("fig8_org_types")
-        assert order.index("sec54_protocol_mix") < \
-            order.index("table3_amplification")
+        built = []
+        real = droprate.source_table
+        monkeypatch.setattr(droprate, "source_table",
+                            lambda *a, **k: built.append(1) or real(*a, **k))
+        pipeline = AnalysisPipeline(tiny_result.control, tiny_result.data,
+                                    peer_asns=tiny_result.ixp.member_asns,
+                                    peeringdb=tiny_result.ixp.peeringdb)
+        org_types = pipeline.run("fig8_org_types")
+        top = pipeline.run("fig7_top_sources")
+        assert len(built) == 1
+        assert sum(org_types.values()) == len(top)

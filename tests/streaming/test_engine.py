@@ -261,3 +261,23 @@ def test_watch_trace_splits_report_by_analysis(corpus, tmp_path, capsys):
     assert sorted(r["name"] for r in analyses) == sorted(
         f"analyze.{name}" for name in names)
     assert all(r["parent_id"] == report["span_id"] for r in analyses)
+
+
+def test_incremental_report_builds_no_destination_order(
+        corpus, batch_fingerprints, monkeypatch):
+    # the watch path gathers through the reducers' window_packets: it
+    # must never pay for the batch pipeline's destination order
+    from repro.corpus.data import DataPlaneCorpus
+
+    built = []
+    real = DataPlaneCorpus.window_rows
+    monkeypatch.setattr(DataPlaneCorpus, "window_rows",
+                        lambda self, *a: built.append("rows") or real(self, *a))
+    monkeypatch.setattr(DataPlaneCorpus, "dst_order",
+                        property(lambda self: built.append("order")))
+    engine = StreamEngine.open(corpus, host_min_days=1)
+    engine.tick()
+    report = engine.report(sorted(INCREMENTAL))
+    assert built == []
+    assert report.fingerprints() == {
+        name: batch_fingerprints[name] for name in INCREMENTAL}

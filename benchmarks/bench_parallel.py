@@ -8,11 +8,13 @@ asserted inline — the parallel report must be canonically byte-identical
 to the serial one, otherwise the timing is meaningless.
 
 The measurements are written both as a paper-vs-measured style block in
-``benchmarks/latest_results.txt`` and as machine-readable JSON in
-``benchmarks/BENCH_parallel.json`` (committed, with each re-run pushed
-onto a dated ``history`` so speedups are tracked across PRs; regenerate
-on a multi-core box for meaningful ratios — on a single-CPU host the
-pool cannot beat the serial path and the file records exactly that).
+``.benchmarks/latest_results.txt`` and as machine-readable JSON in
+``.benchmarks/BENCH_parallel.json`` (git-ignored, with each re-run
+pushed onto a dated ``history``; run on a multi-core box for meaningful
+ratios — on a single-CPU host the pool cannot beat the serial path and
+the file records exactly that).  The committed
+``benchmarks/BENCH_parallel.json`` is the record of earlier runs and is
+never rewritten.
 
 Scale knobs (kept separate from the main benchmark corpus so the two
 full ``run_all`` passes stay affordable)::
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import record_bench_json, report
+from benchmarks.conftest import OUTPUT_DIR, record_bench_json, report
 from repro import AnalysisPipeline, ControlPlaneCorpus, DataPlaneCorpus
 from repro.corpus.manifest import CONTROL_FILE, DATA_FILE
 from repro.corpus.platform import load_platform
@@ -41,7 +43,7 @@ PAR_SCALE = float(os.environ.get("REPRO_BENCH_PAR_SCALE", "0.02"))
 PAR_DAYS = float(os.environ.get("REPRO_BENCH_PAR_DAYS", "10"))
 PAR_SEED = int(os.environ.get("REPRO_BENCH_PAR_SEED", "7"))
 
-RESULTS_JSON = Path(__file__).with_name("BENCH_parallel.json")
+RESULTS_JSON = OUTPUT_DIR / "BENCH_parallel.json"
 
 
 def _timed(fn):

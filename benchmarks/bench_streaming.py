@@ -16,9 +16,10 @@ asserted inline — the post-advance stream report must carry the same
 value fingerprints as the batch run, otherwise the timing is
 meaningless.
 
-The measurements land in ``benchmarks/latest_results.txt`` and as
-machine-readable JSON in ``benchmarks/BENCH_streaming.json`` (committed,
-so the incremental-vs-batch ratio is tracked across PRs).  Scale knobs::
+The measurements land in ``.benchmarks/latest_results.txt`` and as
+machine-readable JSON in ``.benchmarks/BENCH_streaming.json``
+(git-ignored; the committed ``benchmarks/BENCH_streaming.json`` is the
+record of earlier runs and is never rewritten).  Scale knobs::
 
     REPRO_BENCH_STREAM_SCALE  default 0.02
     REPRO_BENCH_STREAM_DAYS   default 5
@@ -28,9 +29,8 @@ so the incremental-vs-batch ratio is tracked across PRs).  Scale knobs::
 import json
 import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import report
+from benchmarks.conftest import OUTPUT_DIR, report
 from repro import AnalyzeOptions, GenerateOptions, Study
 from repro.core.registry import incremental_names
 from repro.streaming import StreamEngine, advance_corpus
@@ -39,7 +39,7 @@ STREAM_SCALE = float(os.environ.get("REPRO_BENCH_STREAM_SCALE", "0.02"))
 STREAM_DAYS = float(os.environ.get("REPRO_BENCH_STREAM_DAYS", "5"))
 STREAM_SEED = int(os.environ.get("REPRO_BENCH_STREAM_SEED", "7"))
 
-RESULTS_JSON = Path(__file__).with_name("BENCH_streaming.json")
+RESULTS_JSON = OUTPUT_DIR / "BENCH_streaming.json"
 
 
 def _timed(fn):

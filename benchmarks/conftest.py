@@ -34,9 +34,13 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 BENCH_TRACE = os.environ.get("REPRO_BENCH_TRACE")
 BENCH_METRICS = os.environ.get("REPRO_BENCH_METRICS")
 
+#: where a run writes what it measured: the git-ignored ``.benchmarks/``
+#: at the repository root, so a run never rewrites a committed file
+OUTPUT_DIR = Path(__file__).resolve().parent.parent / ".benchmarks"
+
 #: paper-vs-measured blocks are appended here as well, so the comparison
 #: survives even when output is piped
-RESULTS_PATH = Path(__file__).with_name("latest_results.txt")
+RESULTS_PATH = OUTPUT_DIR / "latest_results.txt"
 
 _TELEM = None
 _ACTIVATION = None
@@ -48,12 +52,12 @@ _SESSION_OFFSET = 0
 
 def pytest_configure(config):
     global _TELEM, _ACTIVATION, _STARTED, _SESSION_OFFSET
-    # append a dated session header instead of truncating: the file is
-    # committed, and silently erasing previous measurements made every
-    # checkout look freshly benchmarked when it wasn't
+    # append a dated session header instead of truncating: earlier local
+    # sessions' measurements stay readable
     stamp = time.strftime("%Y-%m-%d %H:%M:%S %z")
     header = (f"##### bench session {stamp} (scale={BENCH_SCALE}, "
               f"days={BENCH_DAYS:g}, seed={BENCH_SEED}) #####\n\n")
+    OUTPUT_DIR.mkdir(exist_ok=True)
     with RESULTS_PATH.open("a", encoding="utf-8") as fh:
         _SESSION_OFFSET = fh.tell()
         fh.write(header)
@@ -99,8 +103,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def report(title: str, *lines: str) -> None:
     """Record a paper-vs-measured comparison block.
 
-    Blocks are collected in ``benchmarks/latest_results.txt`` and replayed
-    at the end of the pytest session.
+    Blocks are collected in ``.benchmarks/latest_results.txt`` and
+    replayed at the end of the pytest session.
     """
     block = [f"=== {title} ==="] + list(lines)
     with RESULTS_PATH.open("a", encoding="utf-8") as fh:
@@ -108,11 +112,12 @@ def report(title: str, *lines: str) -> None:
 
 
 def record_bench_json(path: Path, results: dict) -> dict:
-    """Write ``results`` as the dated ``latest`` entry of a committed
-    BENCH_*.json file, pushing any previous latest onto ``history``.
+    """Write ``results`` as the dated ``latest`` entry of a BENCH_*.json
+    file under :data:`OUTPUT_DIR`, pushing any previous latest onto
+    ``history``.
 
     Measurements are append-only: re-running a bench never erases the
-    numbers an earlier PR recorded.  Pre-history files (a bare results
+    numbers an earlier run recorded.  Pre-history files (a bare results
     object) are adopted as the first history entry.
     """
     import json

@@ -23,7 +23,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.core.protocols": ("event_protocol_mix",
                              "amplification_protocol_table"),
     "repro.core.filtering": ("filterable_share_cdf", "as_participation"),
-    "repro.core.hosts": ("HostClass", "classify_hosts", "host_port_features"),
+    "repro.core.hosts": ("HostClass", "classify_hosts"),
     "repro.core.collateral": ("collateral_damage",),
     "repro.core.classify": ("UseCase", "classify_events"),
     "repro.core.crossval": ("CrossValidation", "cross_validate"),
@@ -50,7 +50,6 @@ __all__ = [
     "as_participation",
     "HostClass",
     "classify_hosts",
-    "host_port_features",
     "collateral_damage",
     "UseCase",
     "classify_events",

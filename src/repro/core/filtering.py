@@ -53,9 +53,6 @@ class ASParticipation:
         table = self.handover if which == "handover" else self.origin
         return sorted(table.items(), key=lambda kv: kv[1], reverse=True)[:n]
 
-    def participation_cdf(self, which: str) -> EmpiricalCDF:
-        table = self.handover if which == "handover" else self.origin
-        return EmpiricalCDF(list(table.values()))
 
 
 def as_participation(

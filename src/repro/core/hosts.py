@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,25 +112,6 @@ def _origin_lookup(origins: Dict[IPv4Prefix, int],
     return out
 
 
-def _exclusion_intervals(events: Sequence[RTBHEvent]) -> Dict[IPv4Prefix, List[Tuple[float, float]]]:
-    out: Dict[IPv4Prefix, List[Tuple[float, float]]] = {}
-    for event in events:
-        out.setdefault(event.prefix, []).append(
-            (event.start - REACTION_MARGIN, event.end)
-        )
-    return out
-
-
-def host_port_features(incoming: np.ndarray, outgoing: np.ndarray) -> Tuple[int, int, int, int]:
-    """The four port-diversity features of Fig. 16 for one host."""
-    return (
-        len(np.unique(incoming["src_port"])) if len(incoming) else 0,
-        len(np.unique(outgoing["src_port"])) if len(outgoing) else 0,
-        len(np.unique(incoming["dst_port"])) if len(incoming) else 0,
-        len(np.unique(outgoing["dst_port"])) if len(outgoing) else 0,
-    )
-
-
 def classify_hosts(
     control: ControlPlaneCorpus,
     data: DataPlaneCorpus,
@@ -140,103 +121,178 @@ def classify_hosts(
     client_variation: float = 0.6,
 ) -> HostStudy:
     """Profile every blackholed host with enough activity (§6.1's
-    conservative ≥ ``min_days``-day criterion) and classify it."""
-    exclusions = _exclusion_intervals(events)
-    packets = data.packets
+    conservative ≥ ``min_days``-day criterion) and classify it.
 
-    # one stable sort per direction: a host's rows are one slice of it,
-    # in the corpus's time order (the destination one is the corpus's)
-    by_dst, sorted_dst = data.dst_order, data.dst_sorted
-    by_src = np.argsort(packets["src_ip"], kind="stable")
-    sorted_src = packets["src_ip"][by_src]
+    All hosts are profiled at once (DESIGN §20): each direction's rows
+    are one flat array of ``host · n + row`` keys (``n`` rows in the
+    corpus), sorted, so grouped by host and in time order within a host;
+    the exclusion windows, active days, daily top ports and port counts
+    are reductions over runs of these keys.
+    """
+    packets = data.packets
+    times = packets["time"]
+    src = packets["src_ip"]
+    n = len(packets)
 
     # candidate hosts: addresses covered by any RTBH prefix, as traffic
     # destinations or sources
-    addresses = np.union1d(_runs(sorted_dst), _runs(sorted_src))
-    origin = _origin_lookup(_origins(control), addresses)
+    origins = _origins(control)
+    out_rows = np.flatnonzero(_covered(src, origins))
+    addresses = np.union1d(data.dst_sorted[_run_starts(data.dst_sorted)],
+                           src[out_rows])
+    origin = _origin_lookup(origins, addresses)
     covered = addresses[origin >= 0]
-    origin = origin[origin >= 0].tolist()
-    in_lo = np.searchsorted(sorted_dst, covered, side="left").tolist()
-    in_hi = np.searchsorted(sorted_dst, covered, side="right").tolist()
-    out_lo = np.searchsorted(sorted_src, covered, side="left").tolist()
-    out_hi = np.searchsorted(sorted_src, covered, side="right").tolist()
-    # host x exclusion prefix: which exclusion windows apply to each host
-    networks = np.array([p.network_int for p in exclusions], dtype=np.uint32)
-    masks = np.array([PREFIX_MASKS[p.length] for p in exclusions],
-                     dtype=np.uint32)
-    applies = (covered[:, None] & masks) == networks
-    windows = list(exclusions.values())
+    origin = origin[origin >= 0]
+    n_hosts = len(covered)
 
+    # incoming rows: the covered ranges of the destination order, whose
+    # rows are in time order within a host; outgoing rows: the covered
+    # sources
+    in_first = np.searchsorted(data.dst_sorted, covered, side="left")
+    n_in = np.searchsorted(data.dst_sorted, covered, side="right") - in_first
+    in_keys = np.repeat(np.arange(n_hosts, dtype=np.int64) * n, n_in)
+    in_keys += data.dst_order[_in_ranges(n, in_first, in_first + n_in)]
+    out_keys = np.sort(np.searchsorted(covered, src[out_rows]) * n + out_rows)
+
+    # traffic inside an event covering the host (or its reaction margin
+    # before it) is excluded; since rows are in time order, each (event,
+    # covered host) pair excludes one key range
+    first_host = np.searchsorted(
+        covered, [e.prefix.network_int for e in events])
+    per_event = np.searchsorted(covered, [
+        e.prefix.network_int + e.prefix.num_addresses
+        for e in events]) - first_host
+    host_key = _ranges(first_host, per_event) * n
+    lo = host_key + np.repeat(np.searchsorted(
+        times, [e.start - REACTION_MARGIN for e in events]), per_event)
+    hi = np.maximum(host_key + np.repeat(np.searchsorted(
+        times, [e.end for e in events]), per_event), lo)
+    in_keys, out_keys = _outside(in_keys, lo, hi), _outside(out_keys, lo, hi)
+    in_host, in_rows = np.divmod(in_keys, n)
+    out_host, out_rows = np.divmod(out_keys, n)
+
+    # (host, day) runs
+    in_day = (times[in_rows] // DAY).astype(np.int64)
+    out_day = (times[out_rows] // DAY).astype(np.int64)
+    in_new = _run_starts(in_host, in_day)
+    out_new = _run_starts(out_host, out_day)
+    stride = int(max(in_day.max(initial=0), out_day.max(initial=0))) + 1
+    in_pairs = in_host[in_new] * stride + in_day[in_new]
+    out_pairs = out_host[out_new] * stride + out_day[out_new]
+    in_days = np.bincount(in_host[in_new], minlength=n_hosts)
+    active_days = np.bincount(
+        np.intersect1d(in_pairs, out_pairs, assume_unique=True) // stride,
+        minlength=n_hosts)
+
+    tops = _daily_top_ports(in_host, in_new, packets["protocol"][in_rows],
+                            packets["dst_port"][in_rows])
+    n_tops = np.bincount(tops >> 24, minlength=n_hosts)
+    variation = np.where(in_days > 0, n_tops / np.maximum(in_days, 1), 1.0)
+    # the port counts in FEATURES order
+    features = np.column_stack([
+        _distinct_per_host(host, packets[field][rows], n_hosts)
+        for field in ("src_port", "dst_port")
+        for host, rows in ((in_host, in_rows), (out_host, out_rows))])
+
+    present = (np.bincount(in_host, minlength=n_hosts) > 0) | (
+        np.bincount(out_host, minlength=n_hosts) > 0)
+    top_lists = np.split(tops & 0xFFFFFF, np.cumsum(n_tops)[:-1]) \
+        if n_hosts else []
     hosts: List[HostProfile] = []
-    for h, ip in enumerate(covered.tolist()):
-        host_windows = [w for j in np.flatnonzero(applies[h]).tolist()
-                        for w in windows[j]]
-        incoming = _outside(packets[by_dst[in_lo[h]:in_hi[h]]], host_windows)
-        outgoing = _outside(packets[by_src[out_lo[h]:out_hi[h]]], host_windows)
-        if len(incoming) == 0 and len(outgoing) == 0:
-            continue
-        in_days = set((incoming["time"] // DAY).astype(int).tolist())
-        out_days = set((outgoing["time"] // DAY).astype(int).tolist())
-        active_days = len(in_days & out_days)
-        top_ports = _daily_top_ports(incoming)
-        variation = len(top_ports) / len(in_days) if in_days else 1.0
-        if active_days >= min_days:
-            if variation <= server_variation:
-                cls = HostClass.SERVER
-            elif variation >= client_variation:
-                cls = HostClass.CLIENT
-            else:
-                cls = HostClass.UNCLASSIFIED
+    for h in np.flatnonzero(present).tolist():
+        active, ratio = int(active_days[h]), float(variation[h])
+        if active >= min_days and ratio <= server_variation:
+            cls = HostClass.SERVER
+        elif active >= min_days and ratio >= client_variation:
+            cls = HostClass.CLIENT
         else:
             cls = HostClass.UNCLASSIFIED
         hosts.append(HostProfile(
-            ip=ip,
-            active_days=active_days,
-            port_features=host_port_features(incoming, outgoing),
-            top_ports=tuple(sorted(top_ports)),
-            port_variation=variation,
+            ip=int(covered[h]),
+            active_days=active,
+            port_features=tuple(features[h].tolist()),
+            top_ports=tuple((top >> 16, top & 0xFFFF)
+                            for top in top_lists[h].tolist()),
+            port_variation=ratio,
             classification=cls,
-            origin_asn=origin[h],
+            origin_asn=int(origin[h]),
         ))
     return HostStudy(hosts=hosts, min_days=min_days)
 
 
-def _runs(sorted_values: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array."""
-    first = np.ones(len(sorted_values), dtype=bool)
-    first[1:] = sorted_values[1:] != sorted_values[:-1]
-    return sorted_values[first]
+def _covered(addresses: np.ndarray,
+             prefixes: Iterable[IPv4Prefix]) -> np.ndarray:
+    """Which ``addresses`` lie in any of ``prefixes``: the last prefix
+    starting at or below an address covers it iff the furthest end of
+    the prefixes up to it lies above the address."""
+    bounds = sorted((p.network_int, p.network_int + p.num_addresses)
+                    for p in prefixes)
+    firsts = np.array([first for first, _ in bounds], dtype=np.uint32)
+    reach = np.maximum.accumulate(
+        np.array([end for _, end in bounds], dtype=np.int64))
+    at = np.searchsorted(firsts, addresses, side="right") - 1
+    hit = at >= 0
+    hit[hit] = reach[at[hit]] > addresses[hit]
+    return hit
 
 
-def _outside(packets: np.ndarray,
-             windows: Sequence[Tuple[float, float]]) -> np.ndarray:
-    """The ``packets`` outside every ``[start, end)`` window."""
-    if len(packets) == 0 or not windows:
-        return packets
-    keep = np.ones(len(packets), dtype=bool)
-    times = packets["time"]
-    for start, end in windows:
-        keep &= ~((times >= start) & (times < end))
-    return packets[keep]
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(start, start + length)`` ranges."""
+    return (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            + np.arange(lengths.sum()))
 
 
-def _daily_top_ports(incoming: np.ndarray) -> set[Tuple[int, int]]:
-    """Distinct daily top (protocol, destination port) pairs.
+def _in_ranges(n: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """A mask of the ``n`` positions inside any ``[start, stop)`` range:
+    a +1/−1 pair per range, whose running sum covers it."""
+    edges = np.zeros(n + 1, dtype=np.int32)
+    np.add.at(edges, starts, 1)
+    np.add.at(edges, stops, -1)
+    return np.cumsum(edges[:-1], dtype=np.int32) > 0
+
+
+def _outside(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The sorted ``keys`` outside every ``[lo, hi)`` key range."""
+    return keys[~_in_ranges(len(keys), np.searchsorted(keys, lo),
+                            np.searchsorted(keys, hi))]
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Where a new run of equal rows begins in columns sorted together."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return new
+
+
+def _daily_top_ports(host: np.ndarray, new_day: np.ndarray,
+                     protocol: np.ndarray, port: np.ndarray) -> np.ndarray:
+    """Every host's distinct daily top (protocol, destination port)
+    pairs, as sorted ``host << 24 | protocol << 16 | port`` keys.
 
     A day's top pair is its most frequent one, the smallest on ties; one
-    sort over (day, pair) yields every day's run lengths at once.
+    sort of (day run, pair) keys yields every day's run lengths at once.
     """
-    if len(incoming) == 0:
-        return set()
-    days = (incoming["time"] // DAY).astype(np.int64)
-    key = incoming["protocol"].astype(np.int64) << np.int64(16)
-    key |= incoming["dst_port"].astype(np.int64)
-    order = np.lexsort((key, days))
-    days, key = days[order], key[order]
-    starts = np.flatnonzero(
-        np.r_[True, (days[1:] != days[:-1]) | (key[1:] != key[:-1])])
-    counts = np.diff(np.r_[starts, len(days)])
-    run_day, run_key = days[starts], key[starts]
-    best = np.lexsort((run_key, -counts, run_day))
-    first = np.r_[True, run_day[best][1:] != run_day[best][:-1]]
-    return {(top >> 16, top & 0xFFFF) for top in run_key[best][first].tolist()}
+    day = np.cumsum(new_day) - 1
+    keys = np.sort(day << 24
+                   | protocol.astype(np.int64) << 16
+                   | port.astype(np.int64))
+    if len(keys) == 0:
+        return keys
+    starts = np.flatnonzero(_run_starts(keys))
+    counts = np.diff(np.r_[starts, len(keys)])
+    run_day, run_pair = keys[starts] >> 24, keys[starts] & 0xFFFFFF
+    # runs are in pair order within a day: the first one at the day's
+    # peak count is its top pair
+    peak = np.maximum.reduceat(counts, np.flatnonzero(_run_starts(run_day)))
+    best = np.flatnonzero(counts == peak[run_day])
+    best = best[_run_starts(run_day[best])]
+    return np.unique(host[new_day][run_day[best]] << 24 | run_pair[best])
+
+
+def _distinct_per_host(host: np.ndarray, values: np.ndarray,
+                       n_hosts: int) -> np.ndarray:
+    """The number of distinct ``values`` (16-bit ports) per host."""
+    keys = np.unique(host << 16 | values.astype(np.int64))
+    return np.bincount(keys >> 16, minlength=n_hosts)

@@ -55,24 +55,25 @@ def time_offset_analysis(
     for prefix in intervals:
         tree.insert(prefix, True)
 
-    dropped = data.packets[data.packets["dropped"]]
-    if len(dropped) == 0:
+    if not data.packets["dropped"].any():
         raise AnalysisError(
             "time-offset estimation needs dropped packets; the data-plane "
             "corpus has none")
     grouped_times: Dict[IPv4Prefix, np.ndarray] = {}
     grouped_intervals: Dict[IPv4Prefix, IntervalSet] = {}
-    dst = dropped["dst_ip"]
-    order = np.argsort(dst, kind="stable")
-    sorted_dst = dst[order]
+    # the dropped rows of the corpus's destination order: grouped by
+    # destination, each group in time order
+    dropped = data.packets["dropped"][data.dst_order]
+    order = data.dst_order[dropped]
+    sorted_dst = data.dst_sorted[dropped]
+    times_sorted = data.packets["time"][order]
     bounds = np.flatnonzero(np.r_[True, sorted_dst[1:] != sorted_dst[:-1]])
     bounds = np.r_[bounds, len(sorted_dst)]
     for b in range(len(bounds) - 1):
-        rows = order[bounds[b]:bounds[b + 1]]
         address = int(sorted_dst[bounds[b]])
         covering = [p for p, _ in tree.lookup_all(address)]
         key = IPv4Prefix(address, 32)
-        times = dropped["time"][rows].astype(np.float64)
+        times = times_sorted[bounds[b]:bounds[b + 1]].astype(np.float64)
         if len(times) > max_packets_per_group:
             times = times[:: len(times) // max_packets_per_group + 1]
         grouped_times[key] = times

@@ -221,56 +221,58 @@ def classify_pre_rtbh_events(
 
     Pre-windows come from ``rows`` (:func:`pre_window_rows`), or else
     one :meth:`~repro.corpus.data.DataPlaneCorpus.window_packets` call
-    each, as the streaming reducer gathers them.  They are gathered into
-    batches of at most ``_BATCH_ROWS`` rows;
-    each batch computes its features and runs the detector in one call.
+    each, as the streaming reducer gathers them.  Consecutive events
+    are cut into batches of about ``_BATCH_ROWS`` rows; a batch's rows
+    are one gather of ``rows`` (or its windows concatenated), flat in
+    event order, and one call computes its features and runs the
+    detector.
     An event's result depends only on data *before* ``event.start`` (and
     the fixed corpus start), so the streaming engine classifies each event
     exactly once — at the watermark where it first appears — and the
     outcome never changes as the corpus grows.
     """
     detector = detector or EWMAAnomalyDetector(AnomalyConfig())
-    result = PreRTBHClassification()
     corpus_start = data.start_time if len(data) else 0.0
-    windows = (map(rows.records, range(len(events))) if rows is not None
-               else (data.window_packets(
-                   e.prefix, [(e.start - PRE_WINDOW, e.start)])
-                   for e in events))
-    batch: List[Tuple[RTBHEvent, np.ndarray]] = []
-    n_rows = 0
-    for event, window in zip(events, windows):
-        batch.append((event, window))
-        if len(window):
-            n_rows += len(window) + N_SLOTS
-        if n_rows >= _BATCH_ROWS:
+    counts = [] if rows is None else rows.counts.tolist()
+    windows: List[np.ndarray] = []
+    result = PreRTBHClassification()
+    lo = n_rows = 0
+    for i, event in enumerate(events):
+        if rows is None:
+            windows.append(data.window_packets(
+                event.prefix, [(event.start - PRE_WINDOW, event.start)]))
+            counts.append(len(windows[-1]))
+        if counts[i]:
+            n_rows += counts[i] + N_SLOTS
+        if n_rows >= _BATCH_ROWS or i == len(events) - 1:
+            records = (np.concatenate(windows) if rows is None else
+                       rows.packets.take(rows.rows[rows.offsets[lo]:
+                                                   rows.offsets[i + 1]]))
             result.events.extend(_classify_batch(
-                batch, detector, corpus_start, anomaly_horizon_min))
-            batch, n_rows = [], 0
-    result.events.extend(_classify_batch(
-        batch, detector, corpus_start, anomaly_horizon_min))
+                events[lo:i + 1], np.array(counts[lo:i + 1], dtype=np.int64),
+                records, detector, corpus_start, anomaly_horizon_min))
+            lo, n_rows, windows = i + 1, 0, []
     return result
 
 
 def _classify_batch(
-    batch: Sequence[Tuple[RTBHEvent, np.ndarray]],
+    events: Sequence[RTBHEvent],
+    counts: np.ndarray,
+    records: np.ndarray,
     detector: EWMAAnomalyDetector,
     corpus_start: float,
     anomaly_horizon_min: float,
 ) -> List[PreRTBHEvent]:
-    """Classify a batch of (event, gathered pre-window) pairs."""
-    with_data = [(event, window) for event, window in batch if len(window)]
-    window_starts = np.array([event.start - PRE_WINDOW
-                              for event, _ in with_data])
-    features = np.zeros((0, len(FEATURE_NAMES), N_SLOTS))
-    flags = np.zeros(features.shape, dtype=bool)
-    if with_data:
-        windows = [window for _, window in with_data]
-        features = window_slot_features(
-            np.concatenate(windows),
-            np.repeat(np.arange(len(windows)), [len(w) for w in windows]),
-            window_starts)
-        flags = detector.detect(
-            features.reshape(-1, N_SLOTS)).reshape(features.shape)
+    """Classify consecutive events whose pre-windows hold ``counts``
+    rows each, flat and in event order in ``records``."""
+    with_data = counts > 0
+    window_starts = np.array([event.start - PRE_WINDOW for event in events])[
+        with_data]
+    features = window_slot_features(
+        records, np.repeat(np.arange(len(window_starts)), counts[with_data]),
+        window_starts)
+    flags = detector.detect(
+        features.reshape(-1, N_SLOTS)).reshape(features.shape)
     # Slots before the corpus began are *artificially* zero; they must
     # not serve as detection history. Re-apply the full-window rule
     # relative to the first real slot.
@@ -292,8 +294,8 @@ def _classify_batch(
 
     out: List[PreRTBHEvent] = []
     b = 0
-    for event, window in batch:
-        if len(window) == 0:
+    for event, count in zip(events, counts.tolist()):
+        if count == 0:
             out.append(PreRTBHEvent(
                 event_id=event.event_id,
                 classification=PreRTBHClass.NO_DATA,
@@ -310,7 +312,7 @@ def _classify_batch(
             classification=(PreRTBHClass.DATA_ANOMALY if has_recent
                             else PreRTBHClass.DATA_NO_ANOMALY),
             slots_with_data=int(slots_with_data[b]),
-            total_packets=len(window),
+            total_packets=count,
             anomalies=anomalies,
             amplification_factors=tuple(factors[b].tolist()),
             last_slot_is_max=bool(last_is_max[b]),

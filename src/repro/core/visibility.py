@@ -11,7 +11,7 @@ median over peers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +31,6 @@ class TargetedVisibilitySeries:
     filtered_p99: np.ndarray
     filtered_median: np.ndarray
 
-    @property
-    def peak_median_filtered(self) -> float:
-        return float(self.filtered_median.max())
-
-    @property
-    def peak_max_filtered(self) -> float:
-        return float(self.filtered_max.max())
-
 
 def targeted_visibility(
     control: ControlPlaneCorpus,
@@ -53,10 +45,13 @@ def targeted_visibility(
     redistribution-control community scheme.
 
     The replay keeps, per standing (announcer, prefix) announcement, the
-    boolean per-peer visibility vector, and per prefix the OR over its
+    0/1 per-peer visibility vector, and per prefix the OR over its
     announcers. Per-peer visible counts are updated incrementally, so cost
     is O(messages × peers) worst case but only for prefixes whose
-    visibility actually changes.
+    visibility actually changes.  Each sample instant copies the visible
+    counts into one row of a ``(samples, peers)`` matrix; the filtered
+    shares and their quantiles are then one ``axis=1`` reduction each
+    (DESIGN §20).
     """
     if not peer_asns:
         raise AnalysisError("need the peer list")
@@ -71,22 +66,30 @@ def targeted_visibility(
     standing: Dict[Tuple[int, IPv4Prefix], np.ndarray] = {}
     announcers_of: Dict[IPv4Prefix, set] = {}
     prefix_visibility: Dict[IPv4Prefix, np.ndarray] = {}
+    # the redistribution targets depend only on the communities and
+    # the announcer; the vectors are shared, never written to
+    target_vectors: Dict[Tuple[FrozenSet, int], np.ndarray] = {}
 
     sample_times = np.arange(control.start_time, control.end_time + sample_interval,
                              sample_interval)
-    out_announced = np.zeros(len(sample_times), dtype=np.int64)
-    out_max = np.zeros(len(sample_times))
-    out_p99 = np.zeros(len(sample_times))
-    out_median = np.zeros(len(sample_times))
+    visible_at = np.zeros((len(sample_times), len(peers)), dtype=np.int64)
+    announced = np.zeros(len(sample_times), dtype=np.int64)
+    # the samples strictly before each message
+    sampled_before = np.searchsorted(
+        sample_times, [msg.time for msg in rtbh], side="left").tolist()
 
-    def snapshot(k: int) -> None:
-        out_announced[k] = active_prefixes
-        if active_prefixes == 0:
-            return
-        filtered = 1.0 - visible / active_prefixes
-        out_max[k] = filtered.max()
-        out_p99[k] = float(np.quantile(filtered, 0.99))
-        out_median[k] = float(np.quantile(filtered, 0.5))
+    def targets(msg) -> np.ndarray:
+        key = (msg.communities, msg.peer_asn)
+        vec = target_vectors.get(key)
+        if vec is None:
+            vec = np.zeros(len(peers), dtype=np.int64)
+            vec[[peer_index[asn] for asn in redistribution_targets(
+                msg.communities, route_server_asn, peers)]] = 1
+            # the announcer trivially sees its own blackhole
+            if msg.peer_asn in peer_index:
+                vec[peer_index[msg.peer_asn]] = 1
+            target_vectors[key] = vec
+        return vec
 
     def recompute_prefix(prefix: IPv4Prefix) -> None:
         nonlocal active_prefixes
@@ -96,39 +99,40 @@ def targeted_visibility(
             active_prefixes -= 1
         vectors = [standing[(a, prefix)] for a in announcers_of.get(prefix, ())]
         if vectors:
-            new = np.logical_or.reduce(vectors).astype(np.int64)
+            new = (vectors[0] if len(vectors) == 1
+                   else np.logical_or.reduce(vectors).astype(np.int64))
             prefix_visibility[prefix] = new
             visible[:] += new
             active_prefixes += 1
 
     k = 0
-    for msg in rtbh:
-        while k < len(sample_times) and sample_times[k] < msg.time:
-            snapshot(k)
-            k += 1
+    for msg, until in zip(rtbh, sampled_before):
+        if until > k:
+            visible_at[k:until] = visible
+            announced[k:until] = active_prefixes
+            k = until
         key = (msg.peer_asn, msg.prefix)
         if opens_blackhole(msg):
-            targets = redistribution_targets(msg.communities, route_server_asn, peers)
-            vec = np.zeros(len(peers), dtype=bool)
-            for asn in targets:
-                vec[peer_index[asn]] = True
-            # the announcer trivially sees its own blackhole
-            if msg.peer_asn in peer_index:
-                vec[peer_index[msg.peer_asn]] = True
-            standing[key] = vec
+            standing[key] = targets(msg)
             announcers_of.setdefault(msg.prefix, set()).add(msg.peer_asn)
         else:
             standing.pop(key, None)
             announcers_of.get(msg.prefix, set()).discard(msg.peer_asn)
         recompute_prefix(msg.prefix)
-    while k < len(sample_times):
-        snapshot(k)
-        k += 1
+    visible_at[k:] = visible
+    announced[k:] = active_prefixes
 
+    # the filtered shares 1 − visible/announced; a sample without an
+    # active prefix filters nothing, so its quantiles read zero
+    filtered = np.ones(visible_at.shape)
+    np.divide(visible_at, announced[:, None], out=filtered,
+              where=announced[:, None] > 0)
+    del visible_at
+    np.subtract(1.0, filtered, out=filtered)
     return TargetedVisibilitySeries(
         times=sample_times,
-        announced=out_announced,
-        filtered_max=out_max,
-        filtered_p99=out_p99,
-        filtered_median=out_median,
+        announced=announced,
+        filtered_max=filtered.max(axis=1),
+        filtered_p99=np.quantile(filtered, 0.99, axis=1),
+        filtered_median=np.quantile(filtered, 0.5, axis=1),
     )

@@ -9,7 +9,7 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class WindowRows:
         return self.packets[name][self.rows]
 
     def records(self, i: int) -> np.ndarray:
-        return self.packets[self.rows[self.offsets[i]:self.offsets[i + 1]]]
+        return self.packets.take(self.rows[self.offsets[i]:self.offsets[i + 1]])
 
     def select(self, keep) -> "WindowRows":
         """The gathers where the per-gather mask ``keep`` is set."""
@@ -208,8 +208,8 @@ class DataPlaneCorpus:
                     parts.append(rows + start)
         if not parts:
             return self._packets[:0]
-        return self._packets[parts[0] if len(parts) == 1
-                             else np.concatenate(parts)]
+        return self._packets.take(parts[0] if len(parts) == 1
+                                  else np.concatenate(parts))
 
     @cached_property
     def dst_order(self) -> np.ndarray:
@@ -288,20 +288,6 @@ class DataPlaneCorpus:
         if dropped is not None:
             mask &= self._packets["dropped"] == dropped
         return self._packets[mask]
-
-    def dropped_times_by_prefix(
-        self, prefixes: Iterable[IPv4Prefix]
-    ) -> Dict[IPv4Prefix, np.ndarray]:
-        """Timestamps of dropped packets per destination prefix — the input
-        of the time-offset MLE (Fig. 2)."""
-        dropped = self._packets["dropped"]
-        dst_ip, time = self._dst_ip[dropped], self._time[dropped]
-        out: Dict[IPv4Prefix, np.ndarray] = {}
-        for prefix in prefixes:
-            times = time[in_prefix(dst_ip, prefix)]
-            if len(times):
-                out[prefix] = times.astype(np.float64)
-        return out
 
     # -- summaries ----------------------------------------------------------------
 

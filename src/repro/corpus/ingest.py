@@ -107,10 +107,6 @@ class IngestReport:
         """True when every record seen was loaded."""
         return self.skipped == 0
 
-    @property
-    def loss_fraction(self) -> float:
-        return self.skipped / self.total if self.total else 0.0
-
     def seed_quarantine_digests(self, payloads: Iterable[str]) -> None:
         """Register payloads already quarantined by an earlier pass so they
         are not quarantined (and counted) again — records are identified

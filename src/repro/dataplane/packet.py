@@ -10,7 +10,7 @@ membership of the destination MAC in the blackhole is the ``dropped`` flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -73,11 +73,6 @@ class SampledPacket:
         )
 
 
-def packets_to_array(packets: list[SampledPacket]) -> np.ndarray:
-    """Pack records into a `PACKET_DTYPE` array."""
-    return np.array([p.to_row() for p in packets], dtype=PACKET_DTYPE)
-
-
 def packets_from_arrays(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Assemble a `PACKET_DTYPE` array from parallel column arrays.
 
@@ -94,9 +89,3 @@ def packets_from_arrays(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     for name, values in columns.items():
         out[name] = values
     return out
-
-
-def iter_packets(array: np.ndarray) -> Iterator[SampledPacket]:
-    """Iterate a corpus array as :class:`SampledPacket` records."""
-    for row in array:
-        yield SampledPacket.from_row(row)

@@ -234,19 +234,3 @@ class AcceptanceTimeline:
             if hit is not None:
                 dropped[rows] |= hit
         return packets
-
-
-def build_timeline(updates: Iterable, server) -> AcceptanceTimeline:
-    """Replay ``updates`` through ``server`` while recording the timeline.
-
-    Convenience wrapper for tests and small studies; the scenario runner
-    wires the listener itself.
-    """
-    from repro.dataplane.listener import TimelineRecorder
-
-    recorder = TimelineRecorder(server)
-    last_time = 0.0
-    for update in updates:
-        server.process(update)
-        last_time = max(last_time, update.time)
-    return recorder.timeline.finalize(last_time)

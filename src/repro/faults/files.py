@@ -53,20 +53,6 @@ def garble_jsonl(path: str | Path, fraction: float,
     return len(bad)
 
 
-def shuffle_jsonl(path: str | Path, fraction: float,
-                  rng: np.random.Generator, window: int = 32) -> int:
-    """Locally displace a fraction of lines (out-of-order delivery on disk)."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    picked = np.flatnonzero(rng.random(len(lines)) < fraction)
-    for i in picked:
-        j = int(np.clip(i + rng.integers(-window, window + 1),
-                        0, len(lines) - 1))
-        lines[i], lines[j] = lines[j], lines[i]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(picked)
-
-
 def flip_bytes(path: str | Path, count: int,
                rng: np.random.Generator) -> int:
     """XOR ``count`` random bytes in place — bit rot for binary archives.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.errors import FaultInjectionError
 
@@ -115,12 +115,6 @@ class FaultReport:
     @property
     def total_affected(self) -> int:
         return sum(a.affected for a in self.applications)
-
-    def counts_by_kind(self) -> Dict[FaultKind, int]:
-        out: Dict[FaultKind, int] = {}
-        for app in self.applications:
-            out[app.spec.kind] = out.get(app.spec.kind, 0) + app.affected
-        return out
 
     def format(self) -> str:
         lines = [f"fault injection on {self.target} (seed={self.seed}):"]

@@ -64,9 +64,6 @@ class FlowSpecService:
     def capable_asns(self) -> Set[int]:
         return set(self._capable)
 
-    def is_capable(self, asn: int) -> bool:
-        return asn in self._capable
-
     # -- signalling -----------------------------------------------------------
 
     def announce_rule(self, time: float, member: IXPMember, match: FilterRule,

@@ -81,12 +81,11 @@ ANALYSIS_KEY = "analysis:"
 #: (0.05 × 104 d), in units of 10 ms; anything absent weighs 1 — exact
 #: values only shape the schedule, never the results
 ANALYSIS_WEIGHTS = {
-    "fig4_targeted_visibility": 28,
-    "fig15_participation": 6,
-    "fig2_time_offset": 5,
+    "fig15_participation": 5,
+    "fig4_targeted_visibility": 4,
     "fig18_collateral": 4,
+    "fig2_time_offset": 3,
     "fig3_load": 3,
-    "fig14_filterable": 2,
 }
 
 

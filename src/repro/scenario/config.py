@@ -10,7 +10,7 @@ fractions are what the paper's figures are made of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.errors import ScenarioError
 
@@ -212,9 +212,3 @@ class ScenarioConfig:
         if config.num_announcer_members > config.num_members:
             raise ScenarioError("scaled announcers exceed members")
         return config
-
-
-def scaled_field_names() -> list[str]:
-    """Names of the count-like fields `paper()` scales (for docs/tests)."""
-    return [f.name for f in fields(ScenarioConfig)
-            if f.name.startswith(("num_", "squatting", "targeted", "amplifiers_per_attack"))]

@@ -147,6 +147,3 @@ class ScenarioPlan:
 
     def events_of(self, category: EventCategory) -> List[PlannedEvent]:
         return [e for e in self.events if e.category is category]
-
-    def victims_by_ip(self) -> dict[int, VictimHost]:
-        return {v.ip: v for v in self.victims}

@@ -65,22 +65,31 @@ class EWMAAnomalyDetector:
         ``x_t > mean_{t-1} + threshold * sd_{t-1}`` and ``t >= min_window``.
         Flat series (SD of zero) only flag strictly positive jumps above
         the mean, so a constant series never alarms.
+
+        A slot also needs ``x_t >= min_value``, so a series without such a
+        value at a slot ``>= min_window`` cannot alarm: its row stays
+        all-False and skips the EWMA.  Rows are independent, so the others
+        come out bit for bit as in one scan of the whole matrix.
         """
         x = np.asarray(series, dtype=np.float64)
         flags = np.zeros(x.shape, dtype=bool)
-        if x.shape[-1] < 2:
+        first = self.config.min_window  # >= 1
+        if x.shape[-1] <= first:
             return flags
+        rows = x.reshape(-1, x.shape[-1])
+        live = np.flatnonzero(
+            (rows[:, first:] >= self.config.min_value).any(axis=1))
+        x = rows[live]
         mean, sd = ewm_mean_std(x, self.config.span)
-        prev_mean, prev_sd = mean[..., :-1], sd[..., :-1]
-        current = x[..., 1:]
+        prev_mean, prev_sd = mean[:, first - 1:-1], sd[:, first - 1:-1]
+        current = x[:, first:]
         exceeds = current > prev_mean + self.config.threshold * prev_sd
         # With sd == 0 the bound degenerates to "x > mean": require a real
         # jump (strictly above a flat history) to avoid float-noise alarms.
         flat = prev_sd == 0.0
         exceeds &= ~flat | (current > prev_mean * (1.0 + 1e-9) + 1e-9)
         exceeds &= current >= self.config.min_value
-        flags[..., 1:] = exceeds
-        flags[..., : self.config.min_window] = False
+        flags.reshape(rows.shape)[live, first:] = exceeds
         return flags
 
     def detect_multi(self, features: np.ndarray) -> np.ndarray:

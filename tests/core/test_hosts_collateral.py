@@ -15,12 +15,14 @@ from repro.core.hosts import (
     HostStudy,
     _daily_top_ports,
     _origin_lookup,
+    _run_starts,
     classify_hosts,
-    host_port_features,
 )
 from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
 from repro.dataplane.packet import packets_from_arrays
 from repro.net import IPv4Address, IPv4Prefix, RadixTree
+
+from tests.core.kernel_oracles import oracle_daily_top_ports
 
 DAY = 86_400.0
 SERVER_IP = int(IPv4Address("203.0.113.7"))
@@ -176,36 +178,31 @@ class TestHostClassification:
         assert matrix.shape == (1, 4)
         assert (matrix >= 0).all() and (matrix <= 1).all()
 
-    def test_port_features_empty(self):
-        empty = packets_from_arrays({})
-        assert host_port_features(empty, empty) == (0, 0, 0, 0)
-
-
-def oracle_daily_top_ports(incoming):
-    """Per-day ``np.unique`` loop: the reference for the one-sort scan."""
-    tops = set()
-    days = (incoming["time"] // DAY).astype(np.int64)
-    for day in np.unique(days):
-        chunk = incoming[days == day]
-        key = chunk["protocol"].astype(np.int64) << 16
-        key |= chunk["dst_port"].astype(np.int64)
-        values, counts = np.unique(key, return_counts=True)
-        top = int(values[np.argmax(counts)])
-        tops.add((top >> 16, top & 0xFFFF))
-    return tops
-
 
 class TestDailyTopPortsOracle:
     @settings(deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([6, 17]),
-                              st.integers(0, 3)), max_size=40))
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40),
+                              st.sampled_from([6, 17]), st.integers(0, 3)),
+                    max_size=40))
     def test_matches_per_day_unique_loop(self, rows):
+        # rows of three hosts, grouped by host in time order, as the
+        # host study hands them over
+        rows = sorted(rows, key=lambda row: row[:2])
+        host = np.array([h for h, *_ in rows], dtype=np.int64)
         incoming = packets_from_arrays({
-            "time": np.array([t * DAY / 8 for t, _, _ in rows], dtype=np.float64),
-            "protocol": np.array([p for _, p, _ in rows], dtype=np.uint8),
-            "dst_port": np.array([port for _, _, port in rows], dtype=np.uint16),
+            "time": np.array([t * DAY / 8 for _, t, _, _ in rows],
+                             dtype=np.float64),
+            "protocol": np.array([p for *_, p, _ in rows], dtype=np.uint8),
+            "dst_port": np.array([port for *_, port in rows], dtype=np.uint16),
         })
-        assert _daily_top_ports(incoming) == oracle_daily_top_ports(incoming)
+        new_day = _run_starts(host, (incoming["time"] // DAY).astype(np.int64))
+        tops = _daily_top_ports(host, new_day, incoming["protocol"],
+                                incoming["dst_port"]).tolist()
+        assert tops == sorted(tops)
+        for h in range(3):
+            got = {(top >> 16 & 0xFF, top & 0xFFFF)
+                   for top in tops if top >> 24 == h}
+            assert got == oracle_daily_top_ports(incoming[host == h])
 
 
 class TestCollateral:

@@ -1,6 +1,8 @@
 """Tests for the pre-RTBH classification (§5.2–5.3) on synthetic corpora
 with planted anomalies."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.core.pre_rtbh import (
     PreRTBHClass,
     SLOT,
     classify_pre_rtbh_events,
+    pre_window_rows,
     slot_features,
     window_slot_features,
 )
@@ -203,6 +206,50 @@ class TestBatchBoundaries:
         assert classes == set(PreRTBHClass)
         # repr: NaN amplification factors compare unequal to themselves
         assert repr(runs[1]) == repr(runs[10**9])
+
+
+@st.composite
+def pre_rtbh_cases(draw):
+    """A victim with background traffic and an optional attack, a
+    neighbour in the same /24, and events on the victim, the /24 and an
+    empty prefix, starting before and after a full pre-window of data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    corpus_start = draw(st.sampled_from([0.0, 3600.0]))
+    end = PRE_WINDOW + 6 * 3600.0
+    starts = st.sampled_from([2 * 3600.0, 30 * 3600.0, PRE_WINDOW,
+                              PRE_WINDOW + 3000.0, end - 60.0])
+    parts = [baseline_packets(rng, corpus_start, end,
+                              rate_per_slot=draw(st.sampled_from([0.05, 2.0])))]
+    if draw(st.booleans()):  # an attack shortly before some event start
+        attack_at = draw(starts) - draw(st.sampled_from([300.0, 900.0, 5400.0]))
+        parts.append(attack_packets(rng, attack_at, attack_at + 290.0,
+                                    count=draw(st.integers(1, 300))))
+    neighbour = baseline_packets(rng, corpus_start, end, rate_per_slot=0.5)
+    neighbour["dst_ip"][:] = VIP + 1
+    parts.append(neighbour)
+    prefixes = [VICTIM, IPv4Prefix("203.0.113.0/24"),
+                IPv4Prefix("198.51.100.0/24")]
+    events = [RTBHEvent(event_id=i, prefix=draw(st.sampled_from(prefixes)),
+                        windows=((start, start + 1800.0),),
+                        announcer_asns=(100,), origin_asn=65000)
+              for i, start in enumerate(draw(st.lists(
+                  starts, min_size=1, max_size=6)))]
+    return combine(*parts), events
+
+
+class TestFlatGatherOracle:
+    @settings(deadline=None)
+    @given(pre_rtbh_cases())
+    def test_flat_rows_match_the_window_packets_path(self, case):
+        data, events = case
+        runs = []
+        for budget in (1, 10**9):
+            with mock.patch.object(pre_rtbh, "_BATCH_ROWS", budget):
+                for rows in (pre_window_rows(data, events), None):
+                    # repr: NaN amplification factors compare unequal
+                    runs.append(repr(classify_pre_rtbh_events(
+                        data, events, rows=rows).events))
+        assert runs[1:] == runs[:1] * 3
 
 
 class TestClassification:

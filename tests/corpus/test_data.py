@@ -53,11 +53,6 @@ class TestSelection:
     def test_total_bytes(self, corpus):
         assert corpus.total_bytes() == 1500
 
-    def test_dropped_times_by_prefix(self, corpus):
-        by_prefix = corpus.dropped_times_by_prefix([P1, IPv4Prefix("8.8.8.8/32")])
-        assert by_prefix[P1].tolist() == [5.0, 9.0]
-        assert IPv4Prefix("8.8.8.8/32") not in by_prefix
-
 
 class TestValidationAndPersistence:
     def test_wrong_dtype_rejected(self):

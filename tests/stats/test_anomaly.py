@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stats import AnomalyConfig, EWMAAnomalyDetector
+from repro.stats.ewma import ewm_mean_std
 
 
 def detector(span=50, threshold=2.5, min_window=50):
@@ -96,6 +99,73 @@ class TestBatchedRows:
         for j in range(5):
             assert np.array_equal(multi[:, j], det.detect(features[:, j]))
         assert multi[300].sum() >= 2
+
+
+def unpruned_detect(config, series):
+    """The detector without the row pruning: every row through the EWMA."""
+    x = np.asarray(series, dtype=np.float64)
+    flags = np.zeros(x.shape, dtype=bool)
+    if x.shape[-1] < 2:
+        return flags
+    mean, sd = ewm_mean_std(x, config.span)
+    prev_mean, prev_sd = mean[..., :-1], sd[..., :-1]
+    current = x[..., 1:]
+    exceeds = current > prev_mean + config.threshold * prev_sd
+    flat = prev_sd == 0.0
+    exceeds &= ~flat | (current > prev_mean * (1.0 + 1e-9) + 1e-9)
+    exceeds &= current >= config.min_value
+    flags[..., 1:] = exceeds
+    flags[..., : config.min_window] = False
+    return flags
+
+
+@st.composite
+def detector_inputs(draw):
+    """Series whose values sit just below, at and above ``min_value``,
+    zero or NaN, some reaching ``min_value`` only before ``min_window``;
+    1-D and 2-D."""
+    config = AnomalyConfig(span=draw(st.integers(1, 6)),
+                           threshold=draw(st.sampled_from([0.5, 2.5])),
+                           min_window=draw(st.integers(1, 8)),
+                           min_value=draw(st.sampled_from([0.0, 1.0, 4.0])))
+    below = np.nextafter(config.min_value, -np.inf)
+    values = st.sampled_from([0.0, below, config.min_value, 10.0, 1e6,
+                              float("nan")])
+    n = draw(st.integers(0, 14))
+    rows = draw(st.integers(0, 5))
+    series = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                    min_size=max(rows, 1),
+                                    max_size=max(rows, 1))),
+                      dtype=np.float64).reshape(max(rows, 1), n)
+    if draw(st.booleans()):  # alarm-capable values only before min_window
+        series[:, config.min_window:] = np.minimum(
+            series[:, config.min_window:], below)
+    return config, series[0] if rows == 0 else series
+
+
+class TestPruningOracle:
+    @settings(deadline=None)
+    @given(detector_inputs())
+    def test_matches_the_unpruned_detector(self, case):
+        config, series = case
+        got = EWMAAnomalyDetector(config).detect(series)
+        assert got.shape == series.shape
+        assert np.array_equal(got, unpruned_detect(config, series))
+
+    def test_pruned_rows_skip_the_ewma(self, monkeypatch):
+        import repro.stats.anomaly as anomaly
+
+        seen = []
+        real = anomaly.ewm_mean_std
+        monkeypatch.setattr(anomaly, "ewm_mean_std",
+                            lambda x, span: seen.append(len(x)) or real(x, span))
+        x = np.zeros((3, 20))
+        x[0, 5] = 100.0    # alarm-capable value, but before min_window
+        x[1, 12] = 4.0     # at the floor, after min_window: scanned
+        x[2, 15] = np.nextafter(4.0, 0.0)
+        det = EWMAAnomalyDetector(AnomalyConfig(span=3, min_window=10))
+        assert det.detect(x).tolist() == unpruned_detect(det.config, x).tolist()
+        assert seen == [1]
 
 
 class TestConfigValidation:

@@ -34,13 +34,10 @@ from repro.core.events import DEFAULT_DELTA
 from repro.core.study import StudyReport
 from repro.corpus.ingest import ErrorPolicy
 from repro.corpus.manifest import (
-    CONTROL_FILE,
-    DATA_FILE,
-    META_FILE,
     ValidationReport,
+    require_corpus_files,
     validate_corpus,
 )
-from repro.errors import CorpusError
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -102,9 +99,9 @@ class StreamOptions:
 class Study:
     """A corpus directory plus the verbs that act on it.
 
-    Instances are cheap handles — opening a study reads nothing but the
-    directory listing; corpora are loaded per verb so a long-lived
-    handle never holds packet arrays.
+    Instances are cheap handles: opening a study only checks that the
+    three corpus files exist, and each verb reads what it needs, so a
+    long-lived handle never holds packet arrays.
     """
 
     corpus_dir: Path
@@ -116,16 +113,10 @@ class Study:
         """Handle to an existing corpus directory.
 
         Raises :class:`~repro.errors.CorpusError` when the directory is
-        missing any of the three corpus files — the same check the CLI
-        front-door performs.
+        missing any of the three corpus files — the same check ``repro
+        analyze`` performs.
         """
-        path = Path(corpus_dir)
-        for required in (CONTROL_FILE, DATA_FILE, META_FILE):
-            if not (path / required).exists():
-                raise CorpusError(f"{path / required} missing: not a "
-                                  "corpus directory (run Study.generate "
-                                  "or `repro generate` first)")
-        return cls(path)
+        return cls(require_corpus_files(corpus_dir))
 
     @classmethod
     def tap(cls, corpus_dir: Union[str, Path]) -> "Study":
@@ -162,27 +153,17 @@ class Study:
 
     def analyze(self, *,
                 options: AnalyzeOptions = AnalyzeOptions()) -> StudyReport:
-        """Batch-analyze the corpus; the classic full-study pass."""
-        from repro.core.pipeline import AnalysisPipeline
-        from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
-        from repro.corpus.ingest import check_policy
-        from repro.corpus.platform import load_platform
+        """Batch-analyze the corpus; the classic full-study pass.
 
-        policy = check_policy(options.policy)
-        path = self.corpus_dir
-        control = ControlPlaneCorpus.load_jsonl(path / CONTROL_FILE,
-                                                on_error=policy)
-        data = DataPlaneCorpus.load_npz(path / DATA_FILE, on_error=policy)
-        try:
-            peers, rs_asn, peeringdb = load_platform(path)
-        except (OSError, ValueError, KeyError) as exc:
-            raise CorpusError(f"{path}: unreadable platform sidecar: {exc}"
-                              ) from exc
-        pipeline = AnalysisPipeline(control, data, peers,
-                                    peeringdb=peeringdb,
-                                    route_server_asn=rs_asn,
-                                    host_min_days=options.host_min_days)
-        return pipeline.run_all(strict=policy is ErrorPolicy.STRICT,
+        Opens the corpus as ``repro analyze`` does and reads its planes
+        once, before any analysis runs (an unreadable one raises
+        :class:`~repro.errors.IngestError`)."""
+        from repro.core.pipeline import AnalysisPipeline
+
+        pipeline = AnalysisPipeline.open(self.corpus_dir,
+                                         policy=options.policy,
+                                         host_min_days=options.host_min_days)
+        return pipeline.run_all(strict=pipeline.policy is ErrorPolicy.STRICT,
                                 analyses=options.analyses,
                                 jobs=options.jobs)
 

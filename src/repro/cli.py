@@ -126,6 +126,8 @@ from repro.errors import (
     CheckpointError,
     DoctorError,
     FaultInjectionError,
+    IngestError,
+    MissingCorpusFileError,
     ObsError,
     ObsSnapshotError,
     ReproError,
@@ -163,8 +165,8 @@ EXIT_BROKEN_PIPE = 141
 ANALYZE_JOURNAL_FILE = ".analysis.checkpoint.jsonl"
 
 
-def _study_exit_code(report: StudyReport) -> int:
-    """Map a study report onto the documented exit codes."""
+def _study_exit_code(report) -> int:
+    """Map a study or stream report onto the documented exit codes."""
     if not report.ok:
         return EXIT_FAILURES
     if report.all_degraded:
@@ -241,16 +243,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_corpus_files(path: Path) -> int:
-    from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, META_FILE
-
-    for required in (CONTROL_FILE, DATA_FILE, META_FILE):
-        if not (path / required).exists():
-            print(f"error: {path / required} missing", file=sys.stderr)
-            return EXIT_USAGE
-    return EXIT_OK
-
-
 def _analyze_supervision(args: argparse.Namespace, path: Path):
     """Build the (supervisor policy, checkpoint journal) pair for
     ``analyze``, or ``(None, None)`` for the classic in-process path.
@@ -311,69 +303,44 @@ def _analyze_cache(args: argparse.Namespace, path: Path):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro import telemetry
     from repro.core.pipeline import AnalysisPipeline
-    from repro.corpus.control import ControlPlaneCorpus
-    from repro.corpus.data import DataPlaneCorpus
     from repro.corpus.ingest import ErrorPolicy
-    from repro.corpus.manifest import CONTROL_FILE, DATA_FILE
-    from repro.corpus.platform import load_platform
 
     path = Path(args.corpus)
-    rc = _check_corpus_files(path)
-    if rc != EXIT_OK:
-        return rc
     policy = ErrorPolicy.STRICT if args.strict else ErrorPolicy.SKIP
     telem = _make_telemetry(args)
     manifest = telemetry.run_manifest(
         "analyze", corpus=str(path), policy=policy.value,
         config={"policy": policy.value, "host_min_days": args.host_min_days})
     started = time.perf_counter()
-    try:
-        supervisor, journal = _analyze_supervision(args, path)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    cache, corpus_digest = _analyze_cache(args, path)
     with telemetry.activate(telem):
         try:
-            control = ControlPlaneCorpus.load_jsonl(path / CONTROL_FILE,
-                                                    on_error=policy)
-            data = DataPlaneCorpus.load_npz(path / DATA_FILE, on_error=policy)
-            peers, rs_asn, peeringdb = load_platform(path)
-        except (ReproError, OSError, ValueError, KeyError) as exc:
-            _write_telemetry(telem, args, manifest, started)
-            print(f"error: cannot ingest corpus: {exc}", file=sys.stderr)
-            return EXIT_UNREADABLE
-        pipeline = AnalysisPipeline(control, data, peers,
-                                    peeringdb=peeringdb,
-                                    route_server_asn=rs_asn,
-                                    host_min_days=args.host_min_days)
-        try:
+            pipeline = AnalysisPipeline.open(
+                path, policy=policy, host_min_days=args.host_min_days)
+            supervisor, journal = _analyze_supervision(args, path)
+            cache, corpus_digest = _analyze_cache(args, path)
             report = pipeline.run_all(strict=args.strict,
                                       supervisor=supervisor,
                                       checkpoint=journal,
                                       jobs=args.jobs, cache=cache,
                                       corpus_digest=corpus_digest,
                                       config_hash=manifest["config_hash"])
+        except (MissingCorpusFileError, CheckpointError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except IngestError as exc:
+            print(f"error: cannot ingest corpus: {exc}", file=sys.stderr)
+            return EXIT_UNREADABLE
         except ReproError as exc:
-            _write_telemetry(telem, args, manifest, started)
             print(f"error: analysis failed (strict mode): "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_FAILURES
-    _write_telemetry(telem, args, manifest, started)
+        finally:
+            _write_telemetry(telem, args, manifest, started)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
         _print_study(pipeline, report)
     return _study_exit_code(report)
-
-
-def _stream_exit_code(report) -> int:
-    """Map a stream report onto the analyze exit codes."""
-    if not report.ok:
-        return EXIT_FAILURES
-    if report.all_degraded:
-        return EXIT_ALL_DEGRADED
-    return EXIT_OK
 
 
 def _tap_session(args: argparse.Namespace, path: Path):
@@ -497,7 +464,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_json(), indent=2))
     elif not args.quiet:
         print(report.format())
-    return _stream_exit_code(report)
+    return _study_exit_code(report)
 
 
 def _cmd_advance(args: argparse.Namespace) -> int:
@@ -655,14 +622,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.corpus.manifest import MANIFEST_FILE
+    from repro.corpus.manifest import MANIFEST_FILE, require_corpus_files
     from repro.faults.inject import degrade_corpus_dir
     from repro.faults.spec import FaultSpec
 
     src, dst = Path(args.corpus), Path(args.out)
-    rc = _check_corpus_files(src)
-    if rc != EXIT_OK:
-        return rc
+    try:
+        require_corpus_files(src)
+    except MissingCorpusFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         specs = [FaultSpec.parse(text) for text in args.fault]
     except FaultInjectionError as exc:

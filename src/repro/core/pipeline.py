@@ -9,8 +9,15 @@ figure/table draws on those, and none recomputes another.
 Consumes only the two corpora (plus the membership list and the PeeringDB
 registry for the joins) — never scenario ground truth.
 
-The shared intermediates are ``cached_property`` slots, so a caller that
-maintains one elsewhere injects it instead: ``repro watch`` puts its
+:meth:`AnalysisPipeline.open` turns a corpus directory into a pipeline
+for ``analyze`` (the CLI and ``Study.analyze``): it checks the corpus
+files and reads ``platform.json``.  The planes are ``cached_property``
+slots read on first access, which the runner skips when every analysis
+is an ``ok`` cache hit over plane files that match the manifest (DESIGN
+§9.2).  The constructor fills both slots with corpora already in hand.
+
+The shared intermediates are ``cached_property`` slots too, so a caller
+that maintains one elsewhere injects it instead: ``repro watch`` puts its
 reducers' per-event traffic and pre-RTBH classification there (its RTBH
 fold is already the control corpus's ``rtbh_fold``) and then runs the
 same :meth:`AnalysisPipeline.run_all`.
@@ -24,7 +31,8 @@ Analyses are addressed by name through the registry
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence
+from pathlib import Path
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.core import classify as classify_mod
 from repro.core import collateral as collateral_mod
@@ -42,8 +50,18 @@ from repro.core.registry import ANALYSES, get_analysis
 from repro.core.study import StudyReport
 from repro.corpus.control import ControlPlaneCorpus
 from repro.corpus.data import DataPlaneCorpus, WindowRows
+from repro.corpus.ingest import ErrorPolicy, check_policy
+from repro.corpus.manifest import (
+    CONTROL_FILE,
+    DATA_FILE,
+    read_manifest,
+    require_corpus_files,
+    verify_file,
+)
+from repro.corpus.platform import load_platform
+from repro.errors import CorpusError, IngestError
 from repro.ixp.peeringdb import PeeringDB
-from repro.runtime.supervisor import run_analyses
+from repro.runtime.supervisor import ingest_warnings, run_analyses
 
 #: every analysis `run_all` executes, in study order; names are registry
 #: names (see :data:`repro.core.registry.ANALYSES`) so reports stay
@@ -70,13 +88,63 @@ class AnalysisPipeline:
         delta: float = DEFAULT_DELTA,
         host_min_days: int = 20,
     ):
-        self.control = control
+        self.control = control  # fills the lazily read plane slots
         self.data = data
+        self.corpus_dir = self.policy = None
         self.peer_asns = list(peer_asns)
         self.peeringdb = peeringdb or PeeringDB()
         self.route_server_asn = route_server_asn
         self.delta = delta
         self.host_min_days = host_min_days
+
+    @classmethod
+    def open(cls, corpus_dir: Union[str, Path], *,
+             policy: Union[str, ErrorPolicy] = ErrorPolicy.SKIP,
+             host_min_days: int = 20) -> "AnalysisPipeline":
+        """The pipeline over a corpus directory, its planes read under
+        ``policy`` on first access.  Raises
+        :class:`~repro.errors.MissingCorpusFileError` for a missing corpus
+        file and :class:`~repro.errors.IngestError` for an unreadable one
+        (``platform.json`` now, a plane on first access)."""
+        path = require_corpus_files(corpus_dir)
+        peers, rs_asn, peeringdb = load_platform(path)
+        pipeline = cls(None, None, peers, peeringdb=peeringdb,
+                       route_server_asn=rs_asn, host_min_days=host_min_days)
+        del pipeline.control, pipeline.data  # empty slots: read on access
+        pipeline.corpus_dir, pipeline.policy = path, check_policy(policy)
+        return pipeline
+
+    @cached_property
+    def control(self) -> ControlPlaneCorpus:
+        """The control plane; an opened pipeline reads it on first access."""
+        return self._ingest(ControlPlaneCorpus.load_jsonl, CONTROL_FILE)
+
+    @cached_property
+    def data(self) -> DataPlaneCorpus:
+        """The data plane; an opened pipeline reads it on first access."""
+        return self._ingest(DataPlaneCorpus.load_npz, DATA_FILE)
+
+    def _ingest(self, load, name: str):
+        path = self.corpus_dir / name
+        try:
+            return load(path, on_error=self.policy)
+        except IngestError:
+            raise
+        except CorpusError as exc:  # a strict refusal, a malformed store
+            raise IngestError(f"{path}: {exc}") from exc
+
+    def planes_intact(self) -> bool:
+        """Whether this is an opened pipeline whose two plane files match
+        the SHA-256 its manifest records (the cache's content digest)."""
+        if self.corpus_dir is None:
+            return False
+        try:
+            files = read_manifest(self.corpus_dir)["files"]
+        except (OSError, ValueError):
+            return False
+        return all(isinstance(files.get(name), dict)
+                   and verify_file(self.corpus_dir / name, files[name]) is None
+                   for name in (CONTROL_FILE, DATA_FILE))
 
     # -- shared intermediates ---------------------------------------------------
 
@@ -213,11 +281,7 @@ class AnalysisPipeline:
     @property
     def degraded_inputs(self) -> bool:
         """Whether either corpus lost records during (lenient) ingestion."""
-        for corpus in (self.control, self.data):
-            report = getattr(corpus, "ingest_report", None)
-            if report is not None and not report.ok:
-                return True
-        return False
+        return bool(ingest_warnings(self))
 
     def warm_shared_caches(self) -> None:
         """Precompute the :data:`SHARED_INTERMEDIATES`.

@@ -127,13 +127,13 @@ class DataPlaneCorpus:
                     f"row {int(index)}",
                     f"bad timestamp {packets['time'][index]!r}")
             report.skipped += n_bad - min(n_bad, 8)
-            packets = packets[~bad]
+            packets = packets.compress(~bad)
             copy = False  # the filtered array is already a fresh one
         times = packets["time"]
         if np.all(times[1:] >= times[:-1]):
             self._packets = packets.copy() if copy else packets
         else:
-            self._packets = packets[np.argsort(times, kind="stable")]
+            self._packets = packets.take(np.argsort(times, kind="stable"))
         # contiguous copies of the two fields every window gather reads:
         # searchsorted over the strided ``time`` field of the packed
         # records copies it on every call
@@ -287,7 +287,7 @@ class DataPlaneCorpus:
             mask &= self.mask_src_in(src_prefix)
         if dropped is not None:
             mask &= self._packets["dropped"] == dropped
-        return self._packets[mask]
+        return self._packets.compress(mask)
 
     # -- summaries ----------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.corpus.ingest import IngestReport
-from repro.errors import ReproError
+from repro.errors import MissingCorpusFileError, ReproError
 
 #: canonical corpus file names (the CLI re-exports these)
 CONTROL_FILE = "control.jsonl"
@@ -29,6 +29,18 @@ MANIFEST_FILE = "manifest.json"
 MIN_SUSPICIOUS_GAP = 6 * 3_600.0
 #: … and this multiple of the corpus's median inter-record gap
 GAP_FACTOR = 50.0
+
+
+def require_corpus_files(corpus_dir: str | Path) -> Path:
+    """``corpus_dir`` as a path, once it holds the three corpus files;
+    raises :class:`~repro.errors.MissingCorpusFileError` otherwise."""
+    path = Path(corpus_dir)
+    for name in (CONTROL_FILE, DATA_FILE, META_FILE):
+        if not (path / name).exists():
+            raise MissingCorpusFileError(
+                f"{path / name} missing: not a corpus directory (run "
+                "`repro generate` first)")
+    return path
 
 
 def file_sha256(path: str | Path) -> str:

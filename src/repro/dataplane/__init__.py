@@ -7,8 +7,7 @@ from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.dataplane.flow": ("FlowLabel", "FlowSpec"),
-    "repro.dataplane.packet": ("PACKET_DTYPE", "SampledPacket",
-                               "packets_from_arrays"),
+    "repro.dataplane.packet": ("PACKET_DTYPE", "packets_from_arrays"),
     "repro.dataplane.sampler": ("IPFIXSampler", "SAMPLING_RATE_DEFAULT"),
     "repro.dataplane.timeline": ("AcceptanceTimeline", "IntervalSet"),
     "repro.dataplane.fabric": ("BLACKHOLE_MAC", "SwitchingFabric"),
@@ -17,7 +16,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
 __all__ = [
     "FlowSpec",
     "FlowLabel",
-    "SampledPacket",
     "PACKET_DTYPE",
     "packets_from_arrays",
     "IPFIXSampler",

@@ -1,15 +1,13 @@
 """Sampled packet records.
 
-The corpus stores packets as a numpy structured array (`PACKET_DTYPE`) for
-bulk analysis; :class:`SampledPacket` is the ergonomic per-record view used
-at API boundaries and in tests. The MAC→AS mapping the paper performs on raw
-IPFIX has already been applied: records carry ``ingress_asn`` directly, and
-membership of the destination MAC in the blackhole is the ``dropped`` flag.
+The corpus stores packets as one numpy structured array (`PACKET_DTYPE`),
+one record per sampled packet. The MAC→AS mapping the paper performs on raw IPFIX has already been
+applied: records carry ``ingress_asn`` directly, and membership of the
+destination MAC in the blackhole is the ``dropped`` flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -31,46 +29,6 @@ PACKET_DTYPE = np.dtype(
         ("label", "u1"),
     ]
 )
-
-
-@dataclass(frozen=True)
-class SampledPacket:
-    """One sampled packet, mirroring a `PACKET_DTYPE` row."""
-
-    time: float
-    src_ip: int
-    dst_ip: int
-    protocol: int
-    src_port: int
-    dst_port: int
-    size: int
-    ingress_asn: int
-    origin_asn: int
-    dropped: bool
-    label: int = 0
-
-    @classmethod
-    def from_row(cls, row: np.void) -> "SampledPacket":
-        return cls(
-            time=float(row["time"]),
-            src_ip=int(row["src_ip"]),
-            dst_ip=int(row["dst_ip"]),
-            protocol=int(row["protocol"]),
-            src_port=int(row["src_port"]),
-            dst_port=int(row["dst_port"]),
-            size=int(row["size"]),
-            ingress_asn=int(row["ingress_asn"]),
-            origin_asn=int(row["origin_asn"]),
-            dropped=bool(row["dropped"]),
-            label=int(row["label"]),
-        )
-
-    def to_row(self) -> tuple:
-        return (
-            self.time, self.src_ip, self.dst_ip, self.protocol, self.src_port,
-            self.dst_port, self.size, self.ingress_asn, self.origin_asn,
-            self.dropped, self.label,
-        )
 
 
 def packets_from_arrays(columns: Mapping[str, np.ndarray]) -> np.ndarray:

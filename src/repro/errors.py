@@ -36,6 +36,10 @@ class CorpusError(ReproError):
     """A corpus is missing data required by an analysis step."""
 
 
+class MissingCorpusFileError(CorpusError):
+    """A directory lacks one of the three corpus files: not a corpus."""
+
+
 class IngestError(CorpusError):
     """A corpus file could not be read or contained malformed records.
 

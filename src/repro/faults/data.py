@@ -34,7 +34,7 @@ def _finite_span(times: np.ndarray) -> Tuple[float, float]:
 def inject_drop(packets: np.ndarray, rng: np.random.Generator,
                 spec: FaultSpec) -> _Result:
     keep = rng.random(len(packets)) >= spec.intensity
-    return packets[keep], int((~keep).sum()), "records dropped"
+    return packets.compress(keep), int((~keep).sum()), "records dropped"
 
 
 def inject_outage(packets: np.ndarray, rng: np.random.Generator,
@@ -44,14 +44,14 @@ def inject_outage(packets: np.ndarray, rng: np.random.Generator,
     start = t0 + rng.random() * max(0.0, (t1 - t0) - width)
     end = start + width
     keep = ~((packets["time"] >= start) & (packets["time"] < end))
-    return packets[keep], int((~keep).sum()), (
+    return packets.compress(keep), int((~keep).sum()), (
         f"outage window [{start:.0f}, {end:.0f})")
 
 
 def inject_duplicate(packets: np.ndarray, rng: np.random.Generator,
                      spec: FaultSpec) -> _Result:
     dup = rng.random(len(packets)) < spec.intensity
-    out = np.concatenate([packets, packets[dup]])
+    out = np.concatenate([packets, packets.compress(dup)])
     return out, int(dup.sum()), "records duplicated"
 
 

@@ -36,6 +36,8 @@ Both modes share everything around the attempt:
 * **Resolution first.**  Terminal outcomes already in the checkpoint
   journal, then finished entries of the content-addressed result cache,
   are served without running anything.
+* **Planes read once, before dispatch**, and an unreadable one fails
+  the run; a run served whole by :func:`_served_whole` reads none.
 * **Ordering.**  The rest is dispatched in :func:`schedule_order`: heavy
   analyses first (longest-processing-time first).  Outcomes are merged
   back into study order.
@@ -253,7 +255,7 @@ class _Run:
 
     ctx: object  # fork context; None runs every attempt in process
     policy: SupervisorPolicy
-    degraded: bool
+    degraded: bool = False
     strict: bool = False
     journal: Optional[CheckpointJournal] = None
     cache: Optional[object] = None  # a repro.parallel.cache.ResultCache
@@ -303,8 +305,7 @@ def run_analyses(
     ctx = _fork_context() if policy is not None or jobs > 1 else None
     policy = policy or SupervisorPolicy()
     telem = telemetry.current()
-    run = _Run(ctx=ctx, policy=policy, degraded=pipeline.degraded_inputs,
-               strict=strict, journal=journal,
+    run = _Run(ctx=ctx, policy=policy, strict=strict, journal=journal,
                cache=cache if corpus_digest is not None else None,
                corpus_digest=corpus_digest, config_hash=config_hash,
                telem=telem)
@@ -317,6 +318,11 @@ def run_analyses(
             name=name, fn=_analysis_fn(pipeline, name),
             rng=random.Random(f"{policy.seed}:{name}")))
 
+    warnings = []
+    if not _served_whole(run, pipeline):
+        run.degraded = pipeline.degraded_inputs  # reads both planes
+        warnings = ingest_warnings(pipeline)
+
     if ctx is None:
         _drive(run, jobs)
     else:
@@ -327,7 +333,7 @@ def run_analyses(
             _drive(run, jobs)
             sp.attrs["completed"] = len(run.outcomes)
 
-    report = StudyReport(warnings=ingest_warnings(pipeline))
+    report = StudyReport(warnings=warnings)
     # a strict stop drops analyses before they run: they have no outcome
     report.outcomes = [run.outcomes[name] for name in names
                        if name in run.outcomes]
@@ -353,6 +359,15 @@ def _resolved_outcome(run: _Run, name: str) -> Optional[AnalysisOutcome]:
     if run.cache is not None:
         return run.cache.get(run.corpus_digest, run.config_hash, name)
     return None
+
+
+def _served_whole(run: _Run, pipeline) -> bool:
+    """Whether every outcome is an ``ok`` cache hit over plane files that
+    match the manifest: proof that ingest would lose nothing."""
+    return (not run.queue
+            and all(o.cached and o.status is AnalysisStatus.OK
+                    for o in run.outcomes.values())
+            and getattr(pipeline, "planes_intact", lambda: False)())
 
 
 def _drive(run: _Run, jobs: int) -> None:

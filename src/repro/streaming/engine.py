@@ -483,12 +483,7 @@ class StreamEngine:
         """The batch pipeline over the consumed prefix, with the reducers
         injected into its shared-intermediate slots so no analysis
         recomputes them from the accumulated corpora."""
-        try:
-            peers, rs_asn, peeringdb = load_platform(self.corpus_dir)
-        except (OSError, KeyError, ValueError) as exc:
-            raise CorpusError(
-                f"{self.corpus_dir}: unusable platform sidecar: {exc}"
-                ) from exc
+        peers, rs_asn, peeringdb = load_platform(self.corpus_dir)
         pipeline = AnalysisPipeline(
             self._control_corpus(), self._data_corpus(), peers,
             peeringdb=peeringdb, route_server_asn=rs_asn,

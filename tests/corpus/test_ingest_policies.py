@@ -7,7 +7,7 @@ import pytest
 from repro.bgp import BLACKHOLE
 from repro.bgp.message import announce, withdraw
 from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
-from repro.dataplane.packet import packets_from_arrays
+from repro.dataplane.packet import PACKET_DTYPE, packets_from_arrays
 from repro.errors import CorpusError, IngestError
 from repro.net import IPv4Address, IPv4Prefix
 
@@ -107,6 +107,28 @@ class TestDataPolicies:
         assert len(corpus) == 3
         assert corpus.packets["time"].tolist() == [1.0, 3.0, 5.0]
         assert corpus.ingest_report.skipped == 2
+
+    def test_lenient_unsorted_store_moves_whole_records(self):
+        # the lenient drop and the stable time sort gather whole records:
+        # every byte of every kept row matches boolean-mask + argsort
+        # indexing, ties keep their input order, and select() agrees
+        rng = np.random.default_rng(5)
+        n = 400
+        packets = np.frombuffer(rng.bytes(n * PACKET_DTYPE.itemsize),
+                                dtype=PACKET_DTYPE).copy()
+        packets["time"] = rng.integers(0, 40, n).astype(np.float64)
+        packets["time"][rng.choice(n, 30, replace=False)] = np.nan
+        packets["time"][rng.choice(n, 10, replace=False)] = -1.0
+        packets["dropped"] = rng.random(n) < 0.5
+        t = packets["time"]
+        kept = packets[np.isfinite(t) & (t >= 0.0)]
+        expected = kept[np.argsort(kept["time"], kind="stable")]
+        corpus = DataPlaneCorpus(packets, on_error="skip")
+        assert corpus.packets.tobytes() == expected.tobytes()
+        window = corpus.select(t0=10.0, t1=30.0, dropped=True)
+        mask = ((expected["time"] >= 10.0) & (expected["time"] < 30.0)
+                & expected["dropped"])
+        assert window.tobytes() == expected[mask].tobytes()
 
     def test_rejects_non_1d(self):
         with pytest.raises(CorpusError):

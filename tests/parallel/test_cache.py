@@ -1,13 +1,22 @@
 """Tests for the content-addressed result cache: keying, round trips,
-corruption tolerance, and the ``validate`` stale-cache regression."""
+corruption tolerance, the ``validate`` stale-cache regression, and the
+cached ``analyze`` that reads no corpus plane."""
 
 import json
 import os
+import shutil
 
 import pytest
 
+from repro.api import AnalyzeOptions, Study
+from repro.cli import EXIT_OK, EXIT_UNREADABLE, main
 from repro.core.study import AnalysisOutcome, AnalysisStatus
-from repro.corpus.manifest import MANIFEST_FILE, validate_corpus
+from repro.corpus.manifest import (
+    DATA_FILE,
+    MANIFEST_FILE,
+    validate_corpus,
+    write_manifest,
+)
 from repro.parallel.cache import (
     DEFAULT_CACHE_DIRNAME,
     ResultCache,
@@ -107,8 +116,6 @@ def stale_names(corpus, cache_dir):
 
 class TestStaleEntries:
     def test_stale_detection(self, tmp_path):
-        from repro.corpus.manifest import write_manifest
-
         current, previous = tmp_path / "current", tmp_path / "previous"
         for corpus in (current, previous):
             corpus.mkdir()
@@ -242,3 +249,114 @@ class TestSizeBudget:
 
 def cache_names(cache):
     return {entry.get("name") for _, entry in cache.entries()}
+
+
+def analyze(corpus, capsys, *extra):
+    """``repro analyze --jobs 2 --json`` in process: (exit code, report)."""
+    rc = main(["analyze", str(corpus), "--host-min-days", "1", "--jobs", "2",
+               "--json", *extra])
+    return rc, capsys.readouterr().out
+
+
+def span_names(trace):
+    records = (json.loads(line) for line in trace.read_text().splitlines())
+    return {r["name"] for r in records if r.get("type") == "span"}
+
+
+INGEST_SPANS = {"ingest.control", "ingest.data"}
+
+
+class TestCachedAnalyzeReadsNoPlane:
+    """A run served whole from ``ok`` cache hits over plane files that
+    match the manifest reads neither plane; any other run reads both, and
+    reports exactly what it reported when every run read them."""
+
+    @pytest.fixture
+    def corpus(self, corpus_dir, tmp_path):
+        dst = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, dst,
+                        ignore=shutil.ignore_patterns(DEFAULT_CACHE_DIRNAME))
+        return dst
+
+    def test_fully_cached_run_ingests_nothing(self, corpus, tmp_path,
+                                              capsys):
+        traces = [tmp_path / f"t{i}.jsonl" for i in range(3)]
+        runs = [analyze(corpus, capsys, "--trace", str(t)) for t in traces]
+        assert [rc for rc, _ in runs] == [EXIT_OK] * 3
+        cold, first, second = (json.loads(out) for _, out in runs)
+        assert INGEST_SPANS <= span_names(traces[0])
+        assert not any(a["cached"] for a in cold["analyses"])
+        assert all(a["cached"] for a in first["analyses"])
+        for trace in traces[1:]:
+            assert not {n for n in span_names(trace)
+                        if n.startswith("ingest.")}
+        assert runs[1][1] == runs[2][1]  # byte-equal reports
+        assert first["warnings"] == cold["warnings"] == []
+        assert ({a["name"]: a["value_digest"] for a in first["analyses"]}
+                == {a["name"]: a["value_digest"] for a in cold["analyses"]})
+
+    def inject(self, corpus_dir, out, capsys):
+        assert main(["inject", str(corpus_dir), "--out", str(out),
+                     "--fault", "corrupt:0.1", "--seed", "3"]) == EXIT_OK
+        capsys.readouterr()
+        return out
+
+    def test_degraded_hits_keep_their_warnings(self, corpus_dir, tmp_path,
+                                               capsys):
+        # a manifest that vouches for files with unreadable records: the
+        # planes match it, but the hits are degraded, so both are read
+        degraded = self.inject(corpus_dir, tmp_path / "degraded", capsys)
+        write_manifest(degraded)
+        rc_cold, cold = analyze(degraded, capsys)
+        trace = tmp_path / "warm.jsonl"
+        rc_warm, warm = analyze(degraded, capsys, "--trace", str(trace))
+        cold, warm = json.loads(cold), json.loads(warm)
+        assert cold["warnings"]
+        assert (rc_warm, warm["warnings"]) == (rc_cold, cold["warnings"])
+        assert {a["status"] for a in warm["analyses"]} == {"degraded"}
+        assert all(a["cached"] for a in warm["analyses"])
+        assert INGEST_SPANS <= span_names(trace)
+
+    def test_stale_manifest_copy_keeps_its_warnings(self, corpus_dir,
+                                                    corpus, tmp_path,
+                                                    capsys):
+        # `repro inject` copies the parent's manifest, so the damaged copy
+        # keys the cache like its parent; its planes no longer match
+        degraded = self.inject(corpus_dir, tmp_path / "degraded", capsys)
+        rc_cold, cold = analyze(degraded, capsys)
+        trace = tmp_path / "warm.jsonl"
+        rc_warm, warm = analyze(degraded, capsys, "--trace", str(trace))
+        cold, warm = json.loads(cold), json.loads(warm)
+        assert cold["warnings"]
+        assert (rc_warm, warm["warnings"]) == (rc_cold, cold["warnings"])
+        assert all(a["cached"] for a in warm["analyses"])
+        assert INGEST_SPANS <= span_names(trace)
+        # a cache the intact parent filled serves the copy only ok hits;
+        # the copy's planes are read all the same and its losses reported
+        shared = tmp_path / "shared-cache"
+        assert analyze(corpus, capsys, "--cache-dir", str(shared))[0] \
+            == EXIT_OK
+        rc, served = analyze(degraded, capsys, "--cache-dir", str(shared))
+        served = json.loads(served)
+        assert rc == EXIT_OK
+        assert {a["status"] for a in served["analyses"]} == {"ok"}
+        assert all(a["cached"] for a in served["analyses"])
+        assert served["warnings"] == cold["warnings"]
+
+    def test_damaged_plane_under_intact_manifest_fails(self, corpus, capsys):
+        assert analyze(corpus, capsys)[0] == EXIT_OK
+        data = corpus / DATA_FILE
+        data.write_bytes(bytes(data.stat().st_size))
+        rc = main(["analyze", str(corpus), "--host-min-days", "1",
+                   "--jobs", "2", "--json"])
+        assert rc == EXIT_UNREADABLE
+        assert "cannot ingest" in capsys.readouterr().err
+
+    def test_study_analyze_matches_cli(self, corpus, capsys):
+        rc, out = analyze(corpus, capsys)
+        assert rc == EXIT_OK
+        report = Study.open(corpus).analyze(
+            options=AnalyzeOptions(host_min_days=1))
+        assert ({o.name: o.value_digest for o in report.outcomes}
+                == {a["name"]: a["value_digest"]
+                    for a in json.loads(out)["analyses"]})

@@ -11,7 +11,7 @@ Ten subcommands mirror the library's layering::
     python -m repro inject corpus_dir --out degraded_dir --fault drop:0.1
     python -m repro analyze corpus_dir [--strict | --lenient] [--json]
                                        [--supervised --timeout 300
-                                        --retries 2] [--resume]
+                                        --retries 2]
                                        [--jobs N] [--cache-dir DIR]
                                        [--cache-max-bytes N]
                                        [--trace t.jsonl --metrics m.json]
@@ -40,9 +40,11 @@ typed-exception capture; ``summary`` generates and analyzes in memory;
 Crash safety: ``generate`` writes the corpus in day-sized, atomically
 committed segments behind a checkpoint journal, so ``generate --resume``
 finishes an interrupted run byte-identically.  ``analyze --supervised``
-(implied by ``--timeout`` or ``--resume``) runs each analysis in a child
-process with a wall-clock timeout and bounded retries; ``analyze
---resume`` re-runs only analyses with no journaled terminal outcome.
+(implied by ``--timeout``) runs each analysis in a child process with a
+wall-clock timeout and bounded retries.  Every forked ``analyze`` stores
+each finished analysis in the result cache the moment it finishes, so
+re-running a killed command is its resume: it runs only what never
+finished, and failures always run again.
 
 Streaming: ``generate --keep-segments`` retains the committed per-day
 segments; ``watch`` then tails the corpus's checkpoint journal,
@@ -66,11 +68,15 @@ commit log from day 0.
 Parallelism: ``--jobs N`` fans work across N forked workers (0 = all
 CPUs) — day segments for ``generate``, supervised analyses for
 ``analyze`` — with byte-identical results; ``--jobs 1`` (the default) is
-the reference path, run in process unless ``--supervised``.
-``analyze --cache-dir DIR`` keeps a content-addressed result cache keyed
-on (corpus digest, config hash, analysis), so re-analyzing an unchanged
-corpus skips finished analyses; ``validate`` fails a corpus whose cache
-holds results keyed to a different corpus digest.
+the reference path, run in process and cache-free unless
+``--supervised``.  The content-addressed result cache, keyed on (corpus
+digest, config hash, analysis), is the one store of finished analyses:
+a forked ``analyze`` keeps it in the corpus's ``.cache/``, ``--cache-dir
+DIR`` puts it elsewhere (and turns it on for an inline run), and an
+unchanged corpus re-analyzed skips finished analyses.  The digest comes
+from the manifest and is used only when both plane files match it;
+``validate`` fails a corpus whose cache holds results keyed to a
+different corpus digest.
 
 Observability: ``--trace`` writes the telemetry spans as JSONL,
 ``--metrics`` the final metrics snapshot as JSON, ``--progress`` streams
@@ -160,11 +166,6 @@ EXIT_ALL_DEGRADED = 4
 EXIT_STREAM_CHECKPOINT = 5
 EXIT_BROKEN_PIPE = 141
 
-#: checkpoint journal for supervised/resumable ``analyze`` runs, kept in
-#: the corpus directory (dot-prefixed: excluded from manifests)
-ANALYZE_JOURNAL_FILE = ".analysis.checkpoint.jsonl"
-
-
 def _study_exit_code(report) -> int:
     """Map a study or stream report onto the documented exit codes."""
     if not report.ok:
@@ -243,54 +244,42 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analyze_supervision(args: argparse.Namespace, path: Path):
-    """Build the (supervisor policy, checkpoint journal) pair for
-    ``analyze``, or ``(None, None)`` for the classic in-process path.
-
-    Supervision is active when any of ``--supervised``, ``--timeout``, or
-    ``--resume`` is given.  The journal lives in the corpus directory;
-    ``--resume`` reuses it (after checking it belongs to the same corpus
-    and policy), anything else starts it fresh.
-    """
-    from repro.runtime.checkpoint import CheckpointJournal
+def _analyze_policy(args: argparse.Namespace):
+    """The supervisor policy for ``analyze``, or None for the in-process
+    path: ``--supervised`` or ``--timeout`` asks for one."""
+    if not (args.supervised or args.timeout is not None):
+        return None
     from repro.runtime.retry import RetryPolicy
     from repro.runtime.supervisor import SupervisorPolicy
 
-    supervised = args.supervised or args.resume or args.timeout is not None
-    if not supervised:
-        return None, None
-    policy = SupervisorPolicy(
-        timeout=args.timeout,
-        retry=RetryPolicy(max_retries=args.retries))
-    header = {"command": "analyze", "corpus": str(path),
-              "policy": "strict" if args.strict else "skip",
-              "host_min_days": args.host_min_days}
-    # a fresh run never parses the journal it is about to truncate
-    journal = (CheckpointJournal.load(path / ANALYZE_JOURNAL_FILE)
-               if args.resume
-               else CheckpointJournal(path / ANALYZE_JOURNAL_FILE))
-    if args.resume and journal.header is not None:
-        journal.require_header(header)
-    else:
-        journal.start(header)
-    return policy, journal
+    return SupervisorPolicy(timeout=args.timeout,
+                            retry=RetryPolicy(max_retries=args.retries))
 
 
-def _analyze_cache(args: argparse.Namespace, path: Path):
+def _analyze_cache(args: argparse.Namespace, pipeline: AnalysisPipeline,
+                   forks: bool):
     """The (cache, corpus digest) pair for ``analyze``.
 
-    An explicit ``--cache-dir`` always wins; a parallel run (``--jobs``
-    != 1) defaults to the corpus-local cache. Plain serial runs stay
-    cache-free.
+    A run that ``forks`` (a supervisor policy, or ``--jobs`` != 1) uses
+    the corpus-local cache, so re-running a killed command resumes
+    it; ``--cache-dir`` names another cache and turns it on for an
+    inline run too.  Plain inline runs stay cache-free: they are the
+    reference path.  The digest is read from the manifest, so it is used
+    only when both plane files match it: a stale manifest (a ``repro
+    inject`` copy) would otherwise key its outcomes like its parent's.
     """
-    if not args.cache_dir and args.jobs == 1:
+    if not (forks or args.cache_dir):
         return None, None
     from repro.corpus.manifest import MANIFEST_FILE
     from repro.parallel.cache import ResultCache, corpus_digest
 
+    path = pipeline.corpus_dir
     digest = corpus_digest(path)
-    if digest is None:
-        print(f"warning: {path}/{MANIFEST_FILE} missing or unusable; "
+    problem = ("is missing or unusable" if digest is None
+               else None if pipeline.planes_intact()
+               else "does not match the plane files")
+    if problem is not None:
+        print(f"warning: {path}/{MANIFEST_FILE} {problem}; "
               "result caching disabled for this run", file=sys.stderr)
         return None, None
     max_bytes = getattr(args, "cache_max_bytes", None)
@@ -316,15 +305,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         try:
             pipeline = AnalysisPipeline.open(
                 path, policy=policy, host_min_days=args.host_min_days)
-            supervisor, journal = _analyze_supervision(args, path)
-            cache, corpus_digest = _analyze_cache(args, path)
+            supervisor = _analyze_policy(args)
+            cache, corpus_digest = _analyze_cache(
+                args, pipeline, forks=supervisor is not None or args.jobs != 1)
             report = pipeline.run_all(strict=args.strict,
                                       supervisor=supervisor,
-                                      checkpoint=journal,
                                       jobs=args.jobs, cache=cache,
                                       corpus_digest=corpus_digest,
                                       config_hash=manifest["config_hash"])
-        except (MissingCorpusFileError, CheckpointError) as exc:
+        except MissingCorpusFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except IngestError as exc:
@@ -656,6 +645,9 @@ def _print_study(pipeline: AnalysisPipeline, report: StudyReport) -> None:
     from repro.core.hosts import HostClass
     from repro.core.report import format_table, pct, seconds_human
 
+    if all(o.value is None for o in report.outcomes):
+        print(report.format())  # cache hits restore no value
+        return
     if not report.ok or any(report.warnings):
         print(report.format())
         print()
@@ -765,9 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--retries", type=int, default=2, metavar="N",
                      help="max retries of a transiently-failing analysis "
                           "(default 2)")
-    ana.add_argument("--resume", action="store_true",
-                     help="skip analyses with a journaled terminal outcome "
-                          "(implies --supervised)")
     ana.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="run up to N analyses concurrently in forked "
                           "workers (0 = all CPUs, default 1 = the serial "

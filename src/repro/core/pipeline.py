@@ -13,7 +13,8 @@ registry for the joins) — never scenario ground truth.
 for ``analyze`` (the CLI and ``Study.analyze``): it checks the corpus
 files and reads ``platform.json``.  The planes are ``cached_property``
 slots read on first access, which the runner skips when every analysis
-is an ``ok`` cache hit over plane files that match the manifest (DESIGN
+is an ``ok`` cache hit; ``analyze`` keys the cache only on plane files
+that match the manifest (:meth:`AnalysisPipeline.planes_intact`, DESIGN
 §9.2).  The constructor fills both slots with corpora already in hand.
 
 The shared intermediates are ``cached_property`` slots too, so a caller
@@ -135,7 +136,8 @@ class AnalysisPipeline:
 
     def planes_intact(self) -> bool:
         """Whether this is an opened pipeline whose two plane files match
-        the SHA-256 its manifest records (the cache's content digest)."""
+        the size and SHA-256 its manifest records: the condition under
+        which the manifest's digest may key the result cache."""
         if self.corpus_dir is None:
             return False
         try:
@@ -301,7 +303,7 @@ class AnalysisPipeline:
 
     def run_all(self, strict: bool = True,
                 analyses: Sequence[str] | None = None,
-                supervisor=None, checkpoint=None, jobs: int = 1,
+                supervisor=None, jobs: int = 1,
                 cache=None, corpus_digest=None,
                 config_hash=None) -> StudyReport:
         """Run every analysis of the study and report per-figure status.
@@ -322,15 +324,13 @@ class AnalysisPipeline:
         wall-clock timeout with bounded retries, so a hung, killed or
         crashing analysis becomes a ``failed`` outcome; ``jobs > 1`` (0 =
         all CPUs) keeps up to ``jobs`` such children in flight.
-        ``checkpoint`` (a :class:`~repro.runtime.checkpoint
-        .CheckpointJournal`) persists terminal outcomes so a resumed run
-        re-executes only unfinished analyses.  ``cache`` (a
-        :class:`~repro.parallel.cache.ResultCache`, with the corpus digest
-        and config hash to key on) skips analyses whose results are
-        already cached for this exact corpus + config.
+        ``cache`` (a :class:`~repro.parallel.cache.ResultCache`, with the
+        corpus digest and config hash to key on) skips analyses whose
+        results are already cached for this exact corpus + config and
+        stores the rest as they finish, so a killed run that is run
+        again re-executes only unfinished analyses.
         """
         return run_analyses(self, analyses=analyses, jobs=jobs,
-                            policy=supervisor, strict=strict,
-                            journal=checkpoint, cache=cache,
+                            policy=supervisor, strict=strict, cache=cache,
                             corpus_digest=corpus_digest,
                             config_hash=config_hash)

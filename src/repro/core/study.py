@@ -182,6 +182,8 @@ class StudyReport:
         width = max((len(o.name) for o in self.outcomes), default=0)
         for o in self.outcomes:
             line = f"  {o.name.ljust(width)}  {o.status.value:8s}"
+            if o.cached:
+                line += "  (cached)"
             if o.attempts > 1:
                 line += f"  [{o.attempts} attempts, {o.timeouts} timeouts]"
             if o.error is not None:

@@ -28,13 +28,12 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.doctor.report": ("SEVERITIES", "Damage", "DamageReport",
                             "RepairAction", "RepairReport"),
-    "repro.doctor.scrub": ("ANALYSIS_JOURNAL_FILE", "DOCTOR_JOURNAL_FILE",
-                           "DOCTOR_QUARANTINE_DIR", "scrub_corpus"),
+    "repro.doctor.scrub": ("DOCTOR_JOURNAL_FILE", "DOCTOR_QUARANTINE_DIR",
+                           "scrub_corpus"),
     "repro.doctor.repair": ("repair_corpus",),
 })
 
 __all__ = [
-    "ANALYSIS_JOURNAL_FILE",
     "DOCTOR_JOURNAL_FILE",
     "DOCTOR_QUARANTINE_DIR",
     "SEVERITIES",

@@ -12,8 +12,7 @@ damage                       repair source
 ===========================  ==============================================
 journal torn tail            truncate at the last valid entry (the byte
                              offset the scrub recorded)
-derived journal bad header   discard (analyze/doctor journals rebuild on
-                             demand)
+doctor journal bad header    discard (the doctor rebuilds it on demand)
 synthetic segment/file loss  ``generate --resume`` — the scenario is
                              deterministic in (scale, days, seed), which
                              ``platform.json`` records and the journal

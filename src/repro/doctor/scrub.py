@@ -46,8 +46,6 @@ from repro.runtime.generate import (
     _segment_name,
 )
 
-#: the supervised-analyze journal (same name the CLI uses)
-ANALYSIS_JOURNAL_FILE = ".analysis.checkpoint.jsonl"
 #: the doctor's own repair journal
 DOCTOR_JOURNAL_FILE = ".doctor.checkpoint.jsonl"
 #: where unrecoverable artifacts are moved instead of deleted
@@ -141,8 +139,8 @@ def _is_tap_corpus(corpus: Path, scan: JournalScan) -> bool:
 
 def _scrub_journals(corpus: Path, scan: JournalScan, tap_corpus: bool,
                     report: DamageReport) -> None:
-    """Scrub the commit log (``scan``) and the two derived journals."""
-    for name in (JOURNAL_FILE, ANALYSIS_JOURNAL_FILE, DOCTOR_JOURNAL_FILE):
+    """Scrub the commit log (``scan``) and the doctor's own journal."""
+    for name in (JOURNAL_FILE, DOCTOR_JOURNAL_FILE):
         derived = name != JOURNAL_FILE
         journal = scan_journal_file(corpus / name) if derived else scan
         if not journal.exists:

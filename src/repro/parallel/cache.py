@@ -13,10 +13,13 @@ SHA-256 of
 * the analysis name.
 
 A cache hit therefore proves "this exact analysis ran on this exact
-corpus under this exact configuration".  Only ``ok``/``degraded``
-outcomes are cached — failures are recomputed, matching the resume
-semantics of the checkpoint journal.  Like journal resume, a hit
-restores the outcome's status/fingerprint but not the in-memory value.
+corpus under this exact configuration", provided the caller keys on a
+digest whose manifest matches the corpus files (``repro analyze`` checks
+both plane files first).  The cache is the one store of finished
+analyses: a killed ``analyze`` that is run again is served what it
+finished.  Only ``ok``/``degraded`` outcomes are cached — failures are
+always recomputed.  A hit restores the outcome's status/fingerprint but
+not the in-memory value.
 
 Every entry records the corpus digest it was keyed on, which is what
 lets ``repro validate`` detect a *stale* cache: a cache directory whose

@@ -12,7 +12,9 @@ Four pieces make long ``generate``/``analyze`` jobs survivable:
   a plain ``jobs=1`` run, otherwise up to ``jobs`` forked children with
   wall-clock timeouts and bounded, jittered retries
   (:mod:`repro.runtime.retry`), so a hung or OOM-killed analysis becomes
-  a ``failed`` StudyReport entry instead of a dead run.
+  a ``failed`` StudyReport entry instead of a dead run; it stores each
+  finished analysis in the result cache at once, so a killed run
+  resumes when it is run again.
 
 :mod:`repro.runtime.chaos` provides the environment-driven kill/hang
 hooks the chaos tests (and the CI chaos job) drive.

@@ -1,10 +1,12 @@
 """The checkpoint journal: an append-only, fsynced record of completed work.
 
-One journal file accompanies each resumable run (``.checkpoint.jsonl`` in
-the corpus directory for ``generate``, ``.analysis.checkpoint.jsonl`` for
-``analyze``).  Line 1 is a *header* identifying the run — command, seed,
-configuration hash — so ``--resume`` refuses to splice work from a
-different run.  Every subsequent line is one committed *step*::
+A corpus directory holds two: its commit log ``.checkpoint.jsonl``
+(written by ``generate``, ``advance`` and the taps, tailed by ``watch``)
+and the doctor's repair journal ``.doctor.checkpoint.jsonl``.
+``analyze`` keeps none: its finished analyses live in the result cache
+(:mod:`repro.parallel.cache`).  Line 1 is a *header* identifying the run
+— command, seed, configuration hash — so ``--resume`` refuses to splice
+work from a different run.  Every subsequent line is one committed *step*::
 
     {"type": "header", "command": "generate", "seed": 7, "config_hash": "…"}
     {"type": "step", "key": "segment:control:000", "sha256": "…", "bytes": 123}

@@ -33,9 +33,9 @@ Per forked analysis::
 
 Both modes share everything around the attempt:
 
-* **Resolution first.**  Terminal outcomes already in the checkpoint
-  journal, then finished entries of the content-addressed result cache,
-  are served without running anything.
+* **Resolution first.**  Finished entries of the content-addressed
+  result cache are served without running anything; failures are never
+  cached, so they always run again.
 * **Planes read once, before dispatch**, and an unreadable one fails
   the run; a run served whole by :func:`_served_whole` reads none.
 * **Ordering.**  The rest is dispatched in :func:`schedule_order`: heavy
@@ -44,9 +44,9 @@ Both modes share everything around the attempt:
 * **Determinism.**  Backoff jitter is seeded per analysis,
   ``f"{seed}:{name}"``, so a schedule never depends on completion order
   or on ``jobs``; values are fingerprinted before they cross a pipe.
-* **Single writer.**  The parent commits each terminal outcome to the
-  journal and the cache the moment it exists (:func:`_terminal`), so
-  ``repro analyze --resume`` re-runs only analyses that never finished.
+* **Single writer.**  The parent stores each terminal outcome in the
+  cache the moment it exists (:func:`_terminal`), so re-running a killed
+  ``repro analyze`` command runs only the analyses that never finished.
 """
 
 from __future__ import annotations
@@ -72,11 +72,7 @@ from repro.errors import AnalysisError, SupervisorError
 # fingerprint module with the runner means no forked child imports it
 import repro.parallel.golden  # noqa: F401
 from repro.runtime import chaos
-from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy, is_retryable_exception
-
-#: journal key prefix for per-analysis terminal outcomes
-ANALYSIS_KEY = "analysis:"
 
 #: relative cost estimates (longest-processing-time-first dispatch): an
 #: analysis's time over warmed intermediates at the paper default
@@ -166,19 +162,6 @@ def _fork_context():
         return None
 
 
-def _outcome_from_entry(entry: dict) -> AnalysisOutcome:
-    """Reconstruct a journaled terminal outcome (values are not persisted)."""
-    return AnalysisOutcome(
-        name=entry["name"], status=AnalysisStatus(entry["status"]),
-        value=None, error=entry.get("error"),
-        error_type=entry.get("error_type"),
-        seconds=float(entry.get("seconds", 0.0)),
-        attempts=int(entry.get("attempts", 1)),
-        timeouts=int(entry.get("timeouts", 0)),
-        value_digest=entry.get("value_digest"),
-    )
-
-
 def _analysis_fn(pipeline, name: str):
     """Resolve an analysis callable by registry name.
 
@@ -202,16 +185,6 @@ def ingest_warnings(pipeline) -> list:
                 f"{corpus_name} ingest dropped {ingest.skipped} of "
                 f"{ingest.total} records")
     return warnings
-
-
-def journal_outcome(journal: CheckpointJournal,
-                    outcome: AnalysisOutcome) -> None:
-    """Commit one terminal outcome under its analysis key."""
-    journal.commit(ANALYSIS_KEY + outcome.name, name=outcome.name,
-                   status=outcome.status.value, error=outcome.error,
-                   error_type=outcome.error_type, seconds=outcome.seconds,
-                   attempts=outcome.attempts, timeouts=outcome.timeouts,
-                   value_digest=outcome.value_digest)
 
 
 def warm_shared_caches(pipeline, telem) -> None:
@@ -257,7 +230,6 @@ class _Run:
     policy: SupervisorPolicy
     degraded: bool = False
     strict: bool = False
-    journal: Optional[CheckpointJournal] = None
     cache: Optional[object] = None  # a repro.parallel.cache.ResultCache
     corpus_digest: Optional[str] = None
     config_hash: Optional[str] = None
@@ -276,7 +248,6 @@ def run_analyses(
     jobs: Optional[int] = 1,
     policy: Optional[SupervisorPolicy] = None,
     strict: bool = False,
-    journal: Optional[CheckpointJournal] = None,
     cache=None,
     corpus_digest: Optional[str] = None,
     config_hash: Optional[str] = None,
@@ -286,17 +257,17 @@ def run_analyses(
     ``pipeline`` is an :class:`~repro.core.pipeline.AnalysisPipeline`
     (anything exposing the analysis methods, ``degraded_inputs``, and the
     corpora works).  ``jobs`` of ``None``/``0`` means all CPUs.
-    ``journal`` resumes and records terminal outcomes; ``cache`` (a
-    :class:`~repro.parallel.cache.ResultCache`, used only together with
-    ``corpus_digest``) serves finished ``(corpus_digest, config_hash,
-    name)`` entries and stores fresh ok/degraded outcomes back.
+    ``cache`` (a :class:`~repro.parallel.cache.ResultCache`, used only
+    together with ``corpus_digest``) serves finished ``(corpus_digest,
+    config_hash, name)`` entries and stores fresh ok/degraded outcomes
+    back.  The digest must prove the planes match the manifest: a run
+    served whole from ``ok`` hits reads neither plane.
 
     With ``strict=True`` an inline run re-raises the first typed error
     as itself.  A forked run stops dispatching at the first failed
     terminal outcome, lets the in-flight children finish (and be
-    journaled), then raises :class:`~repro.errors.AnalysisError` for the
-    failed analysis earliest in study order; so does either mode when a
-    ``failed`` outcome is served from the journal.
+    cached), then raises :class:`~repro.errors.AnalysisError` for the
+    failed analysis earliest in study order.
     """
     from repro.core.pipeline import ANALYSIS_NAMES
 
@@ -305,12 +276,14 @@ def run_analyses(
     ctx = _fork_context() if policy is not None or jobs > 1 else None
     policy = policy or SupervisorPolicy()
     telem = telemetry.current()
-    run = _Run(ctx=ctx, policy=policy, strict=strict, journal=journal,
+    run = _Run(ctx=ctx, policy=policy, strict=strict,
                cache=cache if corpus_digest is not None else None,
                corpus_digest=corpus_digest, config_hash=config_hash,
                telem=telem)
     for name in schedule_order(names):
-        outcome = _resolved_outcome(run, name)
+        # resolution first: a finished outcome the cache serves
+        outcome = (None if run.cache is None
+                   else run.cache.get(corpus_digest, config_hash, name))
         if outcome is not None:
             run.outcomes[name] = outcome
             continue
@@ -319,7 +292,7 @@ def run_analyses(
             rng=random.Random(f"{policy.seed}:{name}")))
 
     warnings = []
-    if not _served_whole(run, pipeline):
+    if not _served_whole(run):
         run.degraded = pipeline.degraded_inputs  # reads both planes
         warnings = ingest_warnings(pipeline)
 
@@ -348,26 +321,12 @@ def run_analyses(
     return report
 
 
-def _resolved_outcome(run: _Run, name: str) -> Optional[AnalysisOutcome]:
-    """A terminal outcome available without running anything: the journal
-    first (authoritative for this run), then the content-addressed cache."""
-    if run.journal is not None:
-        entry = run.journal.committed(ANALYSIS_KEY + name)
-        if entry is not None:
-            run.telem.counter("supervisor.resumed").inc()
-            return _outcome_from_entry(entry)
-    if run.cache is not None:
-        return run.cache.get(run.corpus_digest, run.config_hash, name)
-    return None
-
-
-def _served_whole(run: _Run, pipeline) -> bool:
-    """Whether every outcome is an ``ok`` cache hit over plane files that
-    match the manifest: proof that ingest would lose nothing."""
-    return (not run.queue
-            and all(o.cached and o.status is AnalysisStatus.OK
-                    for o in run.outcomes.values())
-            and getattr(pipeline, "planes_intact", lambda: False)())
+def _served_whole(run: _Run) -> bool:
+    """Whether every outcome is an ``ok`` cache hit: under a digest that
+    proves the planes match the manifest, proof that ingest would lose
+    nothing."""
+    return not run.queue and all(o.cached and o.status is AnalysisStatus.OK
+                                 for o in run.outcomes.values())
 
 
 def _drive(run: _Run, jobs: int) -> None:
@@ -375,7 +334,7 @@ def _drive(run: _Run, jobs: int) -> None:
     while run.queue or run.waiting or run.running:
         if run.stop_dispatch:
             # strict stop: drop everything not yet terminal.  Dropped
-            # analyses are never journaled, so ``--resume`` runs them.
+            # analyses are never cached, so a re-run runs them.
             run.queue.clear()
             run.waiting.clear()
             if not run.running:
@@ -527,21 +486,20 @@ def _attempt_done(run: _Run, task: _Task, attempt: dict) -> None:
 def _terminal(run: _Run, task: _Task, outcome: AnalysisOutcome) -> None:
     """Record a terminal outcome the moment it exists.
 
-    Journal commits and cache stores happen here — not after the loop
-    drains — so a run killed mid-flight resumes with every finished
-    analysis already committed.  The parent is the only journal/cache
-    writer.
+    The cache store happens here — not after the loop drains — so a
+    killed run, re-run, finds every finished analysis already stored;
+    the ``commit:analysis:<name>`` chaos point follows the store.  The
+    parent is the only cache writer.
     """
     run.outcomes[task.name] = outcome
     run.telem.counter("pipeline.analyses",
                       status=outcome.status.value).inc()
     run.telem.histogram("pipeline.analysis_seconds",
                         name=outcome.name).observe(outcome.seconds)
-    if run.journal is not None:
-        journal_outcome(run.journal, outcome)
     if run.cache is not None:
         run.cache.put(run.corpus_digest, run.config_hash, outcome)
+    chaos.maybe_kill(f"commit:analysis:{task.name}")
     if run.strict and outcome.status is AnalysisStatus.FAILED:
         # stop dispatching new work; in-flight children drain and are
-        # journaled, then run_analyses raises for the earliest failure
+        # cached, then run_analyses raises for the earliest failure
         run.stop_dispatch = True

@@ -1,8 +1,10 @@
-"""Corpora written before the columnar sidecar plane was retired still
-work: their ``.columnar/`` directory and the ``columnar:*`` commits in
-``.checkpoint.jsonl`` are inert leftovers — ``validate`` passes,
-``doctor`` finds nothing to repair, and ``generate --resume`` finishes
-or recognises the corpus without touching them.
+"""Corpora written by older versions still work: the ``.columnar/``
+directory and ``columnar:*`` commits in ``.checkpoint.jsonl`` left
+before the columnar sidecar plane was retired, and the
+``.analysis.checkpoint.jsonl`` left before the result cache became the
+one store of finished analyses, are inert leftovers — ``validate``
+passes, ``doctor`` finds nothing to repair, and ``generate --resume``
+finishes or recognises the corpus without touching them.
 """
 
 import hashlib
@@ -109,3 +111,23 @@ def test_resume_finishes_a_run_killed_after_the_sidecars(fresh_corpus,
     expected = json.loads((fresh_corpus / MANIFEST_FILE).read_text())
     assert files == expected["files"]
     assert run_cli(["validate", corpus]).returncode == EXIT_OK
+
+
+def test_analysis_journal_leftover_is_inert(fresh_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(fresh_corpus, corpus)
+    leftover = corpus / ".analysis.checkpoint.jsonl"
+    leftover.write_text(
+        json.dumps({"type": "header", "command": "analyze",
+                    "corpus": str(corpus), "policy": "skip",
+                    "host_min_days": 2}) + "\n"
+        + json.dumps({"type": "step", "key": "analysis:fig3_load",
+                      "name": "fig3_load", "status": "failed"}) + "\n"
+        + "{torn")
+    before = leftover.read_bytes()
+    proc = run_cli(["validate", corpus])
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    proc = run_cli(["doctor", corpus])
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert "CLEAN" in proc.stdout
+    assert leftover.read_bytes() == before

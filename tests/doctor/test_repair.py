@@ -89,9 +89,8 @@ class TestIndividualPlans:
         assert outcome.ok and not orphan.exists()
 
     def test_discard_analysis_journal(self, corpus):
-        from repro.doctor import ANALYSIS_JOURNAL_FILE
-
-        path = corpus / ANALYSIS_JOURNAL_FILE
+        # the doctor's own journal is the one derived journal left
+        path = corpus / DOCTOR_JOURNAL_FILE
         path.write_text("not json\n")
         outcome = heal(corpus)
         assert outcome.ok and outcome.verified.clean

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.doctor import (
-    ANALYSIS_JOURNAL_FILE,
+    DOCTOR_JOURNAL_FILE,
     scrub_corpus,
 )
 from repro.doctor.scrub import generation_params, scan_journal_file
@@ -69,10 +69,10 @@ class TestJournalScrub:
         assert damage.context["resume"] is False
 
     def test_derived_journal_discardable(self, corpus):
-        (corpus / ANALYSIS_JOURNAL_FILE).write_text("not json\n")
+        (corpus / DOCTOR_JOURNAL_FILE).write_text("not json\n")
         report = scrub_corpus(corpus)
         (damage,) = damages_by_kind(report, "journal")
-        assert damage.artifact == ANALYSIS_JOURNAL_FILE
+        assert damage.artifact == DOCTOR_JOURNAL_FILE
         assert damage.plan == "discard-journal"
         assert damage.severity == "warning"
 

@@ -258,6 +258,10 @@ def analyze(corpus, capsys, *extra):
     return rc, capsys.readouterr().out
 
 
+def status_map(report):
+    return {a["name"]: a["status"] for a in report["analyses"]}
+
+
 def span_names(trace):
     records = (json.loads(line) for line in trace.read_text().splitlines())
     return {r["name"] for r in records if r.get("type") == "span"}
@@ -267,9 +271,10 @@ INGEST_SPANS = {"ingest.control", "ingest.data"}
 
 
 class TestCachedAnalyzeReadsNoPlane:
-    """A run served whole from ``ok`` cache hits over plane files that
-    match the manifest reads neither plane; any other run reads both, and
-    reports exactly what it reported when every run read them."""
+    """A run served whole from ``ok`` cache hits reads neither plane (the
+    cache is keyed only on plane files that match the manifest); any
+    other run reads both, and reports exactly what it reported when
+    every run read them."""
 
     @pytest.fixture
     def corpus(self, corpus_dir, tmp_path):
@@ -320,28 +325,58 @@ class TestCachedAnalyzeReadsNoPlane:
     def test_stale_manifest_copy_keeps_its_warnings(self, corpus_dir,
                                                     corpus, tmp_path,
                                                     capsys):
-        # `repro inject` copies the parent's manifest, so the damaged copy
-        # keys the cache like its parent; its planes no longer match
+        # `repro inject` copies the parent's manifest, so the damaged
+        # copy's digest is its parent's; its planes no longer match, so
+        # it runs uncached, warns, and reads its planes every time
         degraded = self.inject(corpus_dir, tmp_path / "degraded", capsys)
         rc_cold, cold = analyze(degraded, capsys)
         trace = tmp_path / "warm.jsonl"
-        rc_warm, warm = analyze(degraded, capsys, "--trace", str(trace))
-        cold, warm = json.loads(cold), json.loads(warm)
+        rc = main(["analyze", str(degraded), "--host-min-days", "1",
+                   "--jobs", "2", "--json", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert "does not match the plane files" in captured.err
+        cold, warm = json.loads(cold), json.loads(captured.out)
         assert cold["warnings"]
-        assert (rc_warm, warm["warnings"]) == (rc_cold, cold["warnings"])
-        assert all(a["cached"] for a in warm["analyses"])
+        assert (rc, warm["warnings"]) == (rc_cold, cold["warnings"])
+        assert not any(a["cached"] for a in warm["analyses"])
         assert INGEST_SPANS <= span_names(trace)
-        # a cache the intact parent filled serves the copy only ok hits;
-        # the copy's planes are read all the same and its losses reported
+        # a cache the intact parent filled serves the copy nothing
         shared = tmp_path / "shared-cache"
         assert analyze(corpus, capsys, "--cache-dir", str(shared))[0] \
             == EXIT_OK
         rc, served = analyze(degraded, capsys, "--cache-dir", str(shared))
         served = json.loads(served)
-        assert rc == EXIT_OK
-        assert {a["status"] for a in served["analyses"]} == {"ok"}
-        assert all(a["cached"] for a in served["analyses"])
+        assert rc == rc_cold
+        assert status_map(served) == status_map(cold)
+        assert not any(a["cached"] for a in served["analyses"])
         assert served["warnings"] == cold["warnings"]
+
+    def test_stale_manifest_copy_leaves_a_shared_cache_clean(
+            self, corpus_dir, corpus, tmp_path, capsys):
+        # the reverse order: the copy runs first over a shared cache,
+        # and the intact parent is not served the copy's outcomes
+        degraded = self.inject(corpus_dir, tmp_path / "degraded", capsys)
+        shared = tmp_path / "shared-cache"
+        analyze(degraded, capsys, "--cache-dir", str(shared))
+        rc, report = analyze(corpus, capsys, "--cache-dir", str(shared))
+        report = json.loads(report)
+        assert rc == EXIT_OK
+        assert set(status_map(report).values()) == {"ok"}
+        assert len(report["analyses"]) == 16
+        assert report["warnings"] == []
+
+    def test_cached_run_prints_one_line_per_analysis(self, corpus, capsys):
+        from repro.core.pipeline import ANALYSIS_NAMES
+
+        command = ["analyze", str(corpus), "--host-min-days", "1",
+                   "--jobs", "2"]
+        assert main(command) == EXIT_OK
+        capsys.readouterr()
+        assert main(command) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for name in ANALYSIS_NAMES:
+            (line,) = [row for row in lines if row.split()[:1] == [name]]
+            assert line.split()[1:] == ["ok", "(cached)"]
 
     def test_damaged_plane_under_intact_manifest_fails(self, corpus, capsys):
         assert analyze(corpus, capsys)[0] == EXIT_OK

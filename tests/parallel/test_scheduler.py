@@ -1,7 +1,7 @@
 """Tests for the analysis runner's ``jobs > 1`` pool against a stub
 pipeline: concurrent dispatch, deterministic merging, retry/timeout
-parity with supervised ``jobs=1``, journal resume, and strict-stop
-semantics."""
+parity with supervised ``jobs=1``, resume from the result cache, and
+strict-stop semantics."""
 
 import os
 
@@ -12,10 +12,8 @@ from repro.core.pipeline import SHARED_INTERMEDIATES
 from repro.core.study import AnalysisStatus
 from repro.errors import AnalysisError, SupervisorError
 from repro.parallel.cache import ResultCache
-from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.supervisor import (
-    ANALYSIS_KEY,
     SupervisorPolicy,
     resolve_jobs,
     run_analyses,
@@ -111,74 +109,86 @@ class TestRetryParity:
         assert counters["parallel.dispatched{name=hangs}"] == 2
 
 
+def cache_keys(tmp_path):
+    return dict(cache=ResultCache(tmp_path / "cache"),
+                corpus_digest="c0ffee", config_hash="cfg")
+
+
+def stored(keys, name):
+    """The outcome the cache holds for ``name``, or None."""
+    return keys["cache"].get(keys["corpus_digest"], keys["config_hash"],
+                             name)
+
+
 class TestJournal:
-    def start_journal(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        journal.start({"command": "analyze"})
-        return journal
+    """The pool stores each terminal outcome in the result cache as it
+    finishes; a re-run in any mode is served what was stored."""
 
     def test_terminal_outcomes_are_committed_with_digests(self, tmp_path):
-        journal = self.start_journal(tmp_path)
+        keys = cache_keys(tmp_path)
         policy, _ = no_sleep_policy()
-        run_analyses(StubPipeline(), analyses=["ok_fast", "typed_failure"],
-                     jobs=2, policy=policy, journal=journal)
-        reloaded = CheckpointJournal.load(journal.path)
-        ok = reloaded.committed(ANALYSIS_KEY + "ok_fast")
-        failed = reloaded.committed(ANALYSIS_KEY + "typed_failure")
-        assert ok["status"] == "ok" and ok["value_digest"]
-        assert failed["status"] == "failed"
-        assert failed["error_type"] == "AnalysisError"
+        report = run_analyses(StubPipeline(),
+                              analyses=["ok_fast", "typed_failure"],
+                              jobs=2, policy=policy, **keys)
+        ok = stored(keys, "ok_fast")
+        assert ok.status is AnalysisStatus.OK and ok.value_digest
+        assert ok.value_digest == report.outcome("ok_fast").value_digest
+        # a failure is never stored: a re-run runs it again
+        assert report.outcome("typed_failure").error_type == "AnalysisError"
+        assert stored(keys, "typed_failure") is None
 
     def test_resume_skips_journaled_analyses(self, tmp_path):
-        journal = self.start_journal(tmp_path)
-        run_analyses(StubPipeline(), analyses=["ok_fast"], jobs=2,
-                     journal=journal)
+        keys = cache_keys(tmp_path)
+        run_analyses(StubPipeline(), analyses=["ok_fast"], jobs=2, **keys)
         pipeline = StubPipeline()
         pipeline.ok_fast = pipeline.dies  # re-running would SIGKILL
-        resumed = CheckpointJournal.load(journal.path)
         report = run_analyses(pipeline, analyses=["ok_fast"], jobs=2,
-                              journal=resumed)
+                              **keys)
         (outcome,) = report.outcomes
-        assert outcome.status is AnalysisStatus.OK
+        assert outcome.status is AnalysisStatus.OK and outcome.cached
         assert outcome.value is None  # values are not persisted
 
     def test_serial_journal_resumes_in_parallel(self, tmp_path):
-        journal = self.start_journal(tmp_path)
+        keys = cache_keys(tmp_path)
         policy, _ = no_sleep_policy()
         run_analyses(StubPipeline(), analyses=["ok_fast"], policy=policy,
-                     journal=journal)
+                     **keys)
         pipeline = StubPipeline()
         pipeline.ok_fast = pipeline.dies
-        resumed = CheckpointJournal.load(journal.path)
         report = run_analyses(pipeline, analyses=["ok_fast"], jobs=4,
-                              journal=resumed)
+                              **keys)
         assert report.outcomes[0].status is AnalysisStatus.OK
+        assert report.outcomes[0].cached
 
 
 class TestStrict:
     def test_strict_failure_raises_after_journaling(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        journal.start({"command": "analyze"})
+        # both children are in flight when the failure lands: the ok one
+        # drains and is stored before the run raises
+        keys = cache_keys(tmp_path)
         policy, _ = no_sleep_policy()
         with pytest.raises(AnalysisError, match="typed_failure failed"):
-            run_analyses(StubPipeline(), analyses=["typed_failure"],
-                         jobs=2, policy=policy, journal=journal, strict=True)
-        reloaded = CheckpointJournal.load(journal.path)
-        assert reloaded.committed(ANALYSIS_KEY + "typed_failure") is not None
+            run_analyses(StubPipeline(),
+                         analyses=["typed_failure", "slow_ok"],
+                         jobs=2, policy=policy, strict=True, **keys)
+        assert stored(keys, "slow_ok") is not None
+        assert stored(keys, "typed_failure") is None
 
     def test_strict_stop_leaves_undispatched_unjournaled(self, tmp_path):
         # jobs=1 serialises dispatch: the failure lands before the queue
-        # drains, and everything not yet dispatched is left for --resume
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        journal.start({"command": "analyze"})
+        # drains, and everything not yet dispatched is left for a re-run
+        keys = cache_keys(tmp_path)
         policy, _ = no_sleep_policy(retry=RetryPolicy(max_retries=0))
         with pytest.raises(AnalysisError):
             run_analyses(StubPipeline(),
-                         analyses=["typed_failure", "slow_ok"],
-                         jobs=1, policy=policy, journal=journal, strict=True)
-        reloaded = CheckpointJournal.load(journal.path)
-        assert reloaded.committed(ANALYSIS_KEY + "typed_failure") is not None
-        assert reloaded.committed(ANALYSIS_KEY + "slow_ok") is None
+                         analyses=["typed_failure", "ok_fast"],
+                         jobs=1, policy=policy, strict=True, **keys)
+        assert stored(keys, "ok_fast") is None
+        # the re-run is served nothing and runs ``ok_fast`` fresh
+        report = run_analyses(StubPipeline(), analyses=["ok_fast"],
+                              jobs=1, policy=policy, **keys)
+        assert not report.outcomes[0].cached
+        assert stored(keys, "ok_fast") is not None
 
 
 class TestCacheIntegration:
@@ -223,8 +233,9 @@ class TestCacheIntegration:
 
 
 class TestWarmUpOnlyWhenQueued:
-    """Resolving every analysis from the cache or the journal must not
-    compute the shared intermediates the forked workers would need."""
+    """Resolving every analysis from the cache, pooled or supervised,
+    must not compute the shared intermediates the forked workers would
+    need."""
 
     INTERMEDIATES = SHARED_INTERMEDIATES
 
@@ -259,15 +270,18 @@ class TestWarmUpOnlyWhenQueued:
     def test_all_journaled_supervised_run_computes_no_intermediate(
             self, tmp_path, fresh_pipeline):
         from repro.core.pipeline import ANALYSIS_NAMES
+        from repro.core.study import AnalysisOutcome
 
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        journal.start({"command": "analyze"})
+        cache = ResultCache(tmp_path / "cache")
         for name in ANALYSIS_NAMES:
-            journal.commit(ANALYSIS_KEY + name, name=name, status="ok")
+            cache.put("c0ffee", "cfg", AnalysisOutcome(
+                name=name, status=AnalysisStatus.OK, value_digest="ab"))
         report = run_analyses(fresh_pipeline, policy=SupervisorPolicy(),
-                              journal=journal)
+                              cache=cache, corpus_digest="c0ffee",
+                              config_hash="cfg")
         assert [o.status for o in report.outcomes] == \
             [AnalysisStatus.OK] * len(ANALYSIS_NAMES)
+        assert all(o.cached for o in report.outcomes)
         assert self.warmed(fresh_pipeline) == []
 
     def test_one_uncached_analysis_still_warms(self, tmp_path,

@@ -1,6 +1,8 @@
 """Chaos tests: SIGKILL the real CLI at injected commit points and assert
-that ``--resume`` converges on exactly the artifacts of an uninterrupted
-run — identical corpus checksums, identical study statuses.
+that the resume — ``generate --resume``, or re-running a killed
+``analyze`` over the result cache it filled — converges on exactly the
+artifacts of an uninterrupted run: identical corpus checksums, identical
+study statuses and fingerprints.
 
 These drive ``python -m repro`` in subprocesses because the injected
 kills (``REPRO_CHAOS_KILL_AT``) take down the whole process, and the
@@ -18,12 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    ANALYZE_JOURNAL_FILE,
-    EXIT_FAILURES,
-    EXIT_OK,
-    MANIFEST_FILE,
-)
+from repro.cli import EXIT_FAILURES, EXIT_OK, MANIFEST_FILE
+from repro.parallel.cache import DEFAULT_CACHE_DIRNAME, ResultCache
 from repro.runtime.chaos import HANG_ENV, KILL_ENV
 from repro.runtime.generate import JOURNAL_FILE
 from tests.cli_helpers import CLI_TIMEOUT, cli_command, cli_env, run_cli
@@ -61,6 +59,16 @@ def status_map(report_json):
     return {a["name"]: a["status"] for a in report_json["analyses"]}
 
 
+def digest_map(report_json):
+    return {a["name"]: a["value_digest"] for a in report_json["analyses"]}
+
+
+def cached_names(corpus):
+    """The analyses the corpus-local result cache holds."""
+    return {entry["name"] for _, entry in
+            ResultCache.for_corpus(corpus).entries()}
+
+
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
     """One uninterrupted generate + supervised analyze: the ground truth
@@ -77,8 +85,8 @@ def baseline(tmp_path_factory):
 @pytest.fixture
 def corpus_copy(baseline, tmp_path):
     dst = tmp_path / "corpus"
-    shutil.copytree(baseline["corpus"], dst)
-    (dst / ANALYZE_JOURNAL_FILE).unlink(missing_ok=True)
+    shutil.copytree(baseline["corpus"], dst,
+                    ignore=shutil.ignore_patterns(DEFAULT_CACHE_DIRNAME))
     return dst
 
 
@@ -108,20 +116,50 @@ class TestGenerateKillAndResume:
 class TestAnalyzeKillAndResume:
     def test_resume_converges_to_baseline_statuses(self, corpus_copy,
                                                    baseline):
-        killed = run_cli([*ANALYZE, str(corpus_copy), "--supervised",
-                          "--json"],
+        command = [*ANALYZE, str(corpus_copy), "--supervised", "--json"]
+        killed = run_cli(command,
                          chaos={KILL_ENV: "commit:analysis:fig3_load"})
         assert killed.returncode == -signal.SIGKILL
-        # the first two analyses reached terminal states before the kill
-        journal = (corpus_copy / ANALYZE_JOURNAL_FILE).read_text()
-        assert "analysis:fig2_time_offset" in journal
-        assert "analysis:fig3_load" in journal
+        # the analyses dispatched before fig3_load, and fig3_load itself,
+        # were stored before the kill
+        finished = cached_names(corpus_copy)
+        assert {"fig2_time_offset", "fig3_load"} <= finished
+        assert len(finished) < len(baseline["report"]["analyses"])
 
-        resumed = run_cli([*ANALYZE, str(corpus_copy), "--resume", "--json"])
+        resumed = run_cli(command)
         assert resumed.returncode == EXIT_OK, resumed.stderr
         report = json.loads(resumed.stdout)
         assert report["ok"] and not report["all_degraded"]
         assert status_map(report) == status_map(baseline["report"])
+        assert digest_map(report) == digest_map(baseline["report"])
+        assert {a["name"] for a in report["analyses"] if a["cached"]} \
+            == finished
+
+
+class TestRegenerateInPlace:
+    def test_rerun_after_regenerate_matches_fresh_analyze(self, tmp_path):
+        """Finished analyses are keyed by corpus content, not by the
+        directory: regenerating a corpus in place from another seed must
+        not serve the old corpus's outcomes to a re-run."""
+        corpus = tmp_path / "corpus"
+        assert run_cli([*GENERATE, "--out", str(corpus)]).returncode \
+            == EXIT_OK
+        command = [*ANALYZE, str(corpus), "--supervised", "--json"]
+        assert run_cli(command).returncode == EXIT_OK
+        # re-running the unchanged corpus resumes: every analysis served
+        again = json.loads(run_cli(command).stdout)
+        assert all(a["cached"] for a in again["analyses"])
+
+        regenerated = run_cli(["generate", "--scale", "0.005", "--days",
+                               "3", "--seed", "4", "--out", str(corpus)])
+        assert regenerated.returncode == EXIT_OK, regenerated.stderr
+        rerun = run_cli(command)
+        fresh = run_cli([*ANALYZE, str(corpus), "--json"])
+        assert rerun.returncode == fresh.returncode, rerun.stderr
+        rerun, fresh = json.loads(rerun.stdout), json.loads(fresh.stdout)
+        assert not any(a["cached"] for a in rerun["analyses"])
+        assert len(rerun["analyses"]) == 16
+        assert digest_map(rerun) == digest_map(fresh)
 
 
 class TestParallelGenerateKillAndResume:
@@ -160,27 +198,24 @@ class TestParallelGenerateKillAndResume:
 class TestParallelAnalyzeKillAndResume:
     def test_parallel_resume_converges_to_baseline(self, corpus_copy,
                                                    baseline):
-        """SIGKILL while four analysis workers are in flight, then
-        resume with ``--jobs 4``: statuses *and* value fingerprints must
+        """SIGKILL while four analysis workers are in flight, then run
+        the same command again: statuses *and* value fingerprints must
         match the uninterrupted serial baseline."""
-        killed = run_cli([*ANALYZE, str(corpus_copy), "--supervised",
-                          "--jobs", "4", "--json"],
+        command = [*ANALYZE, str(corpus_copy), "--supervised", "--jobs",
+                   "4", "--json"]
+        killed = run_cli(command,
                          chaos={KILL_ENV: "commit:analysis:fig2_time_offset"})
         assert killed.returncode == -signal.SIGKILL
-        # the killed commit itself was durably journaled first
-        journal = (corpus_copy / ANALYZE_JOURNAL_FILE).read_text()
-        assert "analysis:fig2_time_offset" in journal
+        # the killed commit itself was durably stored first
+        assert "fig2_time_offset" in cached_names(corpus_copy)
 
-        resumed = run_cli([*ANALYZE, str(corpus_copy), "--resume",
-                           "--jobs", "4", "--json"])
+        resumed = run_cli(command)
         assert resumed.returncode == EXIT_OK, resumed.stderr
         report = json.loads(resumed.stdout)
         assert report["ok"] and not report["all_degraded"]
         assert status_map(report) == status_map(baseline["report"])
-        digests = {a["name"]: a["value_digest"] for a in report["analyses"]}
-        baseline_digests = {a["name"]: a["value_digest"]
-                            for a in baseline["report"]["analyses"]}
-        assert digests == baseline_digests
+        digests = digest_map(report)
+        assert digests == digest_map(baseline["report"])
         assert all(digests.values())
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
@@ -236,3 +271,19 @@ class TestHangIsolation:
         counters = json.loads(metrics_path.read_text())["metrics"]["counters"]
         assert counters["supervisor.timeouts{name=fig3_load}"] == 2
         assert counters["supervisor.retries{name=fig3_load}"] == 1
+
+    def test_timed_out_analysis_runs_again_on_rerun(self, corpus_copy):
+        """A failure is never stored as finished: re-running after a
+        timeout runs the timed-out analysis again and serves the rest."""
+        hung = run_cli([*ANALYZE, str(corpus_copy), "--timeout", "1",
+                        "--retries", "0", "--json"],
+                       chaos={HANG_ENV: "fig3_load:5"})
+        assert hung.returncode == EXIT_FAILURES, hung.stderr
+        rerun = run_cli([*ANALYZE, str(corpus_copy), "--supervised",
+                         "--timeout", "60", "--json"])
+        assert rerun.returncode == EXIT_OK, rerun.stderr
+        analyses = json.loads(rerun.stdout)["analyses"]
+        (load,) = [a for a in analyses if a["name"] == "fig3_load"]
+        assert load["status"] == "ok" and not load["cached"]
+        assert (load["attempts"], load["timeouts"]) == (1, 0)
+        assert all(a["cached"] for a in analyses if a is not load)

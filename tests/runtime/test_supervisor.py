@@ -1,7 +1,7 @@
 """Tests for the analysis runner against a stub pipeline: supervised
 ``jobs=1`` runs (process isolation, timeout kills, retry budgets,
-journal resume, the telemetry counters the CLI surfaces) and the inline
-reference path."""
+resume from the result cache, the telemetry counters the CLI surfaces)
+and the inline reference path."""
 
 import os
 from dataclasses import dataclass, field
@@ -12,13 +12,8 @@ from repro import telemetry
 from repro.core.study import AnalysisStatus
 from repro.errors import AnalysisError
 from repro.parallel.cache import ResultCache
-from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.supervisor import (
-    ANALYSIS_KEY,
-    SupervisorPolicy,
-    run_analyses,
-)
+from repro.runtime.supervisor import SupervisorPolicy, run_analyses
 from tests.runner_helpers import StubPipeline, no_sleep_policy
 
 
@@ -127,46 +122,53 @@ class TestTimeouts:
 
 
 class TestJournal:
-    def start_journal(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        journal.start({"command": "analyze"})
-        return journal
+    """The result cache is the one store of finished analyses: a
+    supervised run stores each terminal outcome as it finishes, and a
+    re-run is served what was stored."""
+
+    def cache_keys(self, tmp_path):
+        return dict(cache=ResultCache(tmp_path / "cache"),
+                    corpus_digest="c0ffee", config_hash="cfg")
 
     def test_terminal_outcomes_are_committed(self, tmp_path):
-        journal = self.start_journal(tmp_path)
+        keys = self.cache_keys(tmp_path)
         policy, _ = no_sleep_policy()
         run_analyses(StubPipeline(), analyses=["ok_fast", "typed_failure"],
-                     policy=policy, journal=journal)
-        reloaded = CheckpointJournal.load(journal.path)
-        ok = reloaded.committed(ANALYSIS_KEY + "ok_fast")
-        failed = reloaded.committed(ANALYSIS_KEY + "typed_failure")
-        assert ok["status"] == "ok" and ok["attempts"] == 1
-        assert failed["status"] == "failed"
-        assert failed["error_type"] == "AnalysisError"
+                     policy=policy, **keys)
+        cache = keys["cache"]
+        ok = cache.get("c0ffee", "cfg", "ok_fast")
+        assert ok.status is AnalysisStatus.OK and ok.attempts == 1
+        # a failure is never stored: a re-run runs it again
+        assert cache.get("c0ffee", "cfg", "typed_failure") is None
+        assert cache_names(cache) == {"ok_fast"}
 
     def test_resume_skips_journaled_analyses(self, tmp_path):
-        journal = self.start_journal(tmp_path)
+        keys = self.cache_keys(tmp_path)
         run_analyses(StubPipeline(), analyses=["ok_fast"],
-                     policy=SupervisorPolicy(), journal=journal)
-        # a second run must reuse the journaled outcome, not re-execute:
+                     policy=SupervisorPolicy(), **keys)
+        # a second run must reuse the stored outcome, not re-execute:
         # ``dies`` under the resumed name would SIGKILL the child
         pipeline = StubPipeline()
         pipeline.ok_fast = pipeline.dies
-        resumed = CheckpointJournal.load(journal.path)
         report = run_analyses(pipeline, analyses=["ok_fast"],
-                              policy=SupervisorPolicy(), journal=resumed)
+                              policy=SupervisorPolicy(), **keys)
         (outcome,) = report.outcomes
-        assert outcome.status is AnalysisStatus.OK
+        assert outcome.status is AnalysisStatus.OK and outcome.cached
         assert outcome.value is None  # values are not persisted
 
     def test_strict_failure_raises_after_journaling(self, tmp_path):
-        journal = self.start_journal(tmp_path)
+        keys = self.cache_keys(tmp_path)
         policy, _ = no_sleep_policy()
         with pytest.raises(AnalysisError, match="typed_failure failed"):
-            run_analyses(StubPipeline(), analyses=["typed_failure"],
-                         policy=policy, journal=journal, strict=True)
-        reloaded = CheckpointJournal.load(journal.path)
-        assert reloaded.committed(ANALYSIS_KEY + "typed_failure") is not None
+            run_analyses(StubPipeline(),
+                         analyses=["ok_fast", "typed_failure"],
+                         policy=policy, strict=True, **keys)
+        # the analysis that finished before the failure is stored
+        assert cache_names(keys["cache"]) == {"ok_fast"}
+
+
+def cache_names(cache):
+    return {entry["name"] for _, entry in cache.entries()}
 
 
 @dataclass(frozen=True)
@@ -242,11 +244,10 @@ class TestInline:
 
     def test_run_all_journals_without_a_supervisor(self, tmp_path,
                                                    tiny_pipeline):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        journal.start({"command": "analyze"})
+        cache = ResultCache(tmp_path / "cache")
         report = tiny_pipeline.run_all(strict=False, analyses=["fig3_load"],
-                                       checkpoint=journal)
-        entry = CheckpointJournal.load(journal.path).committed(
-            ANALYSIS_KEY + "fig3_load")
-        assert entry is not None and entry["status"] == "ok"
-        assert entry["value_digest"] == report.outcomes[0].value_digest
+                                       cache=cache, corpus_digest="c0ffee",
+                                       config_hash="cfg")
+        hit = cache.get("c0ffee", "cfg", "fig3_load")
+        assert hit is not None and hit.status is AnalysisStatus.OK
+        assert hit.value_digest == report.outcomes[0].value_digest

@@ -92,6 +92,13 @@ class TestCLI:
         assert exc.value.code == EXIT_USAGE
         assert "--engine" in capsys.readouterr().err
 
+    def test_retired_resume_flag_is_a_usage_error(self, corpus_dir, capsys):
+        # re-running the same command resumes an ``analyze``
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(corpus_dir), "--resume"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--resume" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -129,15 +136,14 @@ class TestFreshRunsOverUnreadableJournals:
 
     def test_supervised_analyze_over_garbage_journal_header(
             self, corpus_copy, capsys):
-        from repro.cli import ANALYZE_JOURNAL_FILE
-
-        (corpus_copy / ANALYZE_JOURNAL_FILE).write_text("{garbage\n")
+        # ``analyze`` keeps no journal: a leftover from older versions is
+        # neither read nor rewritten
+        leftover = corpus_copy / ".analysis.checkpoint.jsonl"
+        leftover.write_text("{garbage\n")
         rc = main(["analyze", str(corpus_copy), "--supervised",
                    "--host-min-days", "4"])
         assert rc == EXIT_OK
-        header = (corpus_copy / ANALYZE_JOURNAL_FILE).read_text() \
-            .splitlines()[0]
-        assert json.loads(header)["command"] == "analyze"
+        assert leftover.read_text() == "{garbage\n"
 
 
 class TestAnalyzeErrorPaths:

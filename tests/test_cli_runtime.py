@@ -1,6 +1,6 @@
 """CLI tests for the crash-safety surface that runs in-process: the
 all-degraded exit code, generate --resume guards, and supervised analyze
-through the public flags."""
+(resumed by running it again) through the public flags."""
 
 import json
 import shutil
@@ -76,13 +76,19 @@ class TestGenerateResumeFlags:
 
 class TestSupervisedAnalyzeCLI:
     def test_supervised_then_resume_roundtrip(self, corpus_copy, capsys):
-        rc = main([*ANALYZE, str(corpus_copy), "--supervised", "--json"])
+        # re-running the same supervised command is its resume: the
+        # second run is served every finished analysis from the cache
+        command = [*ANALYZE, str(corpus_copy), "--supervised", "--json"]
+        rc = main(command)
         assert rc == EXIT_OK
         first = json.loads(capsys.readouterr().out)
         assert {a["status"] for a in first["analyses"]} == {"ok"}
 
-        rc = main([*ANALYZE, str(corpus_copy), "--resume", "--json"])
+        rc = main(command)
         assert rc == EXIT_OK
         second = json.loads(capsys.readouterr().out)
         assert ({a["name"]: a["status"] for a in second["analyses"]}
                 == {a["name"]: a["status"] for a in first["analyses"]})
+        assert ({a["name"]: a["value_digest"] for a in second["analyses"]}
+                == {a["name"]: a["value_digest"] for a in first["analyses"]})
+        assert all(a["cached"] for a in second["analyses"])
